@@ -11,7 +11,14 @@
 //!
 //! [`MetricsRegistry::snapshot`] returns a point-in-time, name-sorted
 //! copy for rendering or JSON export; it never blocks writers for more
-//! than the duration of a map clone.
+//! than the duration of a map clone. Snapshots are ordered
+//! add-before-observe: for code that bumps a counter before it observes
+//! the matching histogram sample, a snapshot's histogram counts never
+//! exceed a later snapshot's counters. [`Histogram::observe`] publishes
+//! with `Release` and histogram reads load with `Acquire`, so a read
+//! that sees a sample also sees every counter add made before it; the
+//! snapshot reads counters before histograms, and snapshots are ordered
+//! among themselves by the registry's lock.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,17 +63,19 @@ impl Histogram {
     /// Records one sample.
     pub fn observe(&self, v: u64) {
         let bucket = (64 - v.max(1).leading_zeros() as usize - 1).min(METRIC_HIST_BUCKETS - 1);
-        self.0[bucket].fetch_add(1, Ordering::Relaxed);
+        // Release: whoever reads this sample (Acquire below) also sees
+        // every write this thread made before it, counter adds included.
+        self.0[bucket].fetch_add(1, Ordering::Release);
     }
 
     /// A copy of the bucket counts.
     pub fn buckets(&self) -> Vec<u64> {
-        self.0.iter().map(|b| b.load(Ordering::Relaxed)).collect()
+        self.0.iter().map(|b| b.load(Ordering::Acquire)).collect()
     }
 
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
-        self.0.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+        self.0.iter().map(|b| b.load(Ordering::Acquire)).sum()
     }
 
     /// Upper bound of the bucket holding the `q`-quantile sample

@@ -255,28 +255,45 @@ proptest! {
     /// counters *before* histograms — so the robust cross-snapshot
     /// invariant is: a snapshot's histogram total never exceeds the
     /// *next* snapshot's counter (every observe is preceded by its
-    /// add, and the later counter read sees at least those adds).
-    /// Counters themselves must be monotonic across snapshots, and the
-    /// quiescent totals exact.
+    /// add, and the later counter read sees at least those adds; the
+    /// registry guarantees this by observing with `Release` and
+    /// reading histograms with `Acquire`). Counters themselves must be
+    /// monotonic across snapshots, and the quiescent totals exact.
+    ///
+    /// The workers and the snapshotter start together behind one
+    /// barrier, so the first snapshot races the workers instead of
+    /// following them. The snapshotter reads the stop flag at the top
+    /// of each round but takes and checks its snapshot before acting on
+    /// it, so every run checks at least one snapshot — the last one
+    /// taken after the workers were joined, which holds the
+    /// cross-snapshot invariant against the quiescent state. `rounds > 0`
+    /// therefore holds by construction, whatever the scheduler does; it
+    /// stays as a guard against a snapshotter that never checked
+    /// anything.
     #[test]
     fn metrics_snapshots_are_consistent_under_concurrency(
         threads in 1usize..4,
         iters in 1u64..300,
     ) {
         use duel::target::MetricsRegistry;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{Arc, Barrier};
 
         let reg = MetricsRegistry::new();
         // Register up front so the snapshotter always sees both names.
         reg.counter("ops");
         reg.histogram("lat");
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
+        let start = Arc::new(Barrier::new(threads + 1));
 
         let workers: Vec<_> = (0..threads)
             .map(|t| {
                 let reg = reg.clone();
+                let start = start.clone();
                 std::thread::spawn(move || {
                     let c = reg.counter("ops");
                     let h = reg.histogram("lat");
+                    start.wait();
                     for i in 0..iters {
                         c.add(1);
                         h.observe(t as u64 * 1000 + i + 1);
@@ -288,11 +305,17 @@ proptest! {
         let snapshotter = {
             let reg = reg.clone();
             let stop = stop.clone();
+            let start = start.clone();
             std::thread::spawn(move || {
                 let mut prev_counter = 0u64;
                 let mut prev_hist_total = 0u64;
                 let mut rounds = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                start.wait();
+                loop {
+                    // Acquire pairs with the main thread's Release store
+                    // made after joining the workers: once set, this
+                    // round's snapshot sees every worker's bumps.
+                    let stopping = stop.load(Ordering::Acquire);
                     let s = reg.snapshot();
                     let ops = s.counter("ops").expect("ops registered");
                     let hist_total: u64 = s
@@ -313,6 +336,9 @@ proptest! {
                     prev_counter = ops;
                     prev_hist_total = hist_total;
                     rounds += 1;
+                    if stopping {
+                        break;
+                    }
                 }
                 rounds
             })
@@ -321,7 +347,7 @@ proptest! {
         for w in workers {
             w.join().unwrap();
         }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        stop.store(true, Ordering::Release);
         let rounds = snapshotter.join().unwrap();
         prop_assert!(rounds > 0);
 
