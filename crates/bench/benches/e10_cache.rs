@@ -2,7 +2,7 @@
 //! [`duel_target::CachedTarget`] decorator buys back.
 //!
 //! Every workload runs twice over the *same* latency-injected debuggee
-//! (a [`duel_target::FaultTarget`] adding a fixed per-operation delay,
+//! (a [`duel_target::ChaosTarget`] gate adding a fixed per-operation delay,
 //! the shape of a gdb/MI round-trip): once through a disabled cache
 //! (pure pass-through, still counting backend traffic) and once
 //! through an enabled one. The run asserts that the rendered output is
@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use duel_bench::try_eval_lines;
 use duel_core::EvalOptions;
-use duel_target::{CacheConfig, CachedTarget, FaultConfig, FaultTarget, SimTarget};
+use duel_target::{CacheConfig, CachedTarget, ChaosTarget, FaultConfig, SimTarget};
 
 /// Per-operation latency injected into the backend. Kept small so the
 /// bench doubles as a CI smoke test; the *call counts* are what the
@@ -66,7 +66,7 @@ struct Measurement {
 }
 
 fn run(w: &Workload, cached: bool) -> Measurement {
-    let slow = FaultTarget::new(
+    let slow = ChaosTarget::with_faults(
         (w.scenario)(),
         FaultConfig {
             latency: LATENCY,

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use duel_bench::try_eval_lines_with_stats;
 use duel_core::EvalOptions;
 use duel_target::{
-    CacheConfig, CachedTarget, FaultConfig, FaultTarget, SimTarget, TraceHandle, TraceTarget,
+    CacheConfig, CachedTarget, ChaosTarget, FaultConfig, SimTarget, TraceHandle, TraceTarget,
 };
 
 /// Per-operation latency injected below the wire trace. Kept small so
@@ -76,7 +76,7 @@ struct Measurement {
 }
 
 fn run(w: &Workload, prefetch: bool) -> Measurement {
-    let slow = FaultTarget::new(
+    let slow = ChaosTarget::with_faults(
         (w.scenario)(),
         FaultConfig {
             latency: LATENCY,

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use duel_bench::{try_eval_lines, try_eval_lines_with_stats};
 use duel_core::{EvalOptions, EvalStats};
 use duel_target::{
-    AsyncTarget, CacheConfig, CachedTarget, Capture, FaultConfig, FaultTarget, RecordTarget,
+    AsyncTarget, CacheConfig, CachedTarget, Capture, ChaosTarget, FaultConfig, RecordTarget,
     ReplayMode, ReplayTarget, SharedSink, SimTarget, Target,
 };
 
@@ -114,7 +114,7 @@ struct Measurement {
 /// One evaluation through `Cached<Async<Fault<Sim>>>`; the actor
 /// thread is live when `pipelined`, a passthrough otherwise.
 fn run(pipelined: bool, window: usize, latency: Duration) -> Measurement {
-    let slow = FaultTarget::new(
+    let slow = ChaosTarget::with_faults(
         scenario(),
         FaultConfig {
             latency,
@@ -164,7 +164,7 @@ fn run(pipelined: bool, window: usize, latency: Duration) -> Measurement {
 /// nominal duration (timer slack), and that overshoot is a real part
 /// of each turn, so window calibration must use the measured figure.
 fn measured_latency() -> Duration {
-    let mut t = FaultTarget::new(
+    let mut t = ChaosTarget::with_faults(
         scenario(),
         FaultConfig {
             latency: LATENCY,

@@ -6,7 +6,9 @@
 //! interface module broken down 30/100/100/70/100. This binary counts
 //! the corresponding Rust modules (code lines, excluding blanks,
 //! comments, and the test modules) and prints the comparison table
-//! recorded in EXPERIMENTS.md.
+//! recorded in EXPERIMENTS.md, then the same count for every crate of
+//! the workspace (every `.rs` file under `crates/*/src`, so a new file
+//! is counted without editing this binary).
 //!
 //! ```sh
 //! cargo run -p duel-bench --bin loc_report
@@ -22,17 +24,14 @@ fn repo_root() -> PathBuf {
         .expect("repo root")
 }
 
-/// Counts code lines: non-blank, non-`//` lines above the `#[cfg(test)]`
-/// marker.
+/// Counts code lines: non-blank, non-comment lines above the line
+/// that opens the test module (`#[cfg(test)]` on a line of its own).
 fn loc(path: &Path) -> usize {
     let src =
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    let body = match src.find("#[cfg(test)]") {
-        Some(i) => &src[..i],
-        None => &src,
-    };
-    body.lines()
+    src.lines()
         .map(str::trim)
+        .take_while(|l| *l != "#[cfg(test)]")
         .filter(|l| {
             !l.is_empty() && !l.starts_with("//") && !l.starts_with("/*") && !l.starts_with('*')
         })
@@ -41,6 +40,38 @@ fn loc(path: &Path) -> usize {
 
 fn sum(root: &Path, files: &[&str]) -> usize {
     files.iter().map(|f| loc(&root.join(f))).sum()
+}
+
+/// Code lines of every `.rs` file under `dir`, recursively.
+fn loc_tree(dir: &Path) -> usize {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display()));
+    entries
+        .map(|e| e.expect("directory entry").path())
+        .map(|p| {
+            if p.is_dir() {
+                loc_tree(&p)
+            } else if p.extension().is_some_and(|x| x == "rs") {
+                loc(&p)
+            } else {
+                0
+            }
+        })
+        .sum()
+}
+
+/// `(crate directory name, code lines)` for every `crates/*/src`.
+fn crate_totals(root: &Path) -> Vec<(String, usize)> {
+    let mut crates: Vec<(String, usize)> = std::fs::read_dir(root.join("crates"))
+        .expect("crates directory")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.join("src").is_dir())
+        .map(|p| {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            (name, loc_tree(&p.join("src")))
+        })
+        .collect();
+    crates.sort();
+    crates
 }
 
 fn main() {
@@ -98,7 +129,7 @@ fn main() {
             sum(
                 &root,
                 &[
-                    "crates/target/src/interface.rs",
+                    "crates/target/src/iface.rs",
                     "crates/target/src/value_io.rs",
                     "crates/gdbmi/src/target.rs",
                 ],
@@ -124,4 +155,14 @@ fn main() {
          evaluator,\nas in the paper (1200 vs 400); the interface layer \
          stays a small,\nseparable fraction."
     );
+    println!("\nPer crate (every .rs file under crates/*/src, tests excluded)\n");
+    println!("{:<46} {:>8}", "crate", "rust");
+    println!("{}", "-".repeat(56));
+    let crates = crate_totals(&root);
+    for (name, n) in &crates {
+        println!("{name:<46} {n:>8}");
+    }
+    println!("{}", "-".repeat(56));
+    let workspace: usize = crates.iter().map(|(_, n)| n).sum();
+    println!("{:<46} {workspace:>8}", "total (workspace crates)");
 }

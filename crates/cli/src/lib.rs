@@ -13,13 +13,15 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use duel_core::{DuelError, EvalOptions, EvalStats, Session, SymMode, Value};
+use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
 use duel_minic::{Debugger, StopReason};
 use duel_target::{
-    chrome_trace_json, folded_stacks, scenario, AsyncTarget, CacheConfig, CacheStats, CachedTarget,
-    ChaosHandle, ChaosTarget, CircuitState, FlameWeight, MetaCapture, MetaSnapshot, MetaTarget,
-    MetricsRegistry, MetricsSnapshot, PipelineStats, RecordTarget, ReplayMode, ReplayTarget,
-    ResyncReport, RetryStats, RetryTarget, SimTarget, SpanContext, SpanSnapshot, SupervisedTarget,
-    SupervisorStats, Target, TargetResult, TraceHandle, TraceStats, TraceTarget,
+    chrome_trace_json, folded_stacks, scenario, AsyncTarget, CacheConfig, CachedTarget, CallValue,
+    ChaosHandle, ChaosTarget, FlameWeight, FrameInfo, MetaCapture, MetaSnapshot, MetaTarget,
+    MetricsRegistry, MetricsSnapshot, OwnedRange, PipelineHandle, PipelineTicket,
+    PrefetchCompletion, ReadRange, RecordTarget, ReplayMode, ReplayTarget, RetryTarget, SimTarget,
+    SpanContext, SpanSnapshot, StalenessHandle, SupervisedTarget, Target, TargetResult,
+    TraceHandle, TraceStats, TraceTarget, VarInfo,
 };
 
 /// The REPL's decorator tower: tracing outermost (so its counters see
@@ -30,166 +32,52 @@ use duel_target::{
 /// the recorder directly over the backend. Record sits *innermost* so a
 /// capture holds the calls that actually reached the backend — cache
 /// hits never hollow it out — and it is a pure passthrough until
-/// `.record` arms it.
-type Tower<T> = TraceTarget<SupervisedTarget<RetryTarget<CachedTarget<RecordTarget<T>>>>>;
+/// `.record` arms it. Every backend sits under the same tower as a
+/// [`Leaf`]; [`Repl`] reaches each layer through one getter.
+type Tower = TraceTarget<Supervisor>;
+type Supervisor = SupervisedTarget<Retry>;
+type Retry = RetryTarget<Cache>;
+type Cache = CachedTarget<Recorder>;
+type Recorder = RecordTarget<Leaf>;
 
-pub(crate) enum Backend {
+/// The backend at the bottom of the REPL's tower.
+enum Leaf {
     /// Simulated debuggees carry a chaos gate innermost so `.chaos`
     /// can kill/hang/garble the "wire" under the whole tower, and an
-    /// I/O actor ([`AsyncTarget`]) between the recorder and the gate
-    /// so `.set pipeline on` can move the wire onto a worker thread.
-    /// The chaos handle is cached at construction: once the actor is
-    /// live the gate itself is owned by the worker and unreachable
-    /// from this thread (the handle is `Arc`-shared, so it still
-    /// steers it).
-    Sim(Box<Tower<AsyncTarget<ChaosTarget<SimTarget>>>>, ChaosHandle),
-    Minic(Box<Tower<Debugger>>),
-    Replay(Box<Tower<ReplayTarget>>),
+    /// I/O actor ([`AsyncTarget`]) over the gate so `.set pipeline on`
+    /// can move the wire onto a worker thread. The chaos handle is
+    /// cached at construction: once the actor is live the gate itself
+    /// is owned by the worker and unreachable from this thread (the
+    /// handle is `Arc`-shared, so it still steers it).
+    Sim(AsyncTarget<ChaosTarget<SimTarget>>, ChaosHandle),
+    Minic(Debugger),
+    Replay(ReplayTarget),
 }
 
-impl Backend {
-    fn target_mut(&mut self) -> &mut dyn Target {
-        match self {
-            Backend::Sim(t, _) => &mut **t,
-            Backend::Minic(d) => &mut **d,
-            Backend::Replay(r) => &mut **r,
+/// Evaluates `$body` with `$t` bound to whichever backend `$leaf` holds.
+macro_rules! on_leaf {
+    ($leaf:expr, $t:ident => $body:expr) => {
+        match $leaf {
+            Leaf::Sim($t, _) => $body,
+            Leaf::Minic($t) => $body,
+            Leaf::Replay($t) => $body,
         }
+    };
+}
+
+impl Leaf {
+    fn sim(t: SimTarget) -> Leaf {
+        let gate = ChaosTarget::new(t);
+        let chaos = gate.handle();
+        Leaf::Sim(AsyncTarget::new(gate), chaos)
     }
 
-    fn trace(&self) -> TraceHandle {
+    /// The backend label written into capture headers.
+    fn label(&self) -> &'static str {
         match self {
-            Backend::Sim(t, _) => t.handle(),
-            Backend::Minic(d) => d.handle(),
-            Backend::Replay(r) => r.handle(),
-        }
-    }
-
-    /// The causal span context of the tower's trace layer (replaced
-    /// together with the backend by `.scenario`/`.load`/`.replay`).
-    fn spans(&self) -> SpanContext {
-        match self {
-            Backend::Sim(t, _) => t.spans(),
-            Backend::Minic(d) => d.spans(),
-            Backend::Replay(r) => r.spans(),
-        }
-    }
-
-    fn retry_stats(&self) -> RetryStats {
-        match self {
-            Backend::Sim(t, _) => t.inner().inner().stats(),
-            Backend::Minic(d) => d.inner().inner().stats(),
-            Backend::Replay(r) => r.inner().inner().stats(),
-        }
-    }
-
-    fn cache_stats(&self) -> &CacheStats {
-        match self {
-            Backend::Sim(t, _) => t.inner().inner().inner().stats(),
-            Backend::Minic(d) => d.inner().inner().inner().stats(),
-            Backend::Replay(r) => r.inner().inner().inner().stats(),
-        }
-    }
-
-    fn resident_page_count(&self) -> usize {
-        match self {
-            Backend::Sim(t, _) => t.inner().inner().inner().resident_page_count(),
-            Backend::Minic(d) => d.inner().inner().inner().resident_page_count(),
-            Backend::Replay(r) => r.inner().inner().inner().resident_page_count(),
-        }
-    }
-
-    fn set_cache(&mut self, on: bool) {
-        match self {
-            Backend::Sim(t, _) => t.inner_mut().inner_mut().inner_mut().set_enabled(on),
-            Backend::Minic(d) => d.inner_mut().inner_mut().inner_mut().set_enabled(on),
-            Backend::Replay(r) => r.inner_mut().inner_mut().inner_mut().set_enabled(on),
-        }
-    }
-
-    // ----- supervision (the layer under trace) ---------------------------
-
-    fn circuit_state(&self) -> CircuitState {
-        match self {
-            Backend::Sim(t, _) => t.inner().state(),
-            Backend::Minic(d) => d.inner().state(),
-            Backend::Replay(r) => r.inner().state(),
-        }
-    }
-
-    fn supervise_stats(&self) -> SupervisorStats {
-        match self {
-            Backend::Sim(t, _) => t.inner().stats(),
-            Backend::Minic(d) => d.inner().stats(),
-            Backend::Replay(r) => r.inner().stats(),
-        }
-    }
-
-    fn degrade_enabled(&self) -> bool {
-        match self {
-            Backend::Sim(t, _) => t.inner().config().degrade,
-            Backend::Minic(d) => d.inner().config().degrade,
-            Backend::Replay(r) => r.inner().config().degrade,
-        }
-    }
-
-    fn set_degrade(&mut self, on: bool) {
-        match self {
-            Backend::Sim(t, _) => t.inner_mut().set_degrade(on),
-            Backend::Minic(d) => d.inner_mut().set_degrade(on),
-            Backend::Replay(r) => r.inner_mut().set_degrade(on),
-        }
-    }
-
-    fn health_check(&mut self) -> TargetResult<()> {
-        match self {
-            Backend::Sim(t, _) => t.inner_mut().health_check(),
-            Backend::Minic(d) => d.inner_mut().health_check(),
-            Backend::Replay(r) => r.inner_mut().health_check(),
-        }
-    }
-
-    fn force_reconnect(&mut self) -> TargetResult<ResyncReport> {
-        match self {
-            Backend::Sim(t, _) => t.inner_mut().force_reconnect(),
-            Backend::Minic(d) => d.inner_mut().force_reconnect(),
-            Backend::Replay(r) => r.inner_mut().force_reconnect(),
-        }
-    }
-
-    fn last_resync(&self) -> Option<ResyncReport> {
-        match self {
-            Backend::Sim(t, _) => t.inner().last_resync().cloned(),
-            Backend::Minic(d) => d.inner().last_resync().cloned(),
-            Backend::Replay(r) => r.inner().last_resync().cloned(),
-        }
-    }
-
-    fn last_failure(&self) -> Option<String> {
-        match self {
-            Backend::Sim(t, _) => t.inner().last_failure().map(str::to_string),
-            Backend::Minic(d) => d.inner().last_failure().map(str::to_string),
-            Backend::Replay(r) => r.inner().last_failure().map(str::to_string),
-        }
-    }
-
-    /// Arms (or clears) the per-command wall-clock deadline on the
-    /// retry layer, so backoff sleeps can never overshoot the eval
-    /// timeout budget by a full backoff ceiling.
-    fn set_op_deadline(&mut self, deadline: Option<Instant>) {
-        match self {
-            Backend::Sim(t, _) => t.inner_mut().inner_mut().set_op_deadline(deadline),
-            Backend::Minic(d) => d.inner_mut().inner_mut().set_op_deadline(deadline),
-            Backend::Replay(r) => r.inner_mut().inner_mut().set_op_deadline(deadline),
-        }
-    }
-
-    /// The chaos gate of a simulated backend (`.chaos` commands). The
-    /// handle was cloned at construction, so it works whether the gate
-    /// lives on this thread (inline) or inside the I/O actor.
-    fn chaos(&self) -> Option<ChaosHandle> {
-        match self {
-            Backend::Sim(_, h) => Some(h.clone()),
-            _ => None,
+            Leaf::Sim(..) => "sim",
+            Leaf::Minic(_) => "minic",
+            Leaf::Replay(_) => "replay",
         }
     }
 
@@ -199,125 +87,142 @@ impl Backend {
     /// and replay (a capture is consulted strictly in order, so an
     /// actor would buy nothing) stay inline.
     fn set_pipeline(&mut self, on: bool) -> bool {
-        match self {
-            Backend::Sim(t, _) => {
-                t.inner_mut()
-                    .inner_mut()
-                    .inner_mut()
-                    .inner_mut()
-                    .inner_mut()
-                    .set_async(on);
-                true
-            }
-            _ => false,
-        }
+        let Leaf::Sim(t, _) = self else {
+            return false;
+        };
+        t.set_async(on);
+        true
+    }
+}
+
+impl Target for Leaf {
+    fn abi(&self) -> &Abi {
+        on_leaf!(self, t => t.abi())
     }
 
-    /// Live counters of the pipeline layer, when the tower has one.
-    fn pipeline_stats(&self) -> Option<PipelineStats> {
-        match self {
-            Backend::Sim(t, _) => t.pipeline_handle().map(|h| h.stats()),
-            Backend::Minic(d) => d.pipeline_handle().map(|h| h.stats()),
-            Backend::Replay(r) => r.pipeline_handle().map(|h| h.stats()),
-        }
+    fn types(&self) -> &TypeTable {
+        on_leaf!(self, t => t.types())
     }
 
-    /// The backend label written into capture headers.
-    fn label(&self) -> &'static str {
-        match self {
-            Backend::Sim(..) => "sim",
-            Backend::Minic(_) => "minic",
-            Backend::Replay(_) => "replay",
-        }
+    fn types_mut(&mut self) -> &mut TypeTable {
+        on_leaf!(self, t => t.types_mut())
     }
 
-    /// Arms the flight recorder. The page cache is invalidated first so
-    /// the capture starts cold: a capture that begins against a warm
-    /// cache would be missing the reads a cold replay re-issues.
-    fn record_start(&mut self, path: &str, scenario: &str) -> std::io::Result<()> {
-        let label = self.label();
-        fn go<T: Target>(
-            cache: &mut CachedTarget<RecordTarget<T>>,
-            path: &str,
-            label: &str,
-            scenario: &str,
-        ) -> std::io::Result<()> {
-            cache.invalidate_all();
-            cache.inner_mut().start_file(path, label, scenario)
-        }
-        match self {
-            Backend::Sim(t, _) => go(t.inner_mut().inner_mut().inner_mut(), path, label, scenario),
-            Backend::Minic(d) => go(d.inner_mut().inner_mut().inner_mut(), path, label, scenario),
-            Backend::Replay(r) => go(r.inner_mut().inner_mut().inner_mut(), path, label, scenario),
-        }
+    fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
+        on_leaf!(self, t => t.get_bytes(addr, buf))
     }
 
-    /// Finalizes the capture (footer + flush); returns events written.
-    fn record_stop(&mut self) -> std::io::Result<u64> {
-        match self {
-            Backend::Sim(t, _) => t.inner_mut().inner_mut().inner_mut().inner_mut().stop(),
-            Backend::Minic(d) => d.inner_mut().inner_mut().inner_mut().inner_mut().stop(),
-            Backend::Replay(r) => r.inner_mut().inner_mut().inner_mut().inner_mut().stop(),
-        }
+    fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
+        on_leaf!(self, t => t.get_bytes_multi(ranges))
     }
 
-    /// (recording?, events written, sticky sink error).
-    fn record_info(&self) -> (bool, u64, Option<String>) {
-        fn info<T: Target>(r: &RecordTarget<T>) -> (bool, u64, Option<String>) {
-            (
-                r.is_recording(),
-                r.events_recorded(),
-                r.last_error().map(str::to_string),
-            )
-        }
-        match self {
-            Backend::Sim(t, _) => info(t.inner().inner().inner().inner()),
-            Backend::Minic(d) => info(d.inner().inner().inner().inner()),
-            Backend::Replay(r) => info(r.inner().inner().inner().inner()),
-        }
+    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
+        on_leaf!(self, t => t.put_bytes(addr, bytes))
     }
 
-    /// The replay target, when this backend is a replay session.
-    fn replay(&self) -> Option<&ReplayTarget> {
-        match self {
-            Backend::Replay(r) => Some(r.inner().inner().inner().inner().inner()),
-            _ => None,
-        }
+    fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
+        on_leaf!(self, t => t.alloc_space(size, align))
     }
 
-    fn cache_config(enabled: bool) -> CacheConfig {
+    fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
+        on_leaf!(self, t => t.call_func(name, args))
+    }
+
+    fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
+        on_leaf!(self, t => t.get_variable(name))
+    }
+
+    fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
+        on_leaf!(self, t => t.get_variable_in_frame(name, frame))
+    }
+
+    fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
+        on_leaf!(self, t => t.lookup_typedef(name))
+    }
+
+    fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
+        on_leaf!(self, t => t.lookup_struct(tag))
+    }
+
+    fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
+        on_leaf!(self, t => t.lookup_union(tag))
+    }
+
+    fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
+        on_leaf!(self, t => t.lookup_enum(tag))
+    }
+
+    fn has_function(&mut self, name: &str) -> bool {
+        on_leaf!(self, t => t.has_function(name))
+    }
+
+    fn frame_count(&mut self) -> usize {
+        on_leaf!(self, t => t.frame_count())
+    }
+
+    fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
+        on_leaf!(self, t => t.frame_info(n))
+    }
+
+    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
+        on_leaf!(self, t => t.is_mapped(addr, len))
+    }
+
+    fn take_output(&mut self) -> String {
+        on_leaf!(self, t => t.take_output())
+    }
+
+    fn trace_handle(&self) -> Option<TraceHandle> {
+        on_leaf!(self, t => t.trace_handle())
+    }
+
+    fn set_span_context(&mut self, spans: &SpanContext) {
+        on_leaf!(self, t => t.set_span_context(spans))
+    }
+
+    fn span_context(&self) -> Option<SpanContext> {
+        on_leaf!(self, t => t.span_context())
+    }
+
+    fn staleness_handle(&self) -> Option<StalenessHandle> {
+        on_leaf!(self, t => t.staleness_handle())
+    }
+
+    fn read_submit(&mut self, ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
+        on_leaf!(self, t => t.read_submit(ranges))
+    }
+
+    fn read_poll(&mut self, ticket: PipelineTicket) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
+        on_leaf!(self, t => t.read_poll(ticket))
+    }
+
+    fn prefetch_submit(&mut self, ranges: &[(u64, u64)]) -> bool {
+        on_leaf!(self, t => t.prefetch_submit(ranges))
+    }
+
+    fn prefetch_poll(&mut self) -> Option<PrefetchCompletion> {
+        on_leaf!(self, t => t.prefetch_poll())
+    }
+
+    fn cache_page_size(&self) -> Option<u64> {
+        on_leaf!(self, t => t.cache_page_size())
+    }
+
+    fn pipeline_handle(&self) -> Option<PipelineHandle> {
+        on_leaf!(self, t => t.pipeline_handle())
+    }
+}
+
+/// Builds the REPL's tower over `leaf`, the page cache on or off.
+fn tower(leaf: Leaf, cache: bool) -> Tower {
+    let cache = CachedTarget::with_config(
+        RecordTarget::new(leaf),
         CacheConfig {
-            enabled,
+            enabled: cache,
             ..CacheConfig::default()
-        }
-    }
-
-    fn tower<T: Target>(t: T, cache: bool) -> Tower<T> {
-        TraceTarget::with_label(
-            SupervisedTarget::new(RetryTarget::new(CachedTarget::with_config(
-                RecordTarget::new(t),
-                Backend::cache_config(cache),
-            ))),
-            "session",
-        )
-    }
-
-    fn sim(t: SimTarget, cache: bool) -> Backend {
-        let gate = ChaosTarget::new(t);
-        let chaos = gate.handle();
-        Backend::Sim(
-            Box::new(Backend::tower(AsyncTarget::new(gate), cache)),
-            chaos,
-        )
-    }
-
-    fn minic(d: Debugger, cache: bool) -> Backend {
-        Backend::Minic(Box::new(Backend::tower(d, cache)))
-    }
-
-    fn replay_backend(r: ReplayTarget, cache: bool) -> Backend {
-        Backend::Replay(Box::new(Backend::tower(r, cache)))
-    }
+        },
+    );
+    TraceTarget::with_label(SupervisedTarget::new(RetryTarget::new(cache)), "session")
 }
 
 /// The REPL engine: owns the debuggee backend, the DUEL aliases, and
@@ -325,7 +230,7 @@ impl Backend {
 /// appends its output to a sink, so the whole command surface is unit
 /// testable.
 pub struct Repl {
-    backend: Backend,
+    tower: Tower,
     aliases: HashMap<String, Value>,
     options: EvalOptions,
     last_stats: EvalStats,
@@ -527,7 +432,7 @@ impl Repl {
     /// state (`--no-cache` passes `cache_enabled = false`).
     pub fn with_config(options: EvalOptions, cache_enabled: bool) -> Repl {
         Repl {
-            backend: Backend::sim(scenario::combined(), cache_enabled),
+            tower: tower(Leaf::sim(scenario::combined()), cache_enabled),
             aliases: HashMap::new(),
             options,
             last_stats: EvalStats::default(),
@@ -543,26 +448,90 @@ impl Repl {
         }
     }
 
-    /// Reapplies every sticky toggle to a freshly built backend tower
-    /// (tracing, span tracing, degrade mode, ring capacities) and
-    /// resets the wire watermark — the new trace handle counts from
-    /// zero, so stale watermarks would produce negative deltas.
-    fn apply_sticky(&mut self) {
-        self.backend.trace().set_enabled(self.trace_enabled);
-        self.backend.set_degrade(self.degrade_enabled);
-        self.backend.set_pipeline(self.pipeline_enabled);
-        self.backend.spans().set_enabled(self.spans_enabled);
-        if let Some(n) = self.trace_buf {
-            self.backend.trace().set_capacity(n);
-            self.backend.spans().set_capacity(n);
+    fn supervisor(&self) -> &Supervisor {
+        self.tower.inner()
+    }
+
+    fn supervisor_mut(&mut self) -> &mut Supervisor {
+        self.tower.inner_mut()
+    }
+
+    fn retry(&self) -> &Retry {
+        self.supervisor().inner()
+    }
+
+    fn retry_mut(&mut self) -> &mut Retry {
+        self.supervisor_mut().inner_mut()
+    }
+
+    fn cache(&self) -> &Cache {
+        self.retry().inner()
+    }
+
+    fn cache_mut(&mut self) -> &mut Cache {
+        self.retry_mut().inner_mut()
+    }
+
+    fn recorder(&self) -> &Recorder {
+        self.cache().inner()
+    }
+
+    fn recorder_mut(&mut self) -> &mut Recorder {
+        self.cache_mut().inner_mut()
+    }
+
+    fn leaf(&self) -> &Leaf {
+        self.recorder().inner()
+    }
+
+    fn leaf_mut(&mut self) -> &mut Leaf {
+        self.recorder_mut().inner_mut()
+    }
+
+    /// The replay target, when this session is a replay.
+    fn replay(&self) -> Option<&ReplayTarget> {
+        match self.leaf() {
+            Leaf::Replay(r) => Some(r),
+            _ => None,
         }
+    }
+
+    /// Replaces the backend (`.scenario`, `.load`, `.replay`): finalizes
+    /// any recording on the old tower, builds the new one, reapplies
+    /// every sticky setting and clears the aliases. `label` renames the
+    /// debuggee for capture headers; `None` keeps the current name.
+    fn swap(&mut self, leaf: Leaf, label: Option<&str>, out: &mut String) {
+        if self.recorder().is_recording() {
+            match self.recorder_mut().stop() {
+                Ok(n) => {
+                    let _ = writeln!(out, "recording finalized ({n} events): backend replaced");
+                }
+                Err(e) => {
+                    let _ = writeln!(out, "recording lost: {e}");
+                }
+            }
+        }
+        self.tower = tower(leaf, self.cache_enabled);
+        self.set_tracing(self.trace_enabled);
+        self.set_degrade(self.degrade_enabled);
+        self.set_pipeline(self.pipeline_enabled);
+        self.set_span_tracing(self.spans_enabled);
+        if let Some(n) = self.trace_buf {
+            self.set_trace_buf(n);
+        }
+        // The new trace handle counts from zero, so stale watermarks
+        // would produce negative deltas.
         self.wire_seen.clear();
+        self.aliases.clear();
+        if let Some(label) = label {
+            self.scenario_label = label.to_string();
+        }
     }
 
     /// The span context of the current tower (`--trace-perfetto`
     /// exports from it at exit; replaced by `.scenario`/`.load`).
     pub fn span_context(&self) -> SpanContext {
-        self.backend.spans()
+        self.tower.spans()
     }
 
     /// Turns causal span tracing on or off (the `.trace spans on|off`
@@ -570,7 +539,7 @@ impl Repl {
     /// event trace to be useful in exports, but are independent of it.
     pub fn set_span_tracing(&mut self, on: bool) {
         self.spans_enabled = on;
-        self.backend.spans().set_enabled(on);
+        self.tower.spans().set_enabled(on);
     }
 
     /// The session's live metrics registry (`.top` and `.stats json`
@@ -599,7 +568,7 @@ impl Repl {
             .add(s.pipeline_overlap_ns);
         m.histogram("eval.ticks_per_command").observe(s.ticks);
         m.histogram("eval.values_per_command").observe(s.values);
-        let snap = self.backend.trace().snapshot();
+        let snap = self.tower.handle().snapshot();
         let mut wire_ns = 0u64;
         let mut wire_calls = 0u64;
         for o in &snap.ops {
@@ -631,7 +600,7 @@ impl Repl {
     /// The target-call trace handle of the current backend tower (the
     /// `--trace-json` exporter reads it; replaced by `.scenario`/`.load`).
     pub fn trace_handle(&self) -> TraceHandle {
-        self.backend.trace()
+        self.tower.handle()
     }
 
     /// The chaos gate of the simulated backend (`None` for mini-C and
@@ -639,7 +608,10 @@ impl Repl {
     /// against the full tower without going through `.chaos` text
     /// commands.
     pub fn chaos_handle(&self) -> Option<ChaosHandle> {
-        self.backend.chaos()
+        match self.leaf() {
+            Leaf::Sim(_, chaos) => Some(chaos.clone()),
+            _ => None,
+        }
     }
 
     /// Moves the wire on or off the I/O actor thread (the
@@ -648,14 +620,21 @@ impl Repl {
     /// layer — mini-C and replay sessions stay inline.
     pub fn set_pipeline(&mut self, on: bool) -> bool {
         self.pipeline_enabled = on;
-        self.backend.set_pipeline(on)
+        self.leaf_mut().set_pipeline(on)
+    }
+
+    /// Turns degraded stale reads on or off (the `.set degrade on|off`
+    /// command; sticky across backend swaps).
+    fn set_degrade(&mut self, on: bool) {
+        self.degrade_enabled = on;
+        self.supervisor_mut().set_degrade(on);
     }
 
     /// Turns target-call tracing on or off (the `.trace on|off`
     /// command; sticky across `.scenario`/`.load`).
     pub fn set_tracing(&mut self, on: bool) {
         self.trace_enabled = on;
-        self.backend.trace().set_enabled(on);
+        self.tower.handle().set_enabled(on);
     }
 
     /// Exports the trace as a JSON document (the `--trace-json FILE`
@@ -667,12 +646,12 @@ impl Repl {
             "{{\"schema_version\":1,\"name\":\"duel_trace\",\
              \"config\":{{\"backend\":\"{}\",\"scenario\":\"{}\",\"cache\":{}}},\
              \"metrics\":{{\"layers\":[{}]}}}}",
-            self.backend.label(),
+            self.leaf().label(),
             self.scenario_label
                 .replace('\\', "\\\\")
                 .replace('"', "\\\""),
             self.cache_enabled,
-            self.backend.trace().to_json("session")
+            self.tower.handle().to_json("session")
         )
     }
 
@@ -680,8 +659,8 @@ impl Repl {
     /// flag and `.set trace_buf N`; sticky across backend swaps).
     pub fn set_trace_buf(&mut self, n: usize) {
         self.trace_buf = Some(n);
-        self.backend.trace().set_capacity(n);
-        self.backend.spans().set_capacity(n);
+        self.tower.handle().set_capacity(n);
+        self.tower.spans().set_capacity(n);
     }
 
     /// The Chrome trace-event JSON of the current span tree and wire
@@ -689,8 +668,8 @@ impl Repl {
     /// loadable in ui.perfetto.dev).
     pub fn perfetto_json(&self) -> String {
         chrome_trace_json(
-            &self.backend.spans().snapshot(),
-            &self.backend.trace().recent_events(usize::MAX),
+            &self.tower.spans().snapshot(),
+            &self.tower.handle().recent_events(usize::MAX),
         )
     }
 
@@ -700,11 +679,11 @@ impl Repl {
     /// reports, capture files, and `--trace-json` all follow.
     pub fn stats_json(&self) -> String {
         let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let c = self.backend.cache_stats();
-        let r = self.backend.retry_stats();
-        let sup = self.backend.supervise_stats();
-        let t = self.backend.trace().snapshot();
-        let spans = self.backend.spans().snapshot();
+        let c = self.cache().stats();
+        let r = self.retry().stats();
+        let sup = self.supervisor().stats();
+        let t = self.tower.handle().snapshot();
+        let spans = self.tower.spans().snapshot();
         let s = &self.last_stats;
         let mut members = vec![
             format!("\"eval_values\":{}", s.values),
@@ -736,7 +715,7 @@ impl Repl {
             format!("\"spans_open\":{}", spans.open.len()),
             format!("\"spans_dropped\":{}", spans.dropped),
         ];
-        if let Some(p) = self.backend.pipeline_stats() {
+        if let Some(p) = self.tower.pipeline_handle().map(|h| h.stats()) {
             members.push(format!("\"pipeline_async\":{}", p.async_on));
             members.push(format!("\"pipeline_submits\":{}", p.submits));
             members.push(format!("\"pipeline_completions\":{}", p.completions));
@@ -756,7 +735,7 @@ impl Repl {
              \"prefetch\":{},\"pipeline\":{},\"degrade\":{},\"trace\":{},\"spans\":{},\
              \"trace_buf\":{},\"span_buf\":{}}},\
              \"metrics\":{{{}}}}}",
-            self.backend.label(),
+            self.leaf().label(),
             esc(&self.scenario_label),
             self.cache_enabled,
             self.options.prefetch,
@@ -764,8 +743,8 @@ impl Repl {
             self.degrade_enabled,
             self.trace_enabled,
             self.spans_enabled,
-            self.backend.trace().capacity(),
-            self.backend.spans().capacity(),
+            self.tower.handle().capacity(),
+            self.tower.spans().capacity(),
             members.join(",")
         )
     }
@@ -778,7 +757,7 @@ impl Repl {
     fn render_top(&self, out: &mut String) {
         let _ = writeln!(out, "top — hottest since `.trace clear`");
         let spans = if self.spans_enabled {
-            Some(self.backend.spans().snapshot())
+            Some(self.tower.spans().snapshot())
         } else {
             let _ = writeln!(
                 out,
@@ -788,7 +767,7 @@ impl Repl {
         };
         render_top_report(
             spans.as_ref(),
-            &self.backend.trace().snapshot(),
+            &self.tower.handle().snapshot(),
             &self.metrics.snapshot(),
             10,
             out,
@@ -808,15 +787,15 @@ impl Repl {
     /// touching the debuggee or the tower.
     pub fn meta_snapshot(&self) -> MetaSnapshot {
         MetaSnapshot {
-            spans: self.backend.spans().snapshot(),
-            events: self.backend.trace().recent_events(usize::MAX),
+            spans: self.tower.spans().snapshot(),
+            events: self.tower.handle().recent_events(usize::MAX),
             metrics: self.metrics.snapshot(),
-            cache: self.backend.cache_stats().clone(),
-            resident_pages: self.backend.resident_page_count() as u64,
-            retry: self.backend.retry_stats(),
-            supervise: self.backend.supervise_stats(),
-            circuit: self.backend.circuit_state(),
-            capture: self.backend.replay().map(|r| MetaCapture {
+            cache: self.cache().stats().clone(),
+            resident_pages: self.cache().resident_page_count() as u64,
+            retry: self.retry().stats(),
+            supervise: self.supervisor().stats(),
+            circuit: self.supervisor().state(),
+            capture: self.replay().map(|r| MetaCapture {
                 backend: r.backend_label().to_string(),
                 scenario: r.scenario_label().to_string(),
                 events: r.events_total() as u64,
@@ -862,13 +841,13 @@ impl Repl {
         } else {
             None
         };
-        self.backend.set_op_deadline(deadline);
+        self.retry_mut().set_op_deadline(deadline);
     }
 
     fn eval(&mut self, line: &str, out: &mut String) {
         self.arm_op_deadline();
         let session = Session::with_state(
-            self.backend.target_mut(),
+            &mut self.tower,
             std::mem::take(&mut self.aliases),
             self.options.clone(),
         );
@@ -891,7 +870,7 @@ impl Repl {
             let _ = writeln!(out, "| {line}");
         }
         self.aliases = session.into_aliases();
-        self.backend.set_op_deadline(None);
+        self.retry_mut().set_op_deadline(None);
         self.feed_metrics();
     }
 
@@ -901,7 +880,7 @@ impl Repl {
     fn profile(&mut self, explain: bool, expr: &str, out: &mut String) {
         self.arm_op_deadline();
         let mut session = Session::with_state(
-            self.backend.target_mut(),
+            &mut self.tower,
             std::mem::take(&mut self.aliases),
             self.options.clone(),
         );
@@ -925,23 +904,8 @@ impl Repl {
         }
         self.last_stats = session.last_stats();
         self.aliases = session.into_aliases();
-        self.backend.set_op_deadline(None);
+        self.retry_mut().set_op_deadline(None);
         self.feed_metrics();
-    }
-
-    /// Finalizes an in-flight recording before the backend (and with it
-    /// the armed `RecordTarget`) is replaced, and tells the user.
-    fn note_recording_dropped(&mut self, out: &mut String) {
-        if self.backend.record_info().0 {
-            match self.backend.record_stop() {
-                Ok(n) => {
-                    let _ = writeln!(out, "recording finalized ({n} events): backend replaced");
-                }
-                Err(e) => {
-                    let _ = writeln!(out, "recording lost: {e}");
-                }
-            }
-        }
     }
 
     fn command(&mut self, line: &str, out: &mut String) -> bool {
@@ -968,22 +932,15 @@ impl Repl {
                     }
                 };
                 if let Some(t) = t {
-                    self.note_recording_dropped(out);
-                    self.backend = Backend::sim(t, self.cache_enabled);
-                    self.apply_sticky();
-                    self.aliases.clear();
-                    self.scenario_label = if arg.is_empty() { "combined" } else { arg }.to_string();
+                    let label = if arg.is_empty() { "combined" } else { arg };
+                    self.swap(Leaf::sim(t), Some(label), out);
                     let _ = writeln!(out, "scenario loaded; aliases cleared");
                 }
             }
             ".load" => match std::fs::read_to_string(arg) {
                 Ok(src) => match Debugger::new(&src) {
                     Ok(d) => {
-                        self.note_recording_dropped(out);
-                        self.backend = Backend::minic(d, self.cache_enabled);
-                        self.apply_sticky();
-                        self.aliases.clear();
-                        self.scenario_label = arg.to_string();
+                        self.swap(Leaf::Minic(d), Some(arg), out);
                         let _ = writeln!(out, "compiled `{arg}`; set breakpoints and .run");
                     }
                     Err(e) => {
@@ -1002,7 +959,7 @@ impl Repl {
             ".ast" => {
                 let expr = line.split_once(' ').map(|x| x.1).unwrap_or("");
                 let mut session = Session::with_state(
-                    self.backend.target_mut(),
+                    &mut self.tower,
                     std::mem::take(&mut self.aliases),
                     self.options.clone(),
                 );
@@ -1048,7 +1005,7 @@ impl Repl {
                         String::new()
                     }
                 );
-                let c = self.backend.cache_stats();
+                let c = self.cache().stats();
                 let _ = writeln!(
                     out,
                     "cache: {} ({} page hits, {} misses, {} backend reads, {} bytes over the wire)",
@@ -1069,9 +1026,9 @@ impl Repl {
                     if self.options.prefetch { "on" } else { "off" },
                     self.last_stats.prefetch_calls,
                     self.last_stats.prefetch_ranges,
-                    self.backend.trace().calls(duel_target::TraceOp::MultiRead)
+                    self.tower.handle().calls(duel_target::TraceOp::MultiRead)
                 );
-                match self.backend.pipeline_stats() {
+                match self.tower.pipeline_handle().map(|h| h.stats()) {
                     Some(p) => {
                         let _ = writeln!(
                             out,
@@ -1091,7 +1048,7 @@ impl Repl {
                             writeln!(out, "pipeline: unavailable (this backend has no I/O actor)");
                     }
                 }
-                let r = self.backend.retry_stats();
+                let r = self.retry().stats();
                 let _ = writeln!(
                     out,
                     "retry: {} operations, {} retries, {} give-ups, {} backoff",
@@ -1100,25 +1057,22 @@ impl Repl {
                     r.give_ups,
                     duel_target::trace::fmt_ns(r.backoff_ns)
                 );
-                let s = self.backend.supervise_stats();
+                let sup = self.supervisor();
+                let s = sup.stats();
                 let _ = writeln!(
                     out,
                     "supervise: circuit {}; {} ops, {} failures, {} trips, {} reconnects, \
                      {} fast-fails, {} stale reads; degrade {}",
-                    self.backend.circuit_state().name(),
+                    sup.state().name(),
                     s.operations,
                     s.failures,
                     s.trips,
                     s.reconnects,
                     s.fast_fails,
                     s.stale_reads,
-                    if self.backend.degrade_enabled() {
-                        "on"
-                    } else {
-                        "off"
-                    }
+                    if sup.config().degrade { "on" } else { "off" }
                 );
-                let h = self.backend.trace();
+                let h = self.tower.handle();
                 let t = h.snapshot();
                 let _ = writeln!(
                     out,
@@ -1129,8 +1083,7 @@ impl Repl {
                     t.events_held,
                     t.events_dropped
                 );
-                let (rec_on, rec_events, rec_err) = self.backend.record_info();
-                match self.backend.replay() {
+                match self.replay() {
                     Some(r) => {
                         let _ = writeln!(
                             out,
@@ -1145,21 +1098,24 @@ impl Repl {
                         );
                     }
                     None => {
+                        let rec = self.recorder();
                         let _ = writeln!(
                             out,
                             "record: {}{}",
-                            if rec_on {
-                                format!("on ({rec_events} events captured)")
+                            if rec.is_recording() {
+                                format!("on ({} events captured)", rec.events_recorded())
                             } else {
                                 "off".to_string()
                             },
-                            rec_err.map(|e| format!(" [{e}]")).unwrap_or_default()
+                            rec.last_error()
+                                .map(|e| format!(" [{e}]"))
+                                .unwrap_or_default()
                         );
                     }
                 }
             }
             ".health" => match arg {
-                "reconnect" => match self.backend.force_reconnect() {
+                "reconnect" => match self.supervisor_mut().force_reconnect() {
                     Ok(r) => {
                         let _ = writeln!(out, "reconnected; {}", r.render());
                     }
@@ -1168,30 +1124,28 @@ impl Repl {
                     }
                 },
                 "" => {
-                    let probe = self.backend.health_check();
-                    let state = self.backend.circuit_state();
+                    let probe = self.supervisor_mut().health_check();
+                    let sup = self.supervisor();
+                    let state = sup.state();
                     match probe {
                         Ok(()) => {
                             let _ = writeln!(out, "backend healthy; circuit {}", state.name());
                         }
                         Err(e) => {
-                            let _ = writeln!(
-                                out,
-                                "backend unhealthy: {e}; circuit {}",
-                                self.backend.circuit_state().name()
-                            );
+                            let _ =
+                                writeln!(out, "backend unhealthy: {e}; circuit {}", state.name());
                         }
                     }
-                    let s = self.backend.supervise_stats();
+                    let s = sup.stats();
                     let _ = writeln!(
                         out,
                         "probes: {} ({} failed); trips: {}; reconnects: {} ({} failed)",
                         s.probes, s.probe_failures, s.trips, s.reconnects, s.reconnect_failures
                     );
-                    if let Some(f) = self.backend.last_failure() {
+                    if let Some(f) = sup.last_failure() {
                         let _ = writeln!(out, "last failure: {f}");
                     }
-                    if let Some(r) = self.backend.last_resync() {
+                    if let Some(r) = sup.last_resync() {
                         let _ = writeln!(out, "last {}", r.render());
                     }
                 }
@@ -1199,7 +1153,7 @@ impl Repl {
                     let _ = writeln!(out, "usage: .health [reconnect] (got `{other}`)");
                 }
             },
-            ".chaos" => match self.backend.chaos() {
+            ".chaos" => match self.chaos_handle() {
                 None => {
                     let _ = writeln!(out, "chaos: only the simulated backend has a chaos gate");
                 }
@@ -1274,7 +1228,7 @@ impl Repl {
                 },
             },
             ".trace" => {
-                let h = self.backend.trace();
+                let h = self.tower.handle();
                 match arg {
                     "on" => {
                         self.set_tracing(true);
@@ -1290,7 +1244,7 @@ impl Repl {
                         // metrics registry all clear together — no view
                         // may keep serving pre-clear latency buckets.
                         h.clear();
-                        self.backend.spans().clear();
+                        self.tower.spans().clear();
                         self.metrics.clear();
                         self.wire_seen.clear();
                         let _ = writeln!(out, "trace cleared");
@@ -1306,7 +1260,7 @@ impl Repl {
                                 let _ = writeln!(out, "span tracing off");
                             }
                             _ => {
-                                let s = self.backend.spans().snapshot();
+                                let s = self.tower.spans().snapshot();
                                 let _ = writeln!(
                                     out,
                                     "span tracing {}; {} spans buffered, {} open, {} dropped",
@@ -1323,7 +1277,7 @@ impl Repl {
                         if file.is_empty() {
                             let _ = writeln!(out, "usage: .trace export FILE");
                         } else {
-                            let snap = self.backend.spans().snapshot();
+                            let snap = self.tower.spans().snapshot();
                             let events = h.recent_events(usize::MAX);
                             let json = chrome_trace_json(&snap, &events);
                             match std::fs::write(file, json) {
@@ -1356,7 +1310,7 @@ impl Repl {
                         if file.is_empty() {
                             let _ = writeln!(out, "usage: .trace flame FILE [ns|reads]");
                         } else if let Some(weight) = weight {
-                            let snap = self.backend.spans().snapshot();
+                            let snap = self.tower.spans().snapshot();
                             let events = h.recent_events(usize::MAX);
                             let folded = folded_stacks(&snap, &events, weight);
                             match std::fs::write(file, &folded) {
@@ -1428,16 +1382,17 @@ impl Repl {
             }
             ".record" => match arg {
                 "" => {
-                    let (on, events, err) = self.backend.record_info();
-                    if let Some(e) = err {
+                    let rec = self.recorder();
+                    if let Some(e) = rec.last_error() {
                         let _ = writeln!(out, "recording stopped: {e}");
-                    } else if on {
-                        let _ = writeln!(out, "recording ({events} events captured)");
+                    } else if rec.is_recording() {
+                        let _ =
+                            writeln!(out, "recording ({} events captured)", rec.events_recorded());
                     } else {
                         let _ = writeln!(out, "not recording (use `.record FILE`)");
                     }
                 }
-                "stop" => match self.backend.record_stop() {
+                "stop" => match self.recorder_mut().stop() {
                     Ok(0) => {
                         let _ = writeln!(out, "not recording");
                     }
@@ -1449,8 +1404,12 @@ impl Repl {
                     }
                 },
                 path => {
-                    let scenario = self.scenario_label.clone();
-                    match self.backend.record_start(path, &scenario) {
+                    // The capture starts cold: a capture that begins
+                    // against a warm cache would be missing the reads a
+                    // cold replay re-issues.
+                    self.cache_mut().invalidate_all();
+                    let (label, scenario) = (self.leaf().label(), self.scenario_label.clone());
+                    match self.recorder_mut().start_file(path, label, &scenario) {
                         Ok(()) => {
                             let _ = writeln!(out, "recording to `{path}`");
                         }
@@ -1462,7 +1421,7 @@ impl Repl {
             },
             ".replay" => {
                 if arg.is_empty() {
-                    match self.backend.replay() {
+                    match self.replay() {
                         None => {
                             let _ = writeln!(out, "usage: .replay FILE [strict|permissive]");
                         }
@@ -1496,11 +1455,8 @@ impl Repl {
                     if let Some(mode) = mode {
                         match ReplayTarget::load(arg, mode) {
                             Ok(r) => {
-                                self.note_recording_dropped(out);
                                 let total = r.events_total();
-                                self.backend = Backend::replay_backend(r, self.cache_enabled);
-                                self.apply_sticky();
-                                self.aliases.clear();
+                                self.swap(Leaf::Replay(r), None, out);
                                 let _ = writeln!(
                                     out,
                                     "replaying `{arg}` ({total} events, {mode:?}); aliases cleared"
@@ -1534,94 +1490,7 @@ impl Repl {
             }
             ".set" => {
                 let val = line.split_whitespace().nth(2).unwrap_or("");
-                match arg {
-                    "trace" => {
-                        self.options.trace = val == "on";
-                    }
-                    "lazy" => self.options.sym_mode = SymMode::Lazy,
-                    "eager" => self.options.sym_mode = SymMode::Eager,
-                    "threshold" => {
-                        if let Ok(n) = val.parse() {
-                            self.options.compress_threshold = n;
-                        }
-                    }
-                    "maxvalues" => {
-                        if let Ok(n) = val.parse() {
-                            self.options.max_values = n;
-                        }
-                    }
-                    "maxsteps" => {
-                        if let Ok(n) = val.parse() {
-                            self.options.max_ticks = n;
-                        }
-                    }
-                    "maxdepth" => {
-                        if let Ok(n) = val.parse() {
-                            self.options.max_depth = n;
-                        }
-                    }
-                    "timeout" => {
-                        if let Ok(n) = val.parse() {
-                            self.options.timeout_ms = n;
-                        }
-                    }
-                    "errors" => {
-                        self.options.error_values = val != "strict";
-                    }
-                    "cache" => {
-                        self.cache_enabled = val != "off";
-                        self.backend.set_cache(self.cache_enabled);
-                    }
-                    "degrade" => {
-                        self.degrade_enabled = val != "off";
-                        self.backend.set_degrade(self.degrade_enabled);
-                    }
-                    "prefetch" => {
-                        self.options.prefetch = val == "on";
-                    }
-                    "pipeline" => {
-                        let on = val == "on";
-                        self.pipeline_enabled = on;
-                        if self.backend.set_pipeline(on) {
-                            let _ = writeln!(
-                                out,
-                                "pipeline {}: the wire now runs {}",
-                                if on { "on" } else { "off" },
-                                if on {
-                                    "on the I/O actor thread"
-                                } else {
-                                    "inline on the session thread"
-                                }
-                            );
-                        } else {
-                            let _ = writeln!(
-                                out,
-                                "pipeline {} (sticky): this backend has no I/O actor and \
-                                 stays inline; the setting applies at the next `.scenario`",
-                                if on { "on" } else { "off" }
-                            );
-                        }
-                    }
-                    "trace_buf" => match val.parse::<usize>() {
-                        Ok(n) if n > 0 => {
-                            self.trace_buf = Some(n);
-                            self.backend.trace().set_capacity(n);
-                            self.backend.spans().set_capacity(n);
-                            let _ = writeln!(
-                                out,
-                                "trace and span rings resized to {n} entries \
-                                 (~{} KiB each at worst)",
-                                n.saturating_mul(140) / 1024
-                            );
-                        }
-                        _ => {
-                            let _ = writeln!(out, "usage: .set trace_buf N (N > 0)");
-                        }
-                    },
-                    other => {
-                        let _ = writeln!(out, "unknown option `{other}`");
-                    }
-                }
+                self.set(arg, val, out);
             }
             other => {
                 let _ = writeln!(out, "unknown command `{other}` (try .help)");
@@ -1630,47 +1499,134 @@ impl Repl {
         true
     }
 
-    fn debugger_command(&mut self, cmd: &str, arg: &str, out: &mut String) {
-        let tower = match &mut self.backend {
-            Backend::Minic(d) => d,
-            Backend::Sim(..) | Backend::Replay(_) => {
-                let _ = writeln!(out, "no program loaded (use `.load file.c` first)");
-                return;
+    /// The `.set OPTION VALUE` command. Values parse strictly (`on|off`,
+    /// `tolerant|strict`, or a number); anything else prints a usage
+    /// line and leaves the setting unchanged.
+    fn set(&mut self, option: &str, val: &str, out: &mut String) {
+        let flag = match val {
+            "on" => Some(true),
+            "off" => Some(false),
+            _ => None,
+        };
+        let o = &mut self.options;
+        let ok = match option {
+            "lazy" => {
+                o.sym_mode = SymMode::Lazy;
+                true
+            }
+            "eager" => {
+                o.sym_mode = SymMode::Eager;
+                true
+            }
+            "threshold" => parse_into(val, &mut o.compress_threshold),
+            "maxvalues" => parse_into(val, &mut o.max_values),
+            "maxsteps" => parse_into(val, &mut o.max_ticks),
+            "maxdepth" => parse_into(val, &mut o.max_depth),
+            "timeout" => parse_into(val, &mut o.timeout_ms),
+            "errors" => {
+                let known = matches!(val, "tolerant" | "strict");
+                if known {
+                    o.error_values = val == "tolerant";
+                }
+                known
+            }
+            "trace" => flag.map(|on| o.trace = on).is_some(),
+            "prefetch" => flag.map(|on| o.prefetch = on).is_some(),
+            "cache" => flag
+                .map(|on| {
+                    self.cache_enabled = on;
+                    self.cache_mut().set_enabled(on);
+                })
+                .is_some(),
+            "degrade" => flag.map(|on| self.set_degrade(on)).is_some(),
+            "pipeline" => match flag {
+                Some(on) => {
+                    let state = if on { "on" } else { "off" };
+                    if self.set_pipeline(on) {
+                        let thread = if on {
+                            "on the I/O actor thread"
+                        } else {
+                            "inline on the session thread"
+                        };
+                        let _ = writeln!(out, "pipeline {state}: the wire now runs {thread}");
+                    } else {
+                        let _ = writeln!(
+                            out,
+                            "pipeline {state} (sticky): this backend has no I/O actor and \
+                             stays inline; the setting applies at the next `.scenario`"
+                        );
+                    }
+                    true
+                }
+                None => false,
+            },
+            "trace_buf" => match val.parse::<usize>() {
+                Ok(n) if n > 0 => {
+                    self.set_trace_buf(n);
+                    let _ = writeln!(
+                        out,
+                        "trace and span rings resized to {n} entries \
+                         (~{} KiB each at worst)",
+                        n.saturating_mul(140) / 1024
+                    );
+                    true
+                }
+                _ => false,
+            },
+            other => {
+                let _ = writeln!(out, "unknown option `{other}`");
+                true
             }
         };
-        // Peel trace, supervision, and retry; the cache layer wraps the
-        // recorder (which wraps the debugger) and owns invalidation.
-        let cache = tower.inner_mut().inner_mut().inner_mut();
-        match cmd {
-            ".break" => match arg.parse::<u32>() {
-                Ok(n) => {
-                    cache.inner_mut().inner_mut().add_breakpoint(n);
-                    let _ = writeln!(out, "breakpoint at line {n}");
+        if !ok {
+            let form = match option {
+                "errors" => "tolerant|strict",
+                "trace_buf" => "N (N > 0)",
+                "threshold" | "maxvalues" | "maxsteps" | "maxdepth" | "timeout" => "N",
+                _ => "on|off",
+            };
+            let _ = writeln!(out, "usage: .set {option} {form}");
+        }
+    }
+
+    fn debugger_command(&mut self, cmd: &str, arg: &str, out: &mut String) {
+        let Leaf::Minic(dbg) = self.leaf_mut() else {
+            let _ = writeln!(out, "no program loaded (use `.load file.c` first)");
+            return;
+        };
+        let resumed = match cmd {
+            ".break" => {
+                match arg.parse::<u32>() {
+                    Ok(n) => {
+                        dbg.add_breakpoint(n);
+                        let _ = writeln!(out, "breakpoint at line {n}");
+                    }
+                    Err(_) => {
+                        let _ = writeln!(out, "usage: .break LINE");
+                    }
                 }
-                Err(_) => {
-                    let _ = writeln!(out, "usage: .break LINE");
-                }
-            },
+                false
+            }
             ".delete" => {
                 if let Ok(n) = arg.parse::<u32>() {
-                    cache.inner_mut().inner_mut().remove_breakpoint(n);
+                    dbg.remove_breakpoint(n);
                 }
+                false
             }
             ".breaks" => {
-                let _ = writeln!(out, "{:?}", cache.inner_mut().inner_mut().breakpoints());
+                let _ = writeln!(out, "{:?}", dbg.breakpoints());
+                false
             }
             ".watch" => {
                 if arg.is_empty() {
-                    {
-                        let _ = writeln!(out, "usage: .watch EXPR");
-                    };
+                    let _ = writeln!(out, "usage: .watch EXPR");
                 } else {
-                    cache.inner_mut().inner_mut().add_watchpoint(arg);
+                    dbg.add_watchpoint(arg);
                     let _ = writeln!(out, "watching `{arg}`");
                 }
+                false
             }
             ".run" | ".cont" => {
-                let dbg = cache.inner_mut().inner_mut();
                 let r = if cmd == ".run" { dbg.run() } else { dbg.cont() };
                 match r {
                     Ok(StopReason::Breakpoint { line }) => {
@@ -1689,16 +1645,11 @@ impl Repl {
                         let _ = writeln!(out, "runtime error: {e}");
                     }
                 }
-                let prog_out = dbg.take_output();
-                if !prog_out.is_empty() {
-                    out.push_str(&prog_out);
-                }
-                // The program ran: everything cached at the previous
-                // stop is suspect.
-                cache.invalidate_all();
+                out.push_str(&dbg.take_output());
+                true
             }
             ".step" => {
-                match cache.inner_mut().inner_mut().step_line() {
+                match dbg.step_line() {
                     Ok(StopReason::Step { line }) => {
                         let _ = writeln!(out, "line {line}");
                     }
@@ -1712,20 +1663,33 @@ impl Repl {
                         let _ = writeln!(out, "runtime error: {e}");
                     }
                 }
-                cache.invalidate_all();
+                true
             }
             ".frames" => {
-                let n = cache.frame_count();
-                for i in 0..n {
+                // Through the cache, which memoizes frame lookups.
+                let cache = self.cache_mut();
+                for i in 0..cache.frame_count() {
                     if let Some(f) = cache.frame_info(i) {
                         let line = f.line.map(|l| format!(" at line {l}")).unwrap_or_default();
                         let _ = writeln!(out, "#{i} {}{}", f.function, line);
                     }
                 }
+                false
             }
             _ => unreachable!("dispatched by caller"),
+        };
+        if resumed {
+            // The program ran: everything cached at the previous stop
+            // is suspect.
+            self.cache_mut().invalidate_all();
         }
     }
+}
+
+/// Parses `val` into `slot`; on failure leaves `slot` unchanged and
+/// returns `false`.
+fn parse_into<T: std::str::FromStr>(val: &str, slot: &mut T) -> bool {
+    val.parse().map(|n| *slot = n).is_ok()
 }
 
 impl Repl {
@@ -2159,6 +2123,70 @@ mod tests {
         assert!(out.contains("101\n102\n"), "{out}");
         r.handle(".set threshold 2", &mut out);
         assert_eq!(r.options.compress_threshold, 2);
+    }
+
+    #[test]
+    fn set_rejects_mistyped_switches() {
+        let mut r = Repl::new();
+        let mut out = String::new();
+        r.handle(".set cache off", &mut out);
+        r.handle(".set cache of", &mut out);
+        r.handle(".set degrade", &mut out);
+        r.handle(".set prefetch on", &mut out);
+        r.handle(".set prefetch yes", &mut out);
+        r.handle(".set trace 1", &mut out);
+        assert_eq!(
+            out,
+            "usage: .set cache on|off\nusage: .set degrade on|off\n\
+             usage: .set prefetch on|off\nusage: .set trace on|off\n"
+        );
+        assert!(!r.cache_enabled && !r.cache().config().enabled);
+        assert!(r.degrade_enabled && r.supervisor().config().degrade);
+        assert!(r.options.prefetch && !r.options.trace);
+        out.clear();
+        r.handle(".set pipeline yes", &mut out);
+        assert_eq!(out, "usage: .set pipeline on|off\n");
+        assert!(!r.pipeline_enabled);
+    }
+
+    #[test]
+    fn set_rejects_mistyped_error_modes() {
+        let mut r = Repl::new();
+        let mut out = String::new();
+        r.handle(".set errors strict", &mut out);
+        r.handle(".set errors strickt", &mut out);
+        r.handle(".set errors", &mut out);
+        assert_eq!(out, "usage: .set errors tolerant|strict\n".repeat(2));
+        assert!(!r.options.error_values);
+        out.clear();
+        r.handle(".set errors tolerant", &mut out);
+        assert_eq!(out, "");
+        assert!(r.options.error_values);
+    }
+
+    #[test]
+    fn set_rejects_mistyped_numbers() {
+        let mut r = Repl::new();
+        let mut out = String::new();
+        r.handle(".set maxsteps 500", &mut out);
+        r.handle(".set maxsteps abc", &mut out);
+        r.handle(".set threshold -1", &mut out);
+        r.handle(".set maxvalues", &mut out);
+        r.handle(".set maxdepth 1e3", &mut out);
+        r.handle(".set timeout 10ms", &mut out);
+        r.handle(".set trace_buf 0", &mut out);
+        assert_eq!(
+            out,
+            "usage: .set maxsteps N\nusage: .set threshold N\nusage: .set maxvalues N\n\
+             usage: .set maxdepth N\nusage: .set timeout N\nusage: .set trace_buf N (N > 0)\n"
+        );
+        let d = Repl::default_options();
+        assert_eq!(r.options.max_ticks, 500);
+        assert_eq!(r.options.compress_threshold, d.compress_threshold);
+        assert_eq!(r.options.max_values, d.max_values);
+        assert_eq!(r.options.max_depth, d.max_depth);
+        assert_eq!(r.options.timeout_ms, d.timeout_ms);
+        assert_eq!(r.trace_buf, None);
     }
 
     #[test]
@@ -2596,7 +2624,7 @@ mod tests {
         let mut out = String::new();
         r.handle(".set degrade off", &mut out);
         r.handle(".scenario scan", &mut out);
-        assert!(!r.backend.degrade_enabled(), "degrade must stay off");
+        assert!(!r.supervisor().config().degrade, "degrade must stay off");
         out.clear();
         r.handle(".stats", &mut out);
         assert!(out.contains("degrade off"), "{out}");

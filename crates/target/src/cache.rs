@@ -25,7 +25,7 @@
 //!
 //! Stacking order (see `DESIGN.md`): the cache sits *inside*
 //! [`crate::RetryTarget`] (a retried operation re-enters the cache) and
-//! *outside* [`crate::FaultTarget`] in tests (injected faults hit the
+//! *outside* [`crate::ChaosTarget`] in tests (injected faults hit the
 //! cache the way real backend faults would).
 
 use crate::error::TargetResult;
@@ -1248,8 +1248,8 @@ mod tests {
 
     #[test]
     fn transient_error_does_not_poison_the_cache() {
-        use crate::fault::{FaultConfig, FaultTarget};
-        let flaky = FaultTarget::new(scenario::scan_array(), FaultConfig::transient(2));
+        use crate::chaos::{ChaosTarget, FaultConfig};
+        let flaky = ChaosTarget::with_faults(scenario::scan_array(), FaultConfig::transient(2));
         let mut t = CachedTarget::new(flaky);
         let x = t.get_variable("x").unwrap();
         let mut buf = [0u8; 4];

@@ -1,29 +1,97 @@
-//! [`ChaosTarget`] — a scriptable failure-injection gate for chaos
-//! testing the supervision stack.
+//! [`ChaosTarget`] — the one fault-injection gate of the tower, for
+//! robustness tests of retry, cache, recorder and supervisor alike.
 //!
-//! [`crate::FaultTarget`] injects *counted* failures for retry tests;
-//! this module injects *modal* ones: the backend is Live, Dead (every
-//! wire operation fails like a killed process), Hung (every operation
-//! times out, modeling a stuck MI turn the watchdog had to kill), or
-//! Garbling (every reply comes back as seeded gibberish). Modes are
-//! switched either imperatively through a cloneable [`ChaosHandle`]
-//! (the reconnect strategy of a supervised tower can `revive()` it,
-//! playing the role of a process respawn) or declaratively through a
-//! *script* of [`ChaosEvent`]s keyed by operation count — including
-//! fully seeded random campaigns via [`ChaosHandle::campaign`], so a
-//! failing chaos run reproduces from its seed alone.
+//! The gate injects two kinds of misbehaviour into the four wire
+//! operations (`get_bytes`, `put_bytes`, `alloc_space`, `call_func`):
 //!
-//! Only the four wire operations (`get_bytes`, `put_bytes`,
-//! `alloc_space`, `call_func`) pass through the gate; symbol and type
-//! lookups model debugger-side tables and stay transparent, mirroring
-//! how the retry layer treats `Option`-returning operations.
+//! * *Counted* faults, fixed at construction by a [`FaultConfig`]
+//!   ([`ChaosTarget::with_faults`]): a burst of transient errors, a
+//!   fail-every-N pattern, poisoned address ranges, truncated reads and
+//!   artificial latency. Everything is counter-based, so retry and
+//!   cache tests are fully reproducible.
+//! * *Modal* faults, switched at run time: the backend is Live, Dead
+//!   (every wire operation fails like a killed process), Hung (every
+//!   operation times out, modeling a stuck MI turn the watchdog had to
+//!   kill), or Garbling (every reply comes back as seeded gibberish).
+//!   Modes are switched either imperatively through a cloneable
+//!   [`ChaosHandle`] (the reconnect strategy of a supervised tower can
+//!   `revive()` it, playing the role of a process respawn) or
+//!   declaratively through a *script* of [`ChaosEvent`]s keyed by
+//!   operation count — including fully seeded random campaigns via
+//!   [`ChaosHandle::campaign`], so a failing chaos run reproduces from
+//!   its seed alone.
+//!
+//! Both kinds share one operation counter and one injection counter,
+//! read through [`ChaosHandle::ops`] and [`ChaosHandle::injected`]. A
+//! modal failure takes precedence and leaves the counted burst budget
+//! untouched. Poisoned ranges and truncation are properties of the
+//! debuggee's memory, not injected failures, so they are not counted.
+//!
+//! Symbol and type lookups model debugger-side tables and stay
+//! transparent, mirroring how the retry layer treats `Option`-returning
+//! operations; `is_mapped` reports poisoned ranges as unmapped.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use crate::error::{TargetError, TargetResult};
 use crate::iface::{CallValue, FrameInfo, ReadRange, Target, VarInfo};
 use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
+
+/// The counted faults a [`ChaosTarget`] injects (see
+/// [`ChaosTarget::with_faults`]).
+#[derive(Clone, Debug)]
+pub struct FaultConfig {
+    /// Fail the first N I/O operations with [`FaultConfig::error`],
+    /// then behave normally (models a backend that recovers).
+    pub transient_failures: u32,
+    /// Additionally fail every Nth I/O operation (0 = never) with
+    /// [`FaultConfig::error`] (models a persistently flaky link).
+    pub fail_every: u64,
+    /// The transient error to inject.
+    pub error: TargetError,
+    /// Address ranges `(start, len)` that permanently fault with
+    /// [`TargetError::IllegalMemory`] (models corrupted pages).
+    pub poison: Vec<(u64, u64)>,
+    /// Reads longer than this many bytes report
+    /// [`TargetError::Truncated`] (models a half-dead remote stub).
+    pub truncate_reads_above: Option<usize>,
+    /// Artificial delay added to every I/O operation.
+    pub latency: Duration,
+}
+
+impl Default for FaultConfig {
+    fn default() -> FaultConfig {
+        FaultConfig {
+            transient_failures: 0,
+            fail_every: 0,
+            error: TargetError::Backend("injected transient fault".to_string()),
+            poison: Vec::new(),
+            truncate_reads_above: None,
+            latency: Duration::ZERO,
+        }
+    }
+}
+
+impl FaultConfig {
+    /// A config that fails the first `n` I/O operations with a
+    /// transient backend error, then recovers.
+    pub fn transient(n: u32) -> FaultConfig {
+        FaultConfig {
+            transient_failures: n,
+            ..FaultConfig::default()
+        }
+    }
+
+    /// A config that permanently poisons `[start, start+len)`.
+    pub fn poisoned(start: u64, len: u64) -> FaultConfig {
+        FaultConfig {
+            poison: vec![(start, len)],
+            ..FaultConfig::default()
+        }
+    }
+}
 
 /// The gate's current behaviour.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,8 +162,10 @@ struct ChaosState {
     script: VecDeque<ChaosEvent>,
     /// Wire operations that have passed the gate.
     ops: u64,
-    /// Failures injected so far.
+    /// Failures injected so far, modal and counted.
     injected: u64,
+    /// What is left of [`FaultConfig::transient_failures`].
+    transients_left: u32,
     rng: u64,
 }
 
@@ -127,6 +197,7 @@ impl ChaosHandle {
             script: VecDeque::new(),
             ops: 0,
             injected: 0,
+            transients_left: 0,
             rng: seed,
         })))
     }
@@ -192,23 +263,25 @@ impl ChaosHandle {
         self.0.lock().unwrap().mode
     }
 
-    /// Wire operations that have passed the gate so far.
+    /// Wire operations that have passed the gate so far (each range of
+    /// a vectored read counts as one).
     pub fn ops(&self) -> u64 {
         self.0.lock().unwrap().ops
     }
 
-    /// Failures injected so far.
+    /// Failures injected so far, modal and counted.
     pub fn injected(&self) -> u64 {
         self.0.lock().unwrap().injected
     }
 }
 
-/// A [`Target`] decorator that injects modal, scriptable failures into
+/// A [`Target`] decorator that injects counted and modal failures into
 /// the four wire operations. See the module docs.
 #[derive(Debug)]
 pub struct ChaosTarget<T: Target> {
     inner: T,
     handle: ChaosHandle,
+    faults: FaultConfig,
 }
 
 impl<T: Target> ChaosTarget<T> {
@@ -223,6 +296,19 @@ impl<T: Target> ChaosTarget<T> {
         ChaosTarget {
             inner,
             handle: ChaosHandle::new(seed),
+            faults: FaultConfig::default(),
+        }
+    }
+
+    /// Wraps `inner` with a live gate (seed 0) that also injects the
+    /// counted faults of `cfg`.
+    pub fn with_faults(inner: T, cfg: FaultConfig) -> ChaosTarget<T> {
+        let handle = ChaosHandle::new(0);
+        handle.0.lock().expect("fresh chaos state").transients_left = cfg.transient_failures;
+        ChaosTarget {
+            inner,
+            handle,
+            faults: cfg,
         }
     }
 
@@ -247,8 +333,8 @@ impl<T: Target> ChaosTarget<T> {
     }
 
     /// Advances the gate by one operation and returns the failure to
-    /// inject, if any.
-    fn gate(&mut self) -> TargetResult<()> {
+    /// inject, if any: the modal one first, then the counted ones.
+    fn gate(&self) -> TargetResult<()> {
         let mut st = self.handle.0.lock().unwrap();
         st.ops += 1;
         let now = st.ops;
@@ -267,25 +353,68 @@ impl<T: Target> ChaosTarget<T> {
                 st.heal_in = Some(left - 1);
             }
         }
-        match st.mode {
-            ChaosMode::Live => Ok(()),
-            ChaosMode::Dead => {
-                st.injected += 1;
-                Err(TargetError::Backend("chaos: backend killed".to_string()))
+        let err = match st.mode {
+            ChaosMode::Live if st.transients_left > 0 => {
+                st.transients_left -= 1;
+                self.faults.error.clone()
             }
-            ChaosMode::Hung => {
-                st.injected += 1;
-                // The deadline watchdog has already killed the turn by
-                // the time the caller sees anything — model that.
-                Err(TargetError::Timeout { ms: 1000 })
+            ChaosMode::Live
+                if self.faults.fail_every > 0 && now.is_multiple_of(self.faults.fail_every) =>
+            {
+                self.faults.error.clone()
             }
+            ChaosMode::Live => return Ok(()),
+            ChaosMode::Dead => TargetError::Backend("chaos: backend killed".to_string()),
+            // The deadline watchdog has already killed the turn by the
+            // time the caller sees anything — model that.
+            ChaosMode::Hung => TargetError::Timeout { ms: 1000 },
             ChaosMode::Garbling => {
-                st.injected += 1;
                 let noise = splitmix64(&mut st.rng);
-                Err(TargetError::Backend(format!(
-                    "chaos: garbled reply 0x{noise:016x}"
-                )))
+                TargetError::Backend(format!("chaos: garbled reply 0x{noise:016x}"))
             }
+        };
+        st.injected += 1;
+        Err(err)
+    }
+
+    /// Gates one access to `[addr, addr+len)`: the injected failure, if
+    /// any, then poison, then (for reads) truncation.
+    fn gate_range(&self, addr: u64, len: usize, read: bool) -> TargetResult<()> {
+        self.gate()?;
+        if self.poisoned(addr, len as u64) {
+            return Err(TargetError::IllegalMemory {
+                addr,
+                len: len as u64,
+            });
+        }
+        match self.faults.truncate_reads_above {
+            Some(cap) if read && len > cap => Err(TargetError::Truncated {
+                addr,
+                wanted: len as u64,
+                got: cap as u64,
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    fn poisoned(&self, addr: u64, len: u64) -> bool {
+        let end = addr.saturating_add(len.max(1));
+        self.faults
+            .poison
+            .iter()
+            .any(|&(start, plen)| addr < start.saturating_add(plen) && start < end)
+    }
+
+    /// Pays one wire turn's worth of injected latency. Deliberately a
+    /// plain sleep, overshoot and all: the injected latency models time
+    /// the wire is busy and the CPU is *not*, so it must yield the core
+    /// — a spin-accurate wait would steal cycles from the evaluator on
+    /// small machines and invert the very overlap the pipeline benches
+    /// measure. Benchmarks that need the true per-turn figure measure
+    /// it rather than trusting the nominal one.
+    fn pay_latency(&self) {
+        if !self.faults.latency.is_zero() {
+            std::thread::sleep(self.faults.latency);
         }
     }
 }
@@ -304,17 +433,22 @@ impl<T: Target> Target for ChaosTarget<T> {
     }
 
     fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        self.gate()?;
+        self.pay_latency();
+        self.gate_range(addr, buf.len(), true)?;
         self.inner.get_bytes(addr, buf)
     }
 
     fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        // Every range passes the gate on its own (script `at_op`
+        // One wire turn: latency is paid once per batch, but every range
+        // passes the gate on its own (script `at_op` and fail-every
         // counters keep their wire-op granularity); the survivors go
-        // down in one inner vectored call, so a chaos hit on one range
-        // never fails the rest of the batch.
-        let mut results: Vec<Option<TargetResult<()>>> =
-            ranges.iter().map(|_| self.gate().err().map(Err)).collect();
+        // down in one inner vectored call, so a hit on one range never
+        // fails the rest of the batch.
+        self.pay_latency();
+        let mut results: Vec<Option<TargetResult<()>>> = ranges
+            .iter()
+            .map(|r| self.gate_range(r.addr, r.buf.len(), true).err().map(Err))
+            .collect();
         let mut fwd = Vec::new();
         let mut fwd_idx = Vec::new();
         for (i, r) in ranges.iter_mut().enumerate() {
@@ -333,16 +467,19 @@ impl<T: Target> Target for ChaosTarget<T> {
     }
 
     fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-        self.gate()?;
+        self.pay_latency();
+        self.gate_range(addr, bytes.len(), false)?;
         self.inner.put_bytes(addr, bytes)
     }
 
     fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
+        self.pay_latency();
         self.gate()?;
         self.inner.alloc_space(size, align)
     }
 
     fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
+        self.pay_latency();
         self.gate()?;
         self.inner.call_func(name, args)
     }
@@ -384,7 +521,7 @@ impl<T: Target> Target for ChaosTarget<T> {
     }
 
     fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        self.inner.is_mapped(addr, len)
+        !self.poisoned(addr, len) && self.inner.is_mapped(addr, len)
     }
 
     fn take_output(&mut self) -> String {
@@ -506,5 +643,150 @@ mod tests {
         assert!(t.get_variable("x").is_some());
         assert!(t.frame_count() == 0 || t.frame_info(0).is_some());
         assert_eq!(h.ops(), 0);
+    }
+
+    #[test]
+    fn transient_burst_then_recovers() {
+        let mut t = ChaosTarget::with_faults(scenario::scan_array(), FaultConfig::transient(2));
+        let x = t.get_variable("x").unwrap();
+        let mut buf = [0u8; 4];
+        assert!(t.get_bytes(x.addr, &mut buf).is_err());
+        assert!(t.get_bytes(x.addr, &mut buf).is_err());
+        assert!(t.get_bytes(x.addr, &mut buf).is_ok());
+        assert_eq!(t.handle().injected(), 2);
+        assert_eq!(t.handle().ops(), 3);
+    }
+
+    #[test]
+    fn poison_is_permanent_and_unmapped() {
+        let mut t = scenario::scan_array();
+        let x = t.get_variable("x").unwrap();
+        let mut t = ChaosTarget::with_faults(t, FaultConfig::poisoned(x.addr + 12, 4));
+        let mut buf = [0u8; 4];
+        assert!(t.get_bytes(x.addr, &mut buf).is_ok());
+        for _ in 0..3 {
+            assert_eq!(
+                t.get_bytes(x.addr + 12, &mut buf),
+                Err(TargetError::IllegalMemory {
+                    addr: x.addr + 12,
+                    len: 4
+                })
+            );
+        }
+        assert!(!t.is_mapped(x.addr + 12, 4));
+        assert!(t.is_mapped(x.addr, 4));
+    }
+
+    #[test]
+    fn truncation_reports_partial_length() {
+        let mut t = ChaosTarget::with_faults(
+            scenario::scan_array(),
+            FaultConfig {
+                truncate_reads_above: Some(2),
+                ..FaultConfig::default()
+            },
+        );
+        let x = t.get_variable("x").unwrap();
+        let mut buf = [0u8; 4];
+        assert_eq!(
+            t.get_bytes(x.addr, &mut buf),
+            Err(TargetError::Truncated {
+                addr: x.addr,
+                wanted: 4,
+                got: 2
+            })
+        );
+        let mut small = [0u8; 2];
+        assert!(t.get_bytes(x.addr, &mut small).is_ok());
+    }
+
+    #[test]
+    fn one_flaky_range_does_not_fail_the_batch() {
+        // A single transient left in the burst budget hits only the
+        // first range of the vectored call; the rest still go through.
+        let mut t = ChaosTarget::with_faults(scenario::scan_array(), FaultConfig::transient(1));
+        let x = t.get_variable("x").unwrap();
+        let mut a = [0u8; 4];
+        let mut b = [0u8; 4];
+        let mut c = [0u8; 4];
+        let mut ranges = [
+            ReadRange::new(x.addr, &mut a),
+            ReadRange::new(x.addr + 72, &mut b),
+            ReadRange::new(x.addr + 12, &mut c),
+        ];
+        let rs = t.get_bytes_multi(&mut ranges);
+        assert!(rs[0].as_ref().is_err_and(|e| e.is_transient()), "{rs:?}");
+        assert_eq!(rs[1], Ok(()));
+        assert_eq!(rs[2], Ok(()));
+        assert_eq!(i32::from_le_bytes(b), 9); // x[18]
+        assert_eq!(i32::from_le_bytes(c), 7); // x[3]
+        assert_eq!(t.handle().injected(), 1);
+        // Each range counts as one faultable operation.
+        assert_eq!(t.handle().ops(), 3);
+    }
+
+    #[test]
+    fn counted_and_modal_faults_share_one_gate() {
+        let mut sim = scenario::scan_array();
+        let x = sim.get_variable("x").unwrap().addr;
+        let wire = crate::TraceTarget::new(sim);
+        let trace = wire.handle();
+        trace.set_enabled(true);
+        let cfg = FaultConfig {
+            poison: vec![(x + 12, 4)],
+            ..FaultConfig::transient(2)
+        };
+        let mut t = ChaosTarget::with_faults(wire, cfg);
+        let h = t.handle();
+        h.load_script(vec![
+            ChaosEvent {
+                at_op: 2,
+                action: ChaosAction::Kill,
+            },
+            ChaosEvent {
+                at_op: 3,
+                action: ChaosAction::Revive,
+            },
+        ]);
+        let mut buf = [0u8; 4];
+        let step = |t: &mut ChaosTarget<_>, buf: &mut [u8; 4]| t.get_bytes(x, buf).unwrap_err();
+        // Op 1: the first counted transient.
+        assert!(step(&mut t, &mut buf).is_transient());
+        assert_eq!((h.ops(), h.injected()), (1, 1));
+        // Op 2: the scripted kill takes precedence and leaves the
+        // second transient in the budget.
+        assert!(step(&mut t, &mut buf).to_string().contains("killed"));
+        assert_eq!((h.ops(), h.injected()), (2, 2));
+        // Op 3: revived, so the remaining transient fires.
+        assert_eq!(
+            step(&mut t, &mut buf),
+            TargetError::Backend("injected transient fault".to_string())
+        );
+        assert_eq!((h.ops(), h.injected()), (3, 3));
+        // Ops 4-5: one vectored read, poisoned range plus clean range.
+        // Poison is a property of memory, not an injected failure; only
+        // the clean range goes down, in one inner vectored call.
+        let mut bad = [0u8; 4];
+        let mut good = [0u8; 4];
+        let mut ranges = [
+            ReadRange::new(x + 12, &mut bad),
+            ReadRange::new(x + 72, &mut good),
+        ];
+        let rs = t.get_bytes_multi(&mut ranges);
+        assert_eq!(
+            rs,
+            vec![
+                Err(TargetError::IllegalMemory {
+                    addr: x + 12,
+                    len: 4
+                }),
+                Ok(())
+            ]
+        );
+        assert_eq!(i32::from_le_bytes(good), 9); // x[18]
+        assert_eq!((h.ops(), h.injected()), (5, 3));
+        assert_eq!(trace.calls(crate::TraceOp::MultiRead), 1);
+        assert_eq!(trace.calls(crate::TraceOp::GetBytes), 0);
+        assert_eq!(trace.recent_events(1)[0].detail, "1 ranges, 4b");
     }
 }

@@ -16,8 +16,6 @@
 //!   builds the paper's worked examples on top of it.
 //! * [`value_io`] — endian-aware encode/decode of scalars, pointers
 //!   and bit-fields through any `Target`.
-//! * [`FaultTarget`] — deterministic fault injection (transient bursts,
-//!   poisoned pages, truncation, latency) for robustness tests.
 //! * [`RetryTarget`] — bounded retry with exponential backoff and
 //!   per-call deadlines; wraps flaky backends such as a remote MI
 //!   connection.
@@ -43,9 +41,11 @@
 //! * [`SupervisedTarget`] — backend supervision: health probes, a
 //!   three-state circuit breaker, pluggable reconnection with session
 //!   resync, and degraded stale-read mode while the backend is down.
-//! * [`ChaosTarget`] — a scriptable failure-injection gate (kill /
-//!   hang / garble campaigns with a deterministic seed) for chaos
-//!   testing the supervision stack.
+//! * [`ChaosTarget`] — the one fault-injection gate: counted faults
+//!   from a [`FaultConfig`] (transient bursts, fail-every-N, poisoned
+//!   pages, truncation, latency) and scriptable modes (kill / hang /
+//!   garble campaigns with a deterministic seed), for robustness tests
+//!   from retry up to the supervision stack.
 //! * [`AsyncTarget`] — the I/O actor: moves the innermost backend onto
 //!   a dedicated worker thread and adds non-blocking submit/poll for
 //!   in-flight vectored reads, enabling double-buffered streaming
@@ -55,7 +55,6 @@ pub mod cache;
 pub mod capture;
 pub mod chaos;
 pub mod error;
-pub mod fault;
 pub mod iface;
 pub mod json;
 pub mod meta;
@@ -75,9 +74,8 @@ pub use cache::{CacheConfig, CacheStats, CachedTarget};
 pub use capture::{
     Capture, CaptureCall, CaptureEvent, CaptureReply, SharedSink, CAPTURE_SCHEMA_VERSION,
 };
-pub use chaos::{ChaosAction, ChaosEvent, ChaosHandle, ChaosMode, ChaosTarget};
+pub use chaos::{ChaosAction, ChaosEvent, ChaosHandle, ChaosMode, ChaosTarget, FaultConfig};
 pub use error::{TargetError, TargetResult};
-pub use fault::{FaultConfig, FaultTarget};
 pub use iface::{
     CallValue, FrameInfo, OwnedRange, PipelineTicket, PrefetchCompletion, ReadRange, Target,
     VarInfo, VarKind,

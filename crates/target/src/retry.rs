@@ -475,12 +475,12 @@ impl<T: Target> Target for RetryTarget<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultConfig, FaultTarget};
+    use crate::chaos::{ChaosTarget, FaultConfig};
     use crate::scenario;
 
     #[test]
     fn absorbs_transient_burst() {
-        let flaky = FaultTarget::new(scenario::scan_array(), FaultConfig::transient(2));
+        let flaky = ChaosTarget::with_faults(scenario::scan_array(), FaultConfig::transient(2));
         let mut t = RetryTarget::with_policy(flaky, RetryPolicy::fast(3));
         let x = t.get_variable("x").unwrap();
         let mut buf = [0u8; 4];
@@ -491,7 +491,7 @@ mod tests {
 
     #[test]
     fn does_not_retry_faults() {
-        let flaky = FaultTarget::new(scenario::scan_array(), FaultConfig::default());
+        let flaky = ChaosTarget::with_faults(scenario::scan_array(), FaultConfig::default());
         let mut t = RetryTarget::with_policy(flaky, RetryPolicy::fast(3));
         let mut buf = [0u8; 4];
         assert_eq!(
@@ -503,7 +503,7 @@ mod tests {
 
     #[test]
     fn gives_up_after_max_retries() {
-        let flaky = FaultTarget::new(scenario::scan_array(), FaultConfig::transient(10));
+        let flaky = ChaosTarget::with_faults(scenario::scan_array(), FaultConfig::transient(10));
         let mut t = RetryTarget::with_policy(flaky, RetryPolicy::fast(3));
         let x = t.get_variable("x").unwrap();
         let mut buf = [0u8; 4];
@@ -514,7 +514,7 @@ mod tests {
 
     #[test]
     fn deadline_converts_to_timeout() {
-        let flaky = FaultTarget::new(scenario::scan_array(), FaultConfig::transient(100));
+        let flaky = ChaosTarget::with_faults(scenario::scan_array(), FaultConfig::transient(100));
         let policy = RetryPolicy {
             max_retries: 100,
             deadline: Some(Duration::ZERO),
@@ -532,7 +532,7 @@ mod tests {
 
     #[test]
     fn stats_count_attempts_backoff_and_give_ups() {
-        let flaky = FaultTarget::new(scenario::scan_array(), FaultConfig::transient(6));
+        let flaky = ChaosTarget::with_faults(scenario::scan_array(), FaultConfig::transient(6));
         let mut t = RetryTarget::with_policy(flaky, RetryPolicy::fast(3));
         let x = t.get_variable("x").unwrap();
         let mut buf = [0u8; 4];
@@ -601,7 +601,7 @@ mod tests {
 
     #[test]
     fn op_deadline_converts_retry_storm_to_timeout() {
-        let flaky = FaultTarget::new(scenario::scan_array(), FaultConfig::transient(100));
+        let flaky = ChaosTarget::with_faults(scenario::scan_array(), FaultConfig::transient(100));
         let mut t = RetryTarget::with_policy(
             flaky,
             RetryPolicy {
@@ -626,7 +626,7 @@ mod tests {
     fn op_deadline_clamps_scheduled_sleep() {
         // 50ms of eval budget left, 500ms backoff ceiling: the single
         // scheduled backoff must be clamped to at most the budget.
-        let flaky = FaultTarget::new(scenario::scan_array(), FaultConfig::transient(1));
+        let flaky = ChaosTarget::with_faults(scenario::scan_array(), FaultConfig::transient(1));
         let mut t = RetryTarget::with_policy(
             flaky,
             RetryPolicy {
@@ -650,7 +650,7 @@ mod tests {
 
     #[test]
     fn retry_episode_is_one_logical_span_with_attempt_children() {
-        let flaky = FaultTarget::new(scenario::scan_array(), FaultConfig::transient(2));
+        let flaky = ChaosTarget::with_faults(scenario::scan_array(), FaultConfig::transient(2));
         let mut t = RetryTarget::with_policy(flaky, RetryPolicy::fast(3));
         let spans = SpanContext::new(64);
         spans.set_enabled(true);
@@ -681,7 +681,7 @@ mod tests {
     fn vectored_retry_redrives_only_the_flaky_ranges() {
         // Burst budget of 1: exactly one range of the first vectored
         // attempt flakes; the retry re-drives only that range.
-        let flaky = FaultTarget::new(scenario::scan_array(), FaultConfig::transient(1));
+        let flaky = ChaosTarget::with_faults(scenario::scan_array(), FaultConfig::transient(1));
         let mut t = RetryTarget::with_policy(flaky, RetryPolicy::fast(3));
         let x = t.get_variable("x").unwrap();
         let mut a = [0u8; 4];
@@ -696,6 +696,6 @@ mod tests {
         assert_eq!(i32::from_le_bytes(b), 9);
         assert_eq!(t.retries(), 1);
         // First attempt: 2 faultable ops; re-drive: only the flaked one.
-        assert_eq!(t.inner_mut().operations(), 3);
+        assert_eq!(t.inner().handle().ops(), 3);
     }
 }

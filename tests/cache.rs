@@ -5,7 +5,7 @@
 
 use duel::core::{EvalOptions, Session};
 use duel::target::{
-    scenario, CacheConfig, CachedTarget, FaultConfig, FaultTarget, RetryPolicy, RetryTarget,
+    scenario, CacheConfig, CachedTarget, ChaosTarget, FaultConfig, RetryPolicy, RetryTarget,
     SimTarget, Target,
 };
 
@@ -131,7 +131,7 @@ fn transient_faults_cannot_poison_pages() {
     // The first backend operation fails transiently. The cache must
     // not retain anything from that failed fetch; whatever does get
     // cached afterwards must agree with the debuggee.
-    let flaky = FaultTarget::new(scenario::scan_array(), FaultConfig::transient(1));
+    let flaky = ChaosTarget::with_faults(scenario::scan_array(), FaultConfig::transient(1));
     let mut t = CachedTarget::new(flaky);
     let x = t.get_variable("x").unwrap();
     let mut buf = [0u8; 4];
@@ -155,7 +155,7 @@ fn truncating_backend_degrades_to_exact_reads() {
         truncate_reads_above: Some(16),
         ..FaultConfig::default()
     };
-    let stub = FaultTarget::new(scenario::scan_array(), cfg);
+    let stub = ChaosTarget::with_faults(scenario::scan_array(), cfg);
     let mut t = CachedTarget::new(stub);
     assert_eq!(
         lines(&mut t, "x[1..4,8,12..50] >? 5 <? 10"),
@@ -166,7 +166,7 @@ fn truncating_backend_degrades_to_exact_reads() {
 #[test]
 fn full_stack_retry_over_cache_over_faults() {
     // The documented production order: Retry(Cache(Fault(backend))).
-    let flaky = FaultTarget::new(scenario::scan_array(), FaultConfig::transient(2));
+    let flaky = ChaosTarget::with_faults(scenario::scan_array(), FaultConfig::transient(2));
     let cached = CachedTarget::new(flaky);
     let mut t = RetryTarget::with_policy(cached, RetryPolicy::fast(5));
     {
@@ -188,7 +188,7 @@ fn poisoned_ranges_stay_poisoned_through_the_cache() {
     let t = scenario::scan_array();
     let mut probe = t.clone();
     let x = probe.get_variable("x").unwrap();
-    let bad = FaultTarget::new(t, FaultConfig::poisoned(x.addr + 12, 4));
+    let bad = ChaosTarget::with_faults(t, FaultConfig::poisoned(x.addr + 12, 4));
     let mut t = CachedTarget::new(bad);
     let out = lines(&mut t, "x[2..5]");
     assert_eq!(out.len(), 4);

@@ -8,7 +8,7 @@
 use duel::core::Session;
 use duel::gdbmi::{MiTarget, MockGdb, Recorder, Replayer};
 use duel::target::{
-    scenario, CacheConfig, CachedTarget, Capture, FaultConfig, FaultTarget, RecordTarget,
+    scenario, CacheConfig, CachedTarget, Capture, ChaosTarget, FaultConfig, RecordTarget,
     ReplayMode, ReplayTarget, RetryPolicy, RetryTarget, SharedSink, SimTarget, Target, TargetError,
     TraceOutcome,
 };
@@ -264,7 +264,7 @@ fn capture_under_retry_records_transients_and_replays_deterministically() {
     // Tower: Retry<Record<Fault<Sim>>> — the recorder sees every raw
     // attempt, including the transient failures retry absorbs above it.
     let sink = SharedSink::default();
-    let flaky = FaultTarget::new(scenario::scan_array(), FaultConfig::transient(3));
+    let flaky = ChaosTarget::with_faults(scenario::scan_array(), FaultConfig::transient(3));
     let mut rec = RecordTarget::new(flaky);
     rec.start(Box::new(sink.clone()), "sim", "scan-flaky")
         .unwrap();

@@ -3,7 +3,7 @@
 //!
 //! Three layers are exercised together:
 //!
-//! 1. [`duel::target::FaultTarget`] injects transient failures,
+//! 1. [`duel::target::ChaosTarget`] injects transient failures,
 //!    poisoned address ranges, and truncated reads below the `Target`
 //!    interface;
 //! 2. [`duel::target::RetryTarget`] absorbs the transient class with
@@ -16,7 +16,7 @@
 
 use duel::core::{DuelError, Session};
 use duel::gdbmi::{MiTarget, MockGdb};
-use duel::target::{scenario, FaultConfig, FaultTarget, RetryPolicy, RetryTarget, Target};
+use duel::target::{scenario, ChaosTarget, FaultConfig, RetryPolicy, RetryTarget, Target};
 
 // ---- transient failures and retries ------------------------------------
 
@@ -25,7 +25,7 @@ fn transient_faults_are_retried_to_success() {
     let sim = scenario::scan_array();
     // The first two memory operations fail with a transient backend
     // error, then the target recovers.
-    let faulty = FaultTarget::new(sim, FaultConfig::transient(2));
+    let faulty = ChaosTarget::with_faults(sim, FaultConfig::transient(2));
     let mut t = RetryTarget::with_policy(faulty, RetryPolicy::fast(3));
     {
         let mut s = Session::new(&mut t);
@@ -37,7 +37,7 @@ fn transient_faults_are_retried_to_success() {
 #[test]
 fn persistent_transient_failures_exhaust_the_retry_budget() {
     let sim = scenario::scan_array();
-    let faulty = FaultTarget::new(sim, FaultConfig::transient(100));
+    let faulty = ChaosTarget::with_faults(sim, FaultConfig::transient(100));
     let mut t = RetryTarget::with_policy(faulty, RetryPolicy::fast(2));
     let mut s = Session::new(&mut t);
     let err = s.eval("x[3..3]").unwrap_err();
@@ -54,7 +54,7 @@ fn permanent_fault_yields_error_value_and_stream_continues() {
     let mut sim = scenario::scan_array();
     let x = sim.get_variable("x").unwrap();
     // Poison exactly x[3]; the rest of the array stays readable.
-    let mut t = FaultTarget::new(sim, FaultConfig::poisoned(x.addr + 12, 4));
+    let mut t = ChaosTarget::with_faults(sim, FaultConfig::poisoned(x.addr + 12, 4));
     let mut s = Session::new(&mut t);
     s.options.error_values = true;
     let lines = s.eval_lines("x[0..5]").unwrap();
@@ -71,7 +71,7 @@ fn permanent_fault_yields_error_value_and_stream_continues() {
 fn strict_mode_stops_at_the_first_fault() {
     let mut sim = scenario::scan_array();
     let x = sim.get_variable("x").unwrap();
-    let mut t = FaultTarget::new(sim, FaultConfig::poisoned(x.addr + 12, 4));
+    let mut t = ChaosTarget::with_faults(sim, FaultConfig::poisoned(x.addr + 12, 4));
     let mut s = Session::new(&mut t);
     // Default options: the paper's behaviour — values until the error,
     // then the error.
@@ -104,7 +104,7 @@ fn truncated_reads_are_reported_with_partial_length() {
         truncate_reads_above: Some(2),
         ..FaultConfig::default()
     };
-    let mut t = FaultTarget::new(sim, cfg);
+    let mut t = ChaosTarget::with_faults(sim, cfg);
     let mut buf = [0u8; 4];
     let err = t.get_bytes(x.addr, &mut buf).unwrap_err();
     let msg = err.to_string();
@@ -276,7 +276,7 @@ fn probe_flakes_never_poison_the_cached_prefix() {
     // Recovery once the flakes stop (the full 240-byte prefix being
     // cached by a clean re-probe) is pinned down by the unit test in
     // `crates/target/src/cache.rs`.
-    let flaky = FaultTarget::new(
+    let flaky = ChaosTarget::with_faults(
         scenario::scan_array(),
         FaultConfig {
             fail_every: 7,
@@ -301,7 +301,7 @@ fn probe_flakes_never_poison_the_cached_prefix() {
     }
     let cache = t.inner_mut();
     assert!(
-        cache.inner_mut().injected() > 0,
+        cache.inner().handle().injected() > 0,
         "the flakes must actually have fired"
     );
     for (base, bytes) in cache.resident_pages() {

@@ -3,7 +3,7 @@
 
 use duel_core::{ProfileReport, Session};
 use duel_target::{
-    scenario, CacheConfig, CachedTarget, FaultConfig, FaultTarget, RetryPolicy, RetryTarget,
+    scenario, CacheConfig, CachedTarget, ChaosTarget, FaultConfig, RetryPolicy, RetryTarget,
     Target, TraceTarget,
 };
 
@@ -135,7 +135,7 @@ fn fault_composition_does_not_skew_counters() {
     // faults are absorbed below the evaluator, so they must not leak
     // into its counters.
     let flaky = RetryTarget::with_policy(
-        FaultTarget::new(scenario::scan_array(), FaultConfig::transient(3)),
+        ChaosTarget::with_faults(scenario::scan_array(), FaultConfig::transient(3)),
         RetryPolicy::fast(5),
     );
     let mut flaky = TraceTarget::new(flaky);
