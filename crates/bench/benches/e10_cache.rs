@@ -8,7 +8,11 @@
 //! through an enabled one. The run asserts that the rendered output is
 //! identical and that the cached path issues at least 5× fewer backend
 //! `get_bytes` calls, then writes the counters to `BENCH_cache.json`
-//! at the repository root.
+//! at the repository root. Beside the reads it reports the `is_mapped`
+//! queries that reached the backend (`*_mapped_probes`): each is a wire
+//! turn of its own that `backend_reads` does not count. The cache
+//! answers them with the page fills the following reads need, so a
+//! cached pointer walk sends next to none.
 //!
 //! Not a criterion bench on purpose: the quantity of interest is the
 //! *backend call count* from `CacheStats`, which criterion cannot
@@ -62,6 +66,7 @@ struct Measurement {
     backend_reads: u64,
     wire_bytes: u64,
     lookup_misses: u64,
+    mapped_probes: u64,
     wall: Duration,
 }
 
@@ -95,6 +100,7 @@ fn run(w: &Workload, cached: bool) -> Measurement {
         backend_reads: s.backend_reads,
         wire_bytes: s.wire_bytes,
         lookup_misses: s.lookup_misses,
+        mapped_probes: s.mapped_probes,
         wall,
     }
 }
@@ -108,11 +114,13 @@ fn main() {
         let identical = uncached.lines == cached.lines && !uncached.lines.is_empty();
         let reduction = uncached.backend_reads as f64 / cached.backend_reads.max(1) as f64;
         println!(
-            "{:<11} backend reads {:>6} -> {:>4}  ({reduction:>5.1}x), wire bytes {:>7} -> {:>6}, \
-             wall {:>7.2?} -> {:>7.2?}, identical output: {identical}",
+            "{:<11} backend reads {:>6} -> {:>4}  ({reduction:>5.1}x), is_mapped probes {:>5} -> {:>3}, \
+             wire bytes {:>7} -> {:>6}, wall {:>7.2?} -> {:>7.2?}, identical output: {identical}",
             w.name,
             uncached.backend_reads,
             cached.backend_reads,
+            uncached.mapped_probes,
+            cached.mapped_probes,
             uncached.wire_bytes,
             cached.wire_bytes,
             uncached.wall,
@@ -135,7 +143,8 @@ fn main() {
              \"read_reduction\": {:.2},\n      \"uncached_wire_bytes\": {},\n      \
              \"cached_wire_bytes\": {},\n      \"cached_lookup_misses\": {},\n      \
              \"uncached_wall_us\": {},\n      \"cached_wall_us\": {},\n      \
-             \"identical_output\": {}\n    }}",
+             \"identical_output\": {},\n      \"uncached_mapped_probes\": {},\n      \
+             \"cached_mapped_probes\": {}\n    }}",
             w.name,
             json_str(w.expr),
             cached.lines.len(),
@@ -148,6 +157,8 @@ fn main() {
             uncached.wall.as_micros(),
             cached.wall.as_micros(),
             identical,
+            uncached.mapped_probes,
+            cached.mapped_probes,
         ));
     }
     // Standard bench-report schema shared by every BENCH_*.json:

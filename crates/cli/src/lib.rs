@@ -1085,17 +1085,7 @@ impl Repl {
                 );
                 match self.replay() {
                     Some(r) => {
-                        let _ = writeln!(
-                            out,
-                            "replay: {:?}, {}/{} events consumed{}",
-                            r.mode(),
-                            r.events_consumed(),
-                            r.events_total(),
-                            match r.divergence() {
-                                Some(d) => format!("; DIVERGED at event {}", d.at),
-                                None => String::new(),
-                            }
-                        );
+                        let _ = writeln!(out, "replay: {}", replay_status(r));
                     }
                     None => {
                         let rec = self.recorder();
@@ -1124,18 +1114,18 @@ impl Repl {
                     }
                 },
                 "" => {
-                    let probe = self.supervisor_mut().health_check();
+                    // A replay answers only the calls it captured: a
+                    // probe would diverge it for good, so report the
+                    // replay's state instead.
+                    let health = match self.replay() {
+                        Some(r) => format!("replay backend, not probed: {}", replay_status(r)),
+                        None => match self.supervisor_mut().health_check() {
+                            Ok(()) => "backend healthy".to_string(),
+                            Err(e) => format!("backend unhealthy: {e}"),
+                        },
+                    };
                     let sup = self.supervisor();
-                    let state = sup.state();
-                    match probe {
-                        Ok(()) => {
-                            let _ = writeln!(out, "backend healthy; circuit {}", state.name());
-                        }
-                        Err(e) => {
-                            let _ =
-                                writeln!(out, "backend unhealthy: {e}; circuit {}", state.name());
-                        }
-                    }
+                    let _ = writeln!(out, "{health}; circuit {}", sup.state().name());
                     let s = sup.stats();
                     let _ = writeln!(
                         out,
@@ -1456,7 +1446,8 @@ impl Repl {
                         match ReplayTarget::load(arg, mode) {
                             Ok(r) => {
                                 let total = r.events_total();
-                                self.swap(Leaf::Replay(r), None, out);
+                                let label = r.scenario_label().to_string();
+                                self.swap(Leaf::Replay(r), Some(&label), out);
                                 let _ = writeln!(
                                     out,
                                     "replaying `{arg}` ({total} events, {mode:?}); aliases cleared"
@@ -1684,6 +1675,20 @@ impl Repl {
             self.cache_mut().invalidate_all();
         }
     }
+}
+
+/// One line of replay state: mode, events consumed, any divergence.
+fn replay_status(r: &ReplayTarget) -> String {
+    format!(
+        "{:?}, {}/{} events consumed{}",
+        r.mode(),
+        r.events_consumed(),
+        r.events_total(),
+        match r.divergence() {
+            Some(d) => format!("; DIVERGED at event {}", d.at),
+            None => String::new(),
+        }
+    )
 }
 
 /// Parses `val` into `slot`; on failure leaves `slot` unchanged and

@@ -758,15 +758,17 @@ impl<T: MiTransport> Target for MiTarget<T> {
             return true;
         }
         // Probe the first and last byte; MI has no mapping query, so a
-        // read attempt is the portable check (as gdb users do).
-        let mut b = [0u8; 1];
-        if self.get_bytes(addr, &mut b).is_err() {
+        // read attempt is the portable check (as gdb users do). Both
+        // probes go out as one pipelined batch: one wire turn.
+        let Some(last) = addr.checked_add(len - 1) else {
             return false;
+        };
+        let (mut first_b, mut last_b) = ([0u8; 1], [0u8; 1]);
+        let mut probes = vec![ReadRange::new(addr, &mut first_b)];
+        if last != addr {
+            probes.push(ReadRange::new(last, &mut last_b));
         }
-        if len > 1 && self.get_bytes(addr + len - 1, &mut b).is_err() {
-            return false;
-        }
-        true
+        self.get_bytes_multi(&mut probes).iter().all(|r| r.is_ok())
     }
 
     fn take_output(&mut self) -> String {
@@ -854,6 +856,51 @@ mod tests {
         assert!(t.is_mapped(x.addr, 4));
         assert!(!t.is_mapped(0, 1));
         assert!(!t.is_mapped(0xdead_beef_0000, 8));
+        assert!(!t.is_mapped(u64::MAX - 2, 8), "a range past the top");
+    }
+
+    /// A transport that counts wire turns: send → receive transitions,
+    /// so a pipelined batch counts once.
+    struct Turns {
+        inner: MockGdb,
+        sent: bool,
+        turns: u64,
+    }
+
+    impl MiTransport for Turns {
+        fn send_line(&mut self, line: &str) -> Result<(), MiError> {
+            self.sent = true;
+            self.inner.send_line(line)
+        }
+
+        fn recv_line(&mut self) -> Result<String, MiError> {
+            if std::mem::take(&mut self.sent) {
+                self.turns += 1;
+            }
+            self.inner.recv_line()
+        }
+    }
+
+    #[test]
+    fn is_mapped_probes_both_ends_in_one_turn() {
+        let mut t = MiTarget::connect(Turns {
+            inner: MockGdb::new(scenario::scan_array()),
+            sent: false,
+            turns: 0,
+        })
+        .unwrap();
+        let x = t.get_variable("x").unwrap();
+        let probe = |t: &mut MiTarget<Turns>, addr: u64, len: u64| {
+            let before = t.client_mut().transport().turns;
+            let mapped = t.is_mapped(addr, len);
+            (mapped, t.client_mut().transport().turns - before)
+        };
+        assert_eq!(probe(&mut t, x.addr, 8), (true, 1));
+        assert_eq!(probe(&mut t, 0xdead_beef_0000, 8), (false, 1));
+        // scan_array's arena is 240 bytes: the last byte lies outside.
+        assert_eq!(probe(&mut t, x.addr + 236, 8), (false, 1));
+        assert_eq!(probe(&mut t, x.addr, 1), (true, 1));
+        assert_eq!(probe(&mut t, x.addr, 0), (true, 0));
     }
 
     // ---- MI error-record → TargetError mapping --------------------------

@@ -1,0 +1,73 @@
+//! Wire turns of a cold list walk through the supervised MI tower.
+//!
+//! DUEL's `-->` checks each node pointer with `is_mapped` before it
+//! reads the node. The page cache answers that check with the page fill
+//! the read needs next, so a cold walk costs about one MI turn per page
+//! fill: `CacheStats::backend_reads` plus the handful of symbol and type
+//! lookups, not two extra probe turns per node.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use duel_core::Session;
+use duel_gdbmi::{connect_supervised, MiError, MiTransport, MockGdb};
+use duel_target::{scenario, CacheConfig, RetryPolicy, SupervisorConfig};
+
+/// Counts wire turns: send → receive transitions, so a pipelined batch
+/// counts once.
+struct Tap {
+    inner: MockGdb,
+    sent: bool,
+    turns: Arc<AtomicU64>,
+}
+
+impl MiTransport for Tap {
+    fn send_line(&mut self, line: &str) -> Result<(), MiError> {
+        self.sent = true;
+        self.inner.send_line(line)
+    }
+
+    fn recv_line(&mut self) -> Result<String, MiError> {
+        if std::mem::take(&mut self.sent) {
+            self.turns.fetch_add(1, Ordering::Relaxed);
+        }
+        self.inner.recv_line()
+    }
+}
+
+#[test]
+fn cold_hash_walk_costs_one_turn_per_page_fill() {
+    let turns = Arc::new(AtomicU64::new(0));
+    let tap_turns = turns.clone();
+    let mut t = connect_supervised(
+        move || {
+            Ok(Tap {
+                inner: MockGdb::new(scenario::bench_hash(1024, 4, 7)),
+                sent: false,
+                turns: tap_turns.clone(),
+            })
+        },
+        RetryPolicy::default(),
+        CacheConfig::default(),
+        SupervisorConfig::default(),
+        Duration::from_secs(30),
+    )
+    .unwrap();
+    let before = turns.load(Ordering::Relaxed);
+    let lines = Session::new(&mut t)
+        .eval_lines("#/(hash[..1024]-->next)")
+        .unwrap();
+    assert_eq!(lines, ["4096"]);
+    let turns = turns.load(Ordering::Relaxed) - before;
+    let stats = t.inner().inner().stats().clone();
+    eprintln!("cold walk: {turns} MI turns, {stats:?}");
+    // The node set overflows the default cache, so the walk really
+    // fills (and evicts) pages.
+    assert!(stats.backend_reads > 1000, "{stats:?}");
+    assert!(
+        turns <= stats.backend_reads + 16,
+        "{turns} MI turns for {} cache fills",
+        stats.backend_reads
+    );
+}

@@ -10,7 +10,21 @@
 //! * **Page cache** — `get_bytes` is served from page-granular cached
 //!   reads. A miss fetches the whole aligned page in one backend call,
 //!   so adjacent element reads coalesce; pages are evicted LRU once
-//!   [`CacheConfig::max_pages`] is reached.
+//!   [`CacheConfig::max_pages`] is reached. An ordered index from
+//!   access stamp to page finds the victim in O(log n), so a cache
+//!   that runs at capacity (a walk over more nodes than it holds) does
+//!   not scan every resident page on each fill.
+//! * **Fill-answered `is_mapped`** — the paper's interface has no
+//!   mapping query: DUEL learns that a pointer is valid by reading
+//!   through it. A resident page answers `is_mapped` for free; on a
+//!   miss the cache fetches the aligned page(s) under the range (the
+//!   fills the read that follows a valid-pointer check needs anyway)
+//!   and answers from what became resident. It asks the backend
+//!   itself only when the fill cannot vouch for the range: a
+//!   transient error, a fault (the probe then decides, and a mapped
+//!   range gets its readable prefix cached), a partial page that
+//!   stops short of the range, or a range longer than one page (a
+//!   pointer to a big array must not pull the array across the wire).
 //! * **Lookup memoization** — `get_variable`, `lookup_typedef`,
 //!   `lookup_struct`/`lookup_union`/`lookup_enum`, `has_function`,
 //!   `frame_count` and `frame_info` results (including negative
@@ -35,7 +49,7 @@ use crate::iface::{
 };
 use crate::span::{SpanContext, SpanKind};
 use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
 
 /// Tuning knobs for a [`CachedTarget`].
@@ -117,6 +131,9 @@ pub struct CacheStats {
     /// Extra sequential pages pulled in by
     /// [`CacheConfig::prefetch_pages`] readahead.
     pub readahead_pages: u64,
+    /// `is_mapped` queries forwarded to the wrapped backend (those the
+    /// resident or freshly filled pages could not answer).
+    pub mapped_probes: u64,
 }
 
 impl CacheStats {
@@ -174,6 +191,9 @@ pub struct CachedTarget<T: Target> {
     inner: T,
     cfg: CacheConfig,
     pages: HashMap<u64, Page>,
+    /// Access stamp → page base, one entry per resident page: the
+    /// first entry is the LRU victim.
+    lru: BTreeMap<u64, u64>,
     tick: u64,
     epoch: u64,
     stats: CacheStats,
@@ -212,6 +232,7 @@ impl<T: Target> CachedTarget<T> {
             inner,
             cfg: cfg.normalized(),
             pages: HashMap::new(),
+            lru: BTreeMap::new(),
             tick: 0,
             epoch: 0,
             stats: CacheStats::default(),
@@ -326,7 +347,7 @@ impl<T: Target> CachedTarget<T> {
     /// [`CachedTarget::inner_mut`]): a stopped debuggee is immutable,
     /// a running one is not.
     pub fn invalidate_all(&mut self) {
-        self.pages.clear();
+        self.drop_pages();
         self.vars.clear();
         self.frame_vars.clear();
         self.typedefs.clear();
@@ -337,7 +358,6 @@ impl<T: Target> CachedTarget<T> {
         self.frames.clear();
         self.frame_count = None;
         self.epoch += 1;
-        self.page_gen += 1;
         self.stats.invalidations += 1;
     }
 
@@ -345,51 +365,47 @@ impl<T: Target> CachedTarget<T> {
     /// and types do not move when the debuggee writes memory).
     fn drop_pages(&mut self) {
         self.pages.clear();
+        self.lru.clear();
         self.page_gen += 1;
-    }
-
-    fn touch(&mut self, base: u64) {
-        self.tick += 1;
-        if let Some(p) = self.pages.get_mut(&base) {
-            p.stamp = self.tick;
-        }
     }
 
     fn insert_page(&mut self, base: u64, bytes: Vec<u8>) {
         if self.pages.len() >= self.cfg.max_pages && !self.pages.contains_key(&base) {
-            // Evict the least-recently-used page. Linear scan is fine:
-            // it only runs at capacity and max_pages bounds it.
-            if let Some(&victim) = self
-                .pages
-                .iter()
-                .min_by_key(|(_, p)| p.stamp)
-                .map(|(b, _)| b)
-            {
+            // Evict the least-recently-used page: the oldest stamp.
+            if let Some((_, victim)) = self.lru.pop_first() {
                 self.pages.remove(&victim);
             }
         }
         self.tick += 1;
-        self.pages.insert(
-            base,
-            Page {
-                bytes,
-                stamp: self.tick,
-            },
-        );
+        let page = Page {
+            bytes,
+            stamp: self.tick,
+        };
+        if let Some(old) = self.pages.insert(base, page) {
+            self.lru.remove(&old.stamp);
+        }
+        self.lru.insert(self.tick, base);
     }
 
     /// Reads `[addr, addr+len)` where the whole range lies inside the
     /// page based at `base`, going through the cache.
     fn read_within_page(&mut self, base: u64, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
         let off = (addr - base) as usize;
-        if let Some(p) = self.pages.get(&base) {
+        if let Some(p) = self.pages.get_mut(&base) {
             // Partial pages (at the edge of mapped memory) may not
             // cover the tail of the request; anything they do cover is
             // a hit.
             if off + buf.len() <= p.bytes.len() {
                 self.stats.page_hits += 1;
-                self.touch(base);
-                let p = &self.pages[&base];
+                // Re-stamp the page as the most recent, unless it
+                // already is (a scan inside one page): then the LRU
+                // order is unchanged and the index is left alone.
+                if p.stamp != self.tick {
+                    self.lru.remove(&p.stamp);
+                    self.tick += 1;
+                    p.stamp = self.tick;
+                    self.lru.insert(self.tick, base);
+                }
                 buf.copy_from_slice(&p.bytes[off..off + buf.len()]);
                 return Ok(());
             }
@@ -406,53 +422,126 @@ impl<T: Target> CachedTarget<T> {
         r
     }
 
-    /// The miss path of [`CachedTarget::read_within_page`]: fetch the
-    /// aligned page (or probe its readable prefix) and serve the
-    /// request.
+    /// The miss path of [`CachedTarget::read_within_page`]: fill the
+    /// aligned page (or its readable prefix) and serve the request.
     fn fill_page_miss(&mut self, base: u64, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
         let off = (addr - base) as usize;
+        let covered = match self.fetch_page(base) {
+            Ok(true) => true,
+            // A sick backend must never seed the cache: fall back to an
+            // exact, uncached read of just what was asked for, so a
+            // partial or failed fetch cannot poison a page. (The retry
+            // layer above, if any, re-enters.)
+            Err(_) => false,
+            // Not covered by the mapped prefix (or a flake aborted the
+            // probe): the exact read gives the backend the chance to
+            // answer (or to report the honest per-access fault).
+            Ok(false) => matches!(self.fill_prefix(base), Ok(n) if off + buf.len() <= n),
+        };
+        if !covered {
+            return self.read_exact_uncached(addr, buf);
+        }
+        let p = &self.pages[&base];
+        buf.copy_from_slice(&p.bytes[off..off + buf.len()]);
+        Ok(())
+    }
+
+    /// Fetches the whole aligned page at `base` in one backend read and
+    /// caches it. `Ok(false)` is a *fault*: the page straddles unmapped
+    /// memory. A transient error is returned as is. Neither caches
+    /// anything.
+    fn fetch_page(&mut self, base: u64) -> TargetResult<bool> {
         let mut page = vec![0u8; self.cfg.page_size as usize];
         self.stats.backend_reads += 1;
         match self.inner.get_bytes(base, &mut page) {
             Ok(()) => {
                 self.stats.wire_bytes += self.cfg.page_size;
-                buf.copy_from_slice(&page[off..off + buf.len()]);
                 self.insert_page(base, page);
-                Ok(())
+                Ok(true)
             }
-            Err(e) if e.is_transient() => {
-                // A sick backend must never seed the cache: fall back
-                // to an exact, uncached read of just what was asked
-                // for, so a partial or failed fetch cannot poison a
-                // page. (The retry layer above, if any, re-enters.)
-                self.read_exact_uncached(addr, buf)
+            Err(e) if e.is_transient() => Err(e),
+            Err(_) => Ok(false),
+        }
+    }
+
+    /// After [`CachedTarget::fetch_page`] faulted (typical at the edge
+    /// of an arena or segment): binary-searches the largest readable
+    /// prefix of the page at `base` once and caches it as a partial
+    /// page, so later reads inside the mapped part still coalesce.
+    /// Returns the prefix length. A transient error mid-probe caches
+    /// nothing (the prefix it found is suspect).
+    fn fill_prefix(&mut self, base: u64) -> TargetResult<usize> {
+        let mut page = vec![0u8; self.cfg.page_size as usize];
+        let readable = self.probe_prefix(base, &mut page)?;
+        if readable > 0 {
+            page.truncate(readable);
+            self.insert_page(base, page);
+        }
+        Ok(readable)
+    }
+
+    /// Whether resident pages hold every byte of `[addr, end)`. They
+    /// were readable when fetched; partial pages only vouch for the
+    /// prefix they actually hold.
+    fn resident_covers(&self, addr: u64, end: u64) -> bool {
+        let ps = self.cfg.page_size;
+        let mut base = addr & !(ps - 1);
+        while base < end {
+            let held = self.pages.get(&base).map_or(0, |p| p.bytes.len() as u64);
+            if held < ps && base + held < end {
+                return false;
             }
-            Err(_) => {
-                // A *fault* means the aligned page straddles unmapped
-                // memory (typical at the edge of an arena or segment).
-                // Binary-search the largest readable prefix once and
-                // cache it as a partial page, so later reads inside
-                // the mapped part still coalesce. A transient error
-                // mid-probe caches nothing (the prefix it found is
-                // suspect) and falls through to the exact read.
-                let readable = match self.probe_prefix(base, &mut page) {
-                    Ok(n) => n,
-                    Err(_) => return self.read_exact_uncached(addr, buf),
-                };
-                if readable > 0 {
-                    self.insert_page(base, page[..readable].to_vec());
-                }
-                if off + buf.len() <= readable {
-                    let p = &self.pages[&base];
-                    buf.copy_from_slice(&p.bytes[off..off + buf.len()]);
-                    return Ok(());
-                }
-                // Not covered by the mapped prefix: the exact read
-                // gives the backend the chance to answer (or to report
-                // the honest per-access fault).
-                self.read_exact_uncached(addr, buf)
+            match base.checked_add(ps) {
+                Some(next) => base = next,
+                None => break,
             }
         }
+        true
+    }
+
+    /// The miss path of `is_mapped` for a range of at most one page:
+    /// fill the page(s) under it, as the read through a valid pointer
+    /// would, and answer from what became resident.
+    fn fill_mapped(&mut self, addr: u64, end: u64) -> bool {
+        let ps = self.cfg.page_size;
+        let mut base = addr & !(ps - 1);
+        while base < end {
+            if !self.pages.contains_key(&base) {
+                self.stats.page_misses += 1;
+                let fill_span = self.span_open("fill", || format!("page 0x{base:x}+{ps}"));
+                let answer = match self.fetch_page(base) {
+                    Ok(true) => None,
+                    // A flake vouches for nothing: ask the backend.
+                    Err(_) => Some(self.probe_mapped(addr, end - addr)),
+                    Ok(false) => {
+                        // A fault: only the backend can tell a mapped
+                        // edge from a wild pointer. A wild pointer costs
+                        // that one probe; a mapped range gets the
+                        // readable prefix its read is about to need.
+                        let mapped = self.probe_mapped(addr, end - addr);
+                        if mapped {
+                            let _ = self.fill_prefix(base);
+                        }
+                        Some(mapped)
+                    }
+                };
+                self.span_close(fill_span);
+                if let Some(mapped) = answer {
+                    return mapped;
+                }
+            }
+            match base.checked_add(ps) {
+                Some(next) => base = next,
+                None => break,
+            }
+        }
+        self.resident_covers(addr, end) || self.probe_mapped(addr, end - addr)
+    }
+
+    /// Forwards `is_mapped` to the wrapped backend, with stats.
+    fn probe_mapped(&mut self, addr: u64, len: u64) -> bool {
+        self.stats.mapped_probes += 1;
+        self.inner.is_mapped(addr, len)
     }
 
     /// One uncached pass-through read, with stats accounting.
@@ -522,18 +611,16 @@ impl<T: Target> Target for CachedTarget<T> {
         if buf.is_empty() {
             return Ok(());
         }
-        if !self.cfg.enabled {
-            self.stats.backend_reads += 1;
-            self.inner.get_bytes(addr, buf)?;
-            self.stats.wire_bytes += buf.len() as u64;
-            return Ok(());
+        // A range that wraps the address space has no pages to cache.
+        if !self.cfg.enabled || addr.checked_add(buf.len() as u64).is_none() {
+            return self.read_exact_uncached(addr, buf);
         }
         let ps = self.cfg.page_size;
         let mut pos = 0usize;
         let mut cur = addr;
         while pos < buf.len() {
             let base = cur & !(ps - 1);
-            let in_page = ((base + ps) - cur) as usize;
+            let in_page = (ps - (cur - base)) as usize;
             let take = in_page.min(buf.len() - pos);
             let end = pos + take;
             self.read_within_page(base, cur, &mut buf[pos..end])?;
@@ -568,10 +655,12 @@ impl<T: Target> Target for CachedTarget<T> {
             let last = (addr + len as u64 - 1) & !(ps - 1);
             (first, last)
         };
-        for r in ranges.iter() {
-            if r.buf.is_empty() {
-                continue;
-            }
+        // Empty and address-space-wrapping ranges plan no pages; the
+        // scalar serve below answers them.
+        let plannable = |r: &ReadRange<'_>| {
+            !r.buf.is_empty() && r.addr.checked_add(r.buf.len() as u64).is_some()
+        };
+        for r in ranges.iter().filter(|r| plannable(r)) {
             let (first, last) = pages_of(r.addr, r.buf.len());
             let mut base = first;
             loop {
@@ -586,10 +675,7 @@ impl<T: Target> Target for CachedTarget<T> {
         }
         let mut readahead: Vec<u64> = Vec::new();
         if self.cfg.prefetch_pages > 0 {
-            for r in ranges.iter() {
-                if r.buf.is_empty() {
-                    continue;
-                }
+            for r in ranges.iter().filter(|r| plannable(r)) {
                 let (_, last) = pages_of(r.addr, r.buf.len());
                 for k in 1..=self.cfg.prefetch_pages as u64 {
                     let base = last.saturating_add(k * ps);
@@ -671,7 +757,9 @@ impl<T: Target> Target for CachedTarget<T> {
                 let last = addr.saturating_add(bytes.len() as u64) & !(ps - 1);
                 let mut base = first;
                 loop {
-                    self.pages.remove(&base);
+                    if let Some(p) = self.pages.remove(&base) {
+                        self.lru.remove(&p.stamp);
+                    }
                     if base >= last {
                         break;
                     }
@@ -826,30 +914,17 @@ impl<T: Target> Target for CachedTarget<T> {
     }
 
     fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        if self.cfg.enabled && len > 0 {
-            // If resident pages fully cover the range, it was readable
-            // when fetched — answer without a probe. Partial pages
-            // only vouch for the prefix they actually hold.
-            let ps = self.cfg.page_size;
-            let first = addr & !(ps - 1);
-            let last = (addr + len - 1) & !(ps - 1);
-            let mut base = first;
-            let all_cached = loop {
-                let covered_to = base + self.pages.get(&base).map_or(0, |p| p.bytes.len() as u64);
-                let slice_end = (addr + len).min(base + ps);
-                if covered_to < slice_end {
-                    break false;
-                }
-                if base >= last {
-                    break true;
-                }
-                base += ps;
-            };
-            if all_cached {
-                return true;
-            }
+        let end = match addr.checked_add(len) {
+            Some(end) if self.cfg.enabled && len > 0 => end,
+            _ => return self.probe_mapped(addr, len),
+        };
+        if self.resident_covers(addr, end) {
+            return true;
         }
-        self.inner.is_mapped(addr, len)
+        if len > self.cfg.page_size {
+            return self.probe_mapped(addr, len);
+        }
+        self.fill_mapped(addr, end)
     }
 
     fn take_output(&mut self) -> String {
@@ -883,10 +958,8 @@ impl<T: Target> Target for CachedTarget<T> {
         // minus pages an earlier unpolled window already owns.
         let mut planned = std::collections::HashSet::new();
         let mut missing: Vec<u64> = Vec::new();
-        for &(addr, len) in ranges {
-            if len == 0 {
-                continue;
-            }
+        let plannable = |&&(addr, len): &&(u64, u64)| len > 0 && addr.checked_add(len).is_some();
+        for &(addr, len) in ranges.iter().filter(plannable) {
             let first = addr & !(ps - 1);
             let last = (addr + len - 1) & !(ps - 1);
             let mut base = first;
@@ -905,10 +978,7 @@ impl<T: Target> Target for CachedTarget<T> {
         }
         let mut readahead: Vec<u64> = Vec::new();
         if self.cfg.prefetch_pages > 0 {
-            for &(addr, len) in ranges {
-                if len == 0 {
-                    continue;
-                }
+            for &(addr, len) in ranges.iter().filter(plannable) {
                 let last = (addr + len - 1) & !(ps - 1);
                 for k in 1..=self.cfg.prefetch_pages as u64 {
                     let base = last.saturating_add(k * ps);
@@ -1169,6 +1239,72 @@ mod tests {
         assert_eq!(t.stats().backend_reads, reads);
         t.get_bytes(x.addr + 8, &mut buf).unwrap(); // B was evicted
         assert_eq!(t.stats().backend_reads, reads + 1);
+    }
+
+    #[test]
+    fn lru_index_evicts_what_a_linear_scan_would() {
+        // Reference: the eviction the cache used before the index, a
+        // min-stamp scan over every resident page on each fill.
+        struct Scan {
+            stamps: HashMap<u64, u64>,
+            tick: u64,
+            cap: usize,
+        }
+        impl Scan {
+            fn access(&mut self, base: u64) {
+                if !self.stamps.contains_key(&base) && self.stamps.len() >= self.cap {
+                    let (&victim, _) = self.stamps.iter().min_by_key(|(_, s)| **s).unwrap();
+                    self.stamps.remove(&victim);
+                }
+                self.tick += 1;
+                self.stamps.insert(base, self.tick);
+            }
+        }
+        for cap in [1, 3, 7] {
+            let mut t = counted(CacheConfig {
+                page_size: 8,
+                max_pages: cap,
+                ..CacheConfig::default()
+            });
+            let mut scan = Scan {
+                stamps: HashMap::new(),
+                tick: 0,
+                cap,
+            };
+            let x = t.get_variable("x").unwrap();
+            // scan_array's 240-byte arena is 30 pages: every cap thrashes.
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            for step in 0..2000 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // Skewed towards a few hot pages, so hits reorder the LRU.
+                let page = if state >> 62 == 0 {
+                    (state >> 32) % 30
+                } else {
+                    (state >> 32) % 4
+                };
+                let addr = x.addr + page * 8 + (state >> 20) % 2 * 4;
+                let base = addr & !7;
+                if step % 3 == 0 {
+                    // A resident page answers `is_mapped` without being
+                    // touched; a miss fills it.
+                    assert!(t.is_mapped(addr, 4));
+                    if !scan.stamps.contains_key(&base) {
+                        scan.access(base);
+                    }
+                } else {
+                    let mut buf = [0u8; 4];
+                    t.get_bytes(addr, &mut buf).unwrap();
+                    scan.access(base);
+                }
+                let mut want: Vec<u64> = scan.stamps.keys().copied().collect();
+                want.sort_unstable();
+                let got: Vec<u64> = t.resident_pages().into_iter().map(|(b, _)| b).collect();
+                assert_eq!(got, want, "cap {cap}, step {step}");
+                assert_eq!(t.lru.len(), t.pages.len());
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 use duel::core::{EvalOptions, Session};
 use duel::target::{
     scenario, CacheConfig, CachedTarget, ChaosTarget, FaultConfig, RetryPolicy, RetryTarget,
-    SimTarget, Target,
+    SimTarget, Target, ARENA_BASE,
 };
+use proptest::prelude::*;
 
 fn lines(t: &mut dyn Target, expr: &str) -> Vec<String> {
     let mut s = Session::with_options(
@@ -199,4 +200,76 @@ fn poisoned_ranges_stay_poisoned_through_the_cache() {
     );
     // Repeat: identical answers from the now-warm cache.
     assert_eq!(lines(&mut t, "x[2..5]"), out);
+}
+
+// ---- oracle: `is_mapped` through the cache is the backend's answer ----
+
+/// One access against scan_array's 240-byte arena: `(read?, addr, len)`.
+/// Addresses cluster around both arena edges, with wild and top-of-space
+/// pointers mixed in; lengths run from 0 through a page and more to
+/// ranges that overflow the address space.
+fn access() -> impl Strategy<Value = (bool, u64, u64)> {
+    let addr = prop_oneof![
+        (0u64..640).prop_map(|o| ARENA_BASE - 200 + o),
+        (0u64..64).prop_map(|o| ARENA_BASE + 240 - 32 + o),
+        0u64..u64::MAX,
+        (0u64..64).prop_map(|o| u64::MAX - o),
+    ];
+    let len = prop_oneof![
+        0u64..1,
+        1u64..=16,
+        1u64..=300,
+        (0u64..8).prop_map(|k| u64::MAX - k),
+        0u64..u64::MAX,
+    ];
+    (0u32..4, addr, len).prop_map(|(op, a, l)| (op == 0, a, l))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 256, ..ProptestConfig::default()
+    })]
+
+    #[test]
+    fn is_mapped_through_the_cache_matches_the_bare_backend(
+        accesses in prop::collection::vec(access(), 1..40),
+        shape in (0usize..3, 1usize..6, 0u64..260, 0u64..33),
+    ) {
+        // Reads interleave with the queries so partial pages (arena
+        // edge, poison) and evictions shape the cache being asked.
+        let (ps, pages, poison_at, poison_len) = shape;
+        let faults = || FaultConfig::poisoned(ARENA_BASE + poison_at, poison_len);
+        let mut bare = ChaosTarget::with_faults(scenario::scan_array(), faults());
+        let mut cached = CachedTarget::with_config(
+            ChaosTarget::with_faults(scenario::scan_array(), faults()),
+            CacheConfig {
+                page_size: [8, 64, 4096][ps],
+                max_pages: if pages == 5 { 1024 } else { pages },
+                ..CacheConfig::default()
+            },
+        );
+        for &(read, addr, len) in &accesses {
+            if read {
+                let n = len.clamp(1, 256) as usize;
+                let (mut want, mut got) = (vec![0u8; n], vec![0u8; n]);
+                let w = bare.get_bytes(addr, &mut want).map(|()| want);
+                let g = cached.get_bytes(addr, &mut got).map(|()| got);
+                prop_assert_eq!(g.is_ok(), w.is_ok(), "get_bytes({:#x}, {})", addr, n);
+                if let (Ok(g), Ok(w)) = (g, w) {
+                    prop_assert_eq!(g, w, "bytes at {:#x}+{}", addr, n);
+                }
+            } else {
+                prop_assert_eq!(
+                    cached.is_mapped(addr, len),
+                    bare.is_mapped(addr, len),
+                    "is_mapped({:#x}, {}) with {}-byte pages, poison {:#x}+{}",
+                    addr,
+                    len,
+                    [8, 64, 4096][ps],
+                    ARENA_BASE + poison_at,
+                    poison_len
+                );
+            }
+        }
+    }
 }
