@@ -8,7 +8,8 @@
 //! comments, and the test modules) and prints the comparison table
 //! recorded in EXPERIMENTS.md, then the same count for every crate of
 //! the workspace (every `.rs` file under `crates/*/src`, so a new file
-//! is counted without editing this binary).
+//! is counted without editing this binary), then per file for the
+//! target and CLI crates.
 //!
 //! ```sh
 //! cargo run -p duel-bench --bin loc_report
@@ -165,4 +166,36 @@ fn main() {
     println!("{}", "-".repeat(56));
     let workspace: usize = crates.iter().map(|(_, n)| n).sum();
     println!("{:<46} {workspace:>8}", "total (workspace crates)");
+    // The decorator tower and the REPL, file by file, so a change to
+    // one layer can be read off its own row.
+    for dir in ["crates/target/src", "crates/cli/src"] {
+        println!("\nPer module: {dir} (tests excluded)\n");
+        println!("{:<46} {:>8}", "file", "rust");
+        println!("{}", "-".repeat(56));
+        for (file, n) in file_totals(&root.join(dir)) {
+            println!("{file:<46} {n:>8}");
+        }
+    }
+}
+
+/// `(path relative to dir, code lines)` for every `.rs` file under
+/// `dir`, sorted by path.
+fn file_totals(dir: &Path) -> Vec<(String, usize)> {
+    let mut files = Vec::new();
+    let mut todo = vec![dir.to_path_buf()];
+    while let Some(d) = todo.pop() {
+        for p in std::fs::read_dir(&d)
+            .unwrap_or_else(|e| panic!("read {}: {e}", d.display()))
+            .map(|e| e.expect("directory entry").path())
+        {
+            if p.is_dir() {
+                todo.push(p);
+            } else if p.extension().is_some_and(|x| x == "rs") {
+                let rel = p.strip_prefix(dir).expect("under dir");
+                files.push((rel.display().to_string(), loc(&p)));
+            }
+        }
+    }
+    files.sort();
+    files
 }

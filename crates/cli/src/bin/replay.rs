@@ -140,23 +140,25 @@ fn synthesize(cap: &Capture) -> (SpanContext, Vec<TraceEvent>, TraceHandle) {
     let events: Vec<TraceEvent> = cap
         .events
         .iter()
-        .map(|ev| {
-            let op = ev.call.trace_op();
+        .filter_map(|ev| {
+            let ts_ns = ts;
+            ts += ev.ns;
+            // Output drains swap a host-side buffer rather than cross
+            // the wire: live tracing never counts them, nor do these.
+            let op = ev.call.trace_op()?;
             let detail = ev.call.detail();
             let outcome = ev.reply.outcome();
             handle.record_event(op, detail.clone(), outcome, ev.ns);
-            let e = TraceEvent {
+            Some(TraceEvent {
                 seq: ev.seq,
                 op,
                 detail,
                 outcome,
                 nanos: ev.ns,
-                ts_ns: ts,
+                ts_ns,
                 trace,
                 span: root,
-            };
-            ts += ev.ns;
-            e
+            })
         })
         .collect();
     (spans, events, handle)
@@ -207,6 +209,7 @@ fn render_offline_top(path: &str, cap: &Capture, n: usize) -> String {
 fn run_query(cap: &Capture, expr: &str) -> (String, bool) {
     let (spans, events, handle) = synthesize(cap);
     let metrics = wire_metrics(&handle.snapshot());
+    let wire_events = events.len() as u64;
     let snap = MetaSnapshot {
         spans: spans.snapshot(),
         events,
@@ -214,7 +217,7 @@ fn run_query(cap: &Capture, expr: &str) -> (String, bool) {
         capture: Some(MetaCapture {
             backend: cap.header.backend.clone(),
             scenario: cap.header.scenario.clone(),
-            events: cap.events.len() as u64,
+            events: wire_events,
         }),
         ..MetaSnapshot::default()
     };
@@ -252,28 +255,24 @@ fn export_perfetto(out: &str, cap: &Capture) {
     }
 }
 
-/// Renders one capture event in the `.trace dump` format.
-fn render(ev: &duel_target::capture::CaptureEvent) -> String {
-    TraceEvent {
-        seq: ev.seq,
-        op: ev.call.trace_op(),
-        detail: ev.call.detail(),
-        outcome: ev.reply.outcome(),
-        nanos: ev.ns,
-        ts_ns: 0,
-        trace: 0,
-        span: 0,
-    }
-    .render()
-}
-
+/// Prints the last `n` wire events in the `.trace dump` format.
 fn print_timeline(cap: &Capture, n: usize) {
-    let skip = cap.events.len().saturating_sub(n);
+    let (_, events, _) = synthesize(cap);
+    let skip = events.len().saturating_sub(n);
     if skip > 0 {
         println!("... {skip} earlier event(s) ...");
     }
-    for ev in cap.events.iter().skip(skip) {
-        println!("{}", render(ev));
+    for ev in events.iter().skip(skip) {
+        // Every synthesized event sits under the one capture span,
+        // so the timeline leaves the span marker off.
+        println!(
+            "{}",
+            TraceEvent {
+                span: 0,
+                ..ev.clone()
+            }
+            .render()
+        );
     }
 }
 
@@ -382,6 +381,32 @@ mod tests {
             });
         }
         cap
+    }
+
+    #[test]
+    fn output_drains_are_not_counted_as_frames() {
+        use duel_target::capture::{CaptureEvent, CaptureReply};
+        let mut cap = sample_capture();
+        let calls = [
+            (CaptureCall::TakeOutput, CaptureReply::Output("hi".into())),
+            (CaptureCall::FrameCount, CaptureReply::Count(1)),
+            (CaptureCall::TakeOutput, CaptureReply::Output(String::new())),
+            (CaptureCall::FrameInfo { n: 0 }, CaptureReply::Frame(None)),
+        ];
+        for (call, reply) in calls {
+            let seq = cap.events.len() as u64;
+            cap.events.push(CaptureEvent {
+                seq,
+                call,
+                reply,
+                ns: 10,
+            });
+        }
+        let (_, events, handle) = synthesize(&cap);
+        assert_eq!(handle.snapshot().op(duel_target::TraceOp::Frames).calls, 2);
+        assert_eq!(events.len(), 4, "two reads and two frame ops");
+        let (out, failed) = run_query(&cap, "capture.events");
+        assert!(!failed && out.trim() == "4", "{out}");
     }
 
     #[test]

@@ -13,15 +13,12 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use duel_core::{DuelError, EvalOptions, EvalStats, Session, SymMode, Value};
-use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
 use duel_minic::{Debugger, StopReason};
 use duel_target::{
-    chrome_trace_json, folded_stacks, scenario, AsyncTarget, CacheConfig, CachedTarget, CallValue,
-    ChaosHandle, ChaosTarget, FlameWeight, FrameInfo, MetaCapture, MetaSnapshot, MetaTarget,
-    MetricsRegistry, MetricsSnapshot, OwnedRange, PipelineHandle, PipelineTicket,
-    PrefetchCompletion, ReadRange, RecordTarget, ReplayMode, ReplayTarget, RetryTarget, SimTarget,
-    SpanContext, SpanSnapshot, StalenessHandle, SupervisedTarget, Target, TargetResult,
-    TraceHandle, TraceStats, TraceTarget, VarInfo,
+    chrome_trace_json, folded_stacks, scenario, AsyncTarget, CacheConfig, CachedTarget,
+    ChaosHandle, ChaosTarget, FlameWeight, MetaCapture, MetaSnapshot, MetaTarget, MetricsRegistry,
+    MetricsSnapshot, Op, RecordTarget, ReplayMode, ReplayTarget, Reply, RetryTarget, SimTarget,
+    SpanContext, SpanSnapshot, SupervisedTarget, Target, TraceHandle, TraceStats, TraceTarget,
 };
 
 /// The REPL's decorator tower: tracing outermost (so its counters see
@@ -95,121 +92,22 @@ impl Leaf {
     }
 }
 
-impl Target for Leaf {
-    fn abi(&self) -> &Abi {
-        on_leaf!(self, t => t.abi())
+/// Every op and plumbing call goes to whichever backend the leaf
+/// holds: the op through one static dispatch, plumbing through
+/// [`duel_target::Layer`]'s forwarding defaults.
+impl duel_target::Layer for Leaf {
+    type Next = dyn Target;
+
+    fn next(&self) -> &Self::Next {
+        on_leaf!(self, t => t)
     }
 
-    fn types(&self) -> &TypeTable {
-        on_leaf!(self, t => t.types())
+    fn next_mut(&mut self) -> &mut Self::Next {
+        on_leaf!(self, t => t)
     }
 
-    fn types_mut(&mut self) -> &mut TypeTable {
-        on_leaf!(self, t => t.types_mut())
-    }
-
-    fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        on_leaf!(self, t => t.get_bytes(addr, buf))
-    }
-
-    fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        on_leaf!(self, t => t.get_bytes_multi(ranges))
-    }
-
-    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-        on_leaf!(self, t => t.put_bytes(addr, bytes))
-    }
-
-    fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-        on_leaf!(self, t => t.alloc_space(size, align))
-    }
-
-    fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
-        on_leaf!(self, t => t.call_func(name, args))
-    }
-
-    fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        on_leaf!(self, t => t.get_variable(name))
-    }
-
-    fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-        on_leaf!(self, t => t.get_variable_in_frame(name, frame))
-    }
-
-    fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        on_leaf!(self, t => t.lookup_typedef(name))
-    }
-
-    fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        on_leaf!(self, t => t.lookup_struct(tag))
-    }
-
-    fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        on_leaf!(self, t => t.lookup_union(tag))
-    }
-
-    fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-        on_leaf!(self, t => t.lookup_enum(tag))
-    }
-
-    fn has_function(&mut self, name: &str) -> bool {
-        on_leaf!(self, t => t.has_function(name))
-    }
-
-    fn frame_count(&mut self) -> usize {
-        on_leaf!(self, t => t.frame_count())
-    }
-
-    fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-        on_leaf!(self, t => t.frame_info(n))
-    }
-
-    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        on_leaf!(self, t => t.is_mapped(addr, len))
-    }
-
-    fn take_output(&mut self) -> String {
-        on_leaf!(self, t => t.take_output())
-    }
-
-    fn trace_handle(&self) -> Option<TraceHandle> {
-        on_leaf!(self, t => t.trace_handle())
-    }
-
-    fn set_span_context(&mut self, spans: &SpanContext) {
-        on_leaf!(self, t => t.set_span_context(spans))
-    }
-
-    fn span_context(&self) -> Option<SpanContext> {
-        on_leaf!(self, t => t.span_context())
-    }
-
-    fn staleness_handle(&self) -> Option<StalenessHandle> {
-        on_leaf!(self, t => t.staleness_handle())
-    }
-
-    fn read_submit(&mut self, ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
-        on_leaf!(self, t => t.read_submit(ranges))
-    }
-
-    fn read_poll(&mut self, ticket: PipelineTicket) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
-        on_leaf!(self, t => t.read_poll(ticket))
-    }
-
-    fn prefetch_submit(&mut self, ranges: &[(u64, u64)]) -> bool {
-        on_leaf!(self, t => t.prefetch_submit(ranges))
-    }
-
-    fn prefetch_poll(&mut self) -> Option<PrefetchCompletion> {
-        on_leaf!(self, t => t.prefetch_poll())
-    }
-
-    fn cache_page_size(&self) -> Option<u64> {
-        on_leaf!(self, t => t.cache_page_size())
-    }
-
-    fn pipeline_handle(&self) -> Option<PipelineHandle> {
-        on_leaf!(self, t => t.pipeline_handle())
+    fn call(&mut self, op: Op<'_, '_>) -> Reply {
+        on_leaf!(self, t => op.apply(t))
     }
 }
 
@@ -798,7 +696,7 @@ impl Repl {
             capture: self.replay().map(|r| MetaCapture {
                 backend: r.backend_label().to_string(),
                 scenario: r.scenario_label().to_string(),
-                events: r.events_total() as u64,
+                events: r.wire_events() as u64,
             }),
         }
     }

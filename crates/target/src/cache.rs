@@ -594,6 +594,34 @@ impl<T: Target> CachedTarget<T> {
     }
 }
 
+/// Answers one symbol lookup through `memo` while the cache is `on`: a
+/// remembered answer is a hit; otherwise `fetch` asks the backend once
+/// and the answer is kept for the rest of the stop.
+fn memoized<K, Q, V>(
+    on: bool,
+    memo: &mut HashMap<K, V>,
+    stats: &mut CacheStats,
+    key: &Q,
+    fetch: impl FnOnce() -> V,
+) -> V
+where
+    K: std::borrow::Borrow<Q> + std::hash::Hash + Eq,
+    Q: ToOwned<Owned = K> + std::hash::Hash + Eq + ?Sized,
+    V: Clone,
+{
+    if !on {
+        return fetch();
+    }
+    if let Some(v) = memo.get(key) {
+        stats.lookup_hits += 1;
+        return v.clone();
+    }
+    stats.lookup_misses += 1;
+    let v = fetch();
+    memo.insert(key.to_owned(), v.clone());
+    v
+}
+
 impl<T: Target> Target for CachedTarget<T> {
     fn abi(&self) -> &Abi {
         self.inner.abi()
@@ -608,11 +636,10 @@ impl<T: Target> Target for CachedTarget<T> {
     }
 
     fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        if buf.is_empty() {
-            return Ok(());
-        }
-        // A range that wraps the address space has no pages to cache.
-        if !self.cfg.enabled || addr.checked_add(buf.len() as u64).is_none() {
+        // An empty range covers no page, and a range that wraps the
+        // address space has no pages to cache: the backend answers
+        // both (an empty read can still fault, e.g. off the arena).
+        if buf.is_empty() || !self.cfg.enabled || addr.checked_add(buf.len() as u64).is_none() {
             return self.read_exact_uncached(addr, buf);
         }
         let ps = self.cfg.page_size;
@@ -787,102 +814,53 @@ impl<T: Target> Target for CachedTarget<T> {
     }
 
     fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        if !self.cfg.enabled {
-            return self.inner.get_variable(name);
-        }
-        if let Some(v) = self.vars.get(name) {
-            self.stats.lookup_hits += 1;
-            return v.clone();
-        }
-        self.stats.lookup_misses += 1;
-        let v = self.inner.get_variable(name);
-        self.vars.insert(name.to_string(), v.clone());
-        v
+        let (on, t) = (self.cfg.enabled, &mut self.inner);
+        memoized(on, &mut self.vars, &mut self.stats, name, || {
+            t.get_variable(name)
+        })
     }
 
     fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-        if !self.cfg.enabled {
-            return self.inner.get_variable_in_frame(name, frame);
-        }
+        let (on, t) = (self.cfg.enabled, &mut self.inner);
         let key = (name.to_string(), frame);
-        if let Some(v) = self.frame_vars.get(&key) {
-            self.stats.lookup_hits += 1;
-            return v.clone();
-        }
-        self.stats.lookup_misses += 1;
-        let v = self.inner.get_variable_in_frame(name, frame);
-        self.frame_vars.insert(key, v.clone());
-        v
+        memoized(on, &mut self.frame_vars, &mut self.stats, &key, || {
+            t.get_variable_in_frame(name, frame)
+        })
     }
 
     fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        if !self.cfg.enabled {
-            return self.inner.lookup_typedef(name);
-        }
-        if let Some(v) = self.typedefs.get(name) {
-            self.stats.lookup_hits += 1;
-            return *v;
-        }
-        self.stats.lookup_misses += 1;
-        let v = self.inner.lookup_typedef(name);
-        self.typedefs.insert(name.to_string(), v);
-        v
+        let (on, t) = (self.cfg.enabled, &mut self.inner);
+        memoized(on, &mut self.typedefs, &mut self.stats, name, || {
+            t.lookup_typedef(name)
+        })
     }
 
     fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        if !self.cfg.enabled {
-            return self.inner.lookup_struct(tag);
-        }
-        if let Some(v) = self.structs.get(tag) {
-            self.stats.lookup_hits += 1;
-            return *v;
-        }
-        self.stats.lookup_misses += 1;
-        let v = self.inner.lookup_struct(tag);
-        self.structs.insert(tag.to_string(), v);
-        v
+        let (on, t) = (self.cfg.enabled, &mut self.inner);
+        memoized(on, &mut self.structs, &mut self.stats, tag, || {
+            t.lookup_struct(tag)
+        })
     }
 
     fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        if !self.cfg.enabled {
-            return self.inner.lookup_union(tag);
-        }
-        if let Some(v) = self.unions.get(tag) {
-            self.stats.lookup_hits += 1;
-            return *v;
-        }
-        self.stats.lookup_misses += 1;
-        let v = self.inner.lookup_union(tag);
-        self.unions.insert(tag.to_string(), v);
-        v
+        let (on, t) = (self.cfg.enabled, &mut self.inner);
+        memoized(on, &mut self.unions, &mut self.stats, tag, || {
+            t.lookup_union(tag)
+        })
     }
 
     fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-        if !self.cfg.enabled {
-            return self.inner.lookup_enum(tag);
-        }
-        if let Some(v) = self.enums.get(tag) {
-            self.stats.lookup_hits += 1;
-            return *v;
-        }
-        self.stats.lookup_misses += 1;
-        let v = self.inner.lookup_enum(tag);
-        self.enums.insert(tag.to_string(), v);
-        v
+        let (on, t) = (self.cfg.enabled, &mut self.inner);
+        memoized(on, &mut self.enums, &mut self.stats, tag, || {
+            t.lookup_enum(tag)
+        })
     }
 
     fn has_function(&mut self, name: &str) -> bool {
-        if !self.cfg.enabled {
-            return self.inner.has_function(name);
-        }
-        if let Some(v) = self.functions.get(name) {
-            self.stats.lookup_hits += 1;
-            return *v;
-        }
-        self.stats.lookup_misses += 1;
-        let v = self.inner.has_function(name);
-        self.functions.insert(name.to_string(), v);
-        v
+        let (on, t) = (self.cfg.enabled, &mut self.inner);
+        memoized(on, &mut self.functions, &mut self.stats, name, || {
+            t.has_function(name)
+        })
     }
 
     fn frame_count(&mut self) -> usize {
@@ -900,17 +878,10 @@ impl<T: Target> Target for CachedTarget<T> {
     }
 
     fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-        if !self.cfg.enabled {
-            return self.inner.frame_info(n);
-        }
-        if let Some(f) = self.frames.get(&n) {
-            self.stats.lookup_hits += 1;
-            return f.clone();
-        }
-        self.stats.lookup_misses += 1;
-        let f = self.inner.frame_info(n);
-        self.frames.insert(n, f.clone());
-        f
+        let (on, t) = (self.cfg.enabled, &mut self.inner);
+        memoized(on, &mut self.frames, &mut self.stats, &n, || {
+            t.frame_info(n)
+        })
     }
 
     fn is_mapped(&mut self, addr: u64, len: u64) -> bool {

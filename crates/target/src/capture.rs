@@ -28,8 +28,9 @@ use std::io::{self, Read as _, Write};
 use std::sync::{Arc, Mutex};
 
 use crate::error::TargetError;
-use crate::iface::{CallValue, FrameInfo, VarInfo, VarKind};
+use crate::iface::{CallValue, FrameInfo, ReadRange, VarInfo, VarKind};
 use crate::json::{quote, Json};
+use crate::op::Op;
 use crate::trace::{TraceOp, TraceOutcome};
 use duel_ctype::{
     Abi, Endian, EnumDef, EnumId, Field, Prim, Record, RecordId, TableSnapshot, TypeId, TypeKind,
@@ -165,9 +166,70 @@ impl CaptureCall {
         }
     }
 
-    /// The [`TraceOp`] bucket this call belongs to, for stats reuse.
-    pub fn trace_op(&self) -> TraceOp {
+    /// Runs `f` on this call as a borrowed [`Op`] over scratch buffers
+    /// (zeroed, sized as recorded) — the inverse of [`Op::to_call`].
+    fn with_op<R>(&self, f: impl FnOnce(Op<'_, '_>) -> R) -> R {
         match self {
+            CaptureCall::GetBytes { addr, len } => f(Op::GetBytes {
+                addr: *addr,
+                buf: &mut vec![0u8; *len as usize],
+            }),
+            CaptureCall::MultiRead { ranges } => {
+                let mut bufs: Vec<Vec<u8>> =
+                    ranges.iter().map(|&(_, n)| vec![0u8; n as usize]).collect();
+                let mut views: Vec<ReadRange<'_>> = ranges
+                    .iter()
+                    .zip(&mut bufs)
+                    .map(|(&(addr, _), b)| ReadRange::new(addr, b))
+                    .collect();
+                f(Op::GetBytesMulti(&mut views))
+            }
+            CaptureCall::PutBytes { addr, data } => f(Op::PutBytes {
+                addr: *addr,
+                bytes: data,
+            }),
+            CaptureCall::AllocSpace { size, align } => f(Op::AllocSpace {
+                size: *size,
+                align: *align,
+            }),
+            CaptureCall::CallFunc { name, args } => f(Op::CallFunc { name, args }),
+            CaptureCall::GetVariable { name, frame: None } => f(Op::GetVariable(name)),
+            CaptureCall::GetVariable {
+                name,
+                frame: Some(n),
+            } => f(Op::GetVariableInFrame(name, *n as usize)),
+            CaptureCall::LookupType { ns, name } => f(match ns.as_str() {
+                "struct" => Op::LookupStruct(name),
+                "union" => Op::LookupUnion(name),
+                "enum" => Op::LookupEnum(name),
+                _ => Op::LookupTypedef(name),
+            }),
+            CaptureCall::HasFunction { name } => f(Op::HasFunction(name)),
+            CaptureCall::FrameCount => f(Op::FrameCount),
+            CaptureCall::FrameInfo { n } => f(Op::FrameInfo(*n as usize)),
+            CaptureCall::IsMapped { addr, len } => f(Op::IsMapped {
+                addr: *addr,
+                len: *len,
+            }),
+            CaptureCall::TakeOutput => f(Op::TakeOutput),
+        }
+    }
+
+    /// Issues this call against `t` and captures the answer — how the
+    /// I/O actor's worker runs an op it was sent as [`Op::to_call`]. A
+    /// read goes into fresh buffers of the call's own length.
+    pub(crate) fn apply<T: crate::Target + ?Sized>(&self, t: &mut T) -> CaptureReply {
+        self.with_op(|mut op| {
+            let reply = op.reborrow().apply(t);
+            op.to_reply(&reply)
+        })
+    }
+
+    /// The [`TraceOp`] bucket this call belongs to. `take_output`
+    /// drains a host-side buffer rather than crossing the wire, so it
+    /// has none and no stats view counts it.
+    pub fn trace_op(&self) -> Option<TraceOp> {
+        Some(match self {
             CaptureCall::GetBytes { .. } => TraceOp::GetBytes,
             CaptureCall::PutBytes { .. } => TraceOp::PutBytes,
             CaptureCall::AllocSpace { .. } => TraceOp::AllocSpace,
@@ -177,17 +239,18 @@ impl CaptureCall {
             CaptureCall::HasFunction { .. } => TraceOp::HasFunction,
             CaptureCall::FrameCount | CaptureCall::FrameInfo { .. } => TraceOp::Frames,
             CaptureCall::IsMapped { .. } => TraceOp::IsMapped,
-            // take_output has no wire op of its own; it rides with
-            // frames for stats purposes (cheap, frequent).
-            CaptureCall::TakeOutput => TraceOp::Frames,
+            CaptureCall::TakeOutput => return None,
             CaptureCall::MultiRead { .. } => TraceOp::MultiRead,
-        }
+        })
     }
 
-    /// A short human detail string (`.trace dump` style).
+    /// A short human detail (`.trace dump` style): address + length,
+    /// or the symbol asked for.
     pub fn detail(&self) -> String {
         match self {
-            CaptureCall::GetBytes { addr, len } => format!("0x{addr:x}+{len}"),
+            CaptureCall::GetBytes { addr, len } | CaptureCall::IsMapped { addr, len } => {
+                format!("0x{addr:x}+{len}")
+            }
             CaptureCall::PutBytes { addr, data } => format!("0x{addr:x}+{}", data.len()),
             CaptureCall::AllocSpace { size, align } => format!("{size}b align {align}"),
             CaptureCall::CallFunc { name, args } => format!("{name}({} args)", args.len()),
@@ -200,7 +263,6 @@ impl CaptureCall {
             CaptureCall::HasFunction { name } => name.clone(),
             CaptureCall::FrameCount => "count".into(),
             CaptureCall::FrameInfo { n } => format!("frame {n}"),
-            CaptureCall::IsMapped { addr, len } => format!("0x{addr:x}+{len}"),
             CaptureCall::TakeOutput => "output".into(),
             CaptureCall::MultiRead { ranges } => {
                 let total: u64 = ranges.iter().map(|&(_, len)| len).sum();
@@ -300,9 +362,12 @@ impl CaptureCall {
                 name: s("name")?,
                 frame: j.get("frame").and_then(Json::as_u64),
             },
-            "lookup_type" => CaptureCall::LookupType {
-                ns: s("ns")?,
-                name: s("name")?,
+            "lookup_type" => match s("ns")?.as_str() {
+                ns @ ("typedef" | "struct" | "union" | "enum") => CaptureCall::LookupType {
+                    ns: ns.to_string(),
+                    name: s("name")?,
+                },
+                other => return Err(format!("unknown lookup namespace {other:?}")),
             },
             "has_function" => CaptureCall::HasFunction { name: s("name")? },
             "frame_count" => CaptureCall::FrameCount,
@@ -366,19 +431,9 @@ impl CaptureReply {
     /// The [`TraceOutcome`] this reply maps to.
     pub fn outcome(&self) -> TraceOutcome {
         match self {
-            CaptureReply::Err(e) if e.is_transient() => TraceOutcome::Transient,
-            CaptureReply::Err(_) => TraceOutcome::Fault,
+            CaptureReply::Err(e) => TraceOutcome::of_errors(std::iter::once(e)),
             CaptureReply::Multi(rs) => {
-                if rs
-                    .iter()
-                    .any(|r| r.as_ref().err().is_some_and(|e| e.is_transient()))
-                {
-                    TraceOutcome::Transient
-                } else if rs.iter().any(|r| r.is_err()) {
-                    TraceOutcome::Fault
-                } else {
-                    TraceOutcome::Ok
-                }
+                TraceOutcome::of_errors(rs.iter().filter_map(|r| r.as_ref().err()))
             }
             CaptureReply::Var(None) | CaptureReply::TypeRef(None) | CaptureReply::Frame(None) => {
                 TraceOutcome::NotFound

@@ -36,8 +36,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::error::{TargetError, TargetResult};
-use crate::iface::{CallValue, FrameInfo, ReadRange, Target, VarInfo};
-use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
+use crate::iface::{
+    read_picked, OwnedRange, PipelineTicket, PrefetchCompletion, ReadRange, Target,
+};
+use crate::op::{Op, Reply};
 
 /// The counted faults a [`ChaosTarget`] injects (see
 /// [`ChaosTarget::with_faults`]).
@@ -419,129 +421,88 @@ impl<T: Target> ChaosTarget<T> {
     }
 }
 
-impl<T: Target> Target for ChaosTarget<T> {
-    fn abi(&self) -> &Abi {
-        self.inner.abi()
+impl<T: Target> crate::op::Layer for ChaosTarget<T> {
+    type Next = T;
+
+    fn next(&self) -> &T {
+        &self.inner
     }
 
-    fn types(&self) -> &TypeTable {
-        self.inner.types()
+    fn next_mut(&mut self) -> &mut T {
+        &mut self.inner
     }
 
-    fn types_mut(&mut self) -> &mut TypeTable {
-        self.inner.types_mut()
-    }
-
-    fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        self.pay_latency();
-        self.gate_range(addr, buf.len(), true)?;
-        self.inner.get_bytes(addr, buf)
-    }
-
-    fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        // One wire turn: latency is paid once per batch, but every range
-        // passes the gate on its own (script `at_op` and fail-every
-        // counters keep their wire-op granularity); the survivors go
-        // down in one inner vectored call, so a hit on one range never
-        // fails the rest of the batch.
-        self.pay_latency();
-        let mut results: Vec<Option<TargetResult<()>>> = ranges
-            .iter()
-            .map(|r| self.gate_range(r.addr, r.buf.len(), true).err().map(Err))
-            .collect();
-        let mut fwd = Vec::new();
-        let mut fwd_idx = Vec::new();
-        for (i, r) in ranges.iter_mut().enumerate() {
-            if results[i].is_none() {
-                fwd_idx.push(i);
-                fwd.push(ReadRange::new(r.addr, &mut *r.buf));
+    fn call(&mut self, op: Op<'_, '_>) -> Reply {
+        match op {
+            Op::GetBytesMulti(ranges) => Reply::Multi(self.gate_multi(ranges)),
+            Op::IsMapped { addr, len } => {
+                Reply::Flag(!self.poisoned(addr, len) && self.inner.is_mapped(addr, len))
+            }
+            // Symbol and type lookups, frames and output drains model
+            // debugger-side tables: never gated.
+            op if !op.is_fallible() => op.apply(&mut self.inner),
+            op => {
+                self.pay_latency();
+                let gated = match &op {
+                    Op::GetBytes { addr, buf } => self.gate_range(*addr, buf.len(), true),
+                    Op::PutBytes { addr, bytes } => self.gate_range(*addr, bytes.len(), false),
+                    _ => self.gate(),
+                };
+                match gated {
+                    Ok(()) => op.apply(&mut self.inner),
+                    Err(e) => op.fail(e),
+                }
             }
         }
-        for (i, res) in fwd_idx
-            .into_iter()
-            .zip(self.inner.get_bytes_multi(&mut fwd))
-        {
-            results[i] = Some(res);
+    }
+
+    // The gate sits below the page cache and the I/O actor: it answers
+    // no pipeline or prefetch plumbing, so a pipelined read never
+    // bypasses it.
+    fn read_submit(&mut self, _ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
+        None
+    }
+
+    fn read_poll(
+        &mut self,
+        _ticket: PipelineTicket,
+    ) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
+        None
+    }
+
+    fn prefetch_submit(&mut self, _ranges: &[(u64, u64)]) -> bool {
+        false
+    }
+
+    fn prefetch_poll(&mut self) -> Option<PrefetchCompletion> {
+        None
+    }
+
+    fn cache_page_size(&self) -> Option<u64> {
+        None
+    }
+
+    fn pipeline_handle(&self) -> Option<crate::pipeline::PipelineHandle> {
+        None
+    }
+}
+
+impl<T: Target> ChaosTarget<T> {
+    /// One wire turn: latency is paid once per batch, but every range
+    /// passes the gate on its own (script `at_op` and fail-every
+    /// counters keep their wire-op granularity); the survivors go down
+    /// in one inner vectored call, so a hit on one range never fails
+    /// the rest of the batch.
+    fn gate_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
+        self.pay_latency();
+        let mut results: Vec<TargetResult<()>> = ranges
+            .iter()
+            .map(|r| self.gate_range(r.addr, r.len(), true))
+            .collect();
+        for (i, res) in read_picked(&mut self.inner, ranges, |i| results[i].is_ok()) {
+            results[i] = res;
         }
-        results.into_iter().map(Option::unwrap).collect()
-    }
-
-    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-        self.pay_latency();
-        self.gate_range(addr, bytes.len(), false)?;
-        self.inner.put_bytes(addr, bytes)
-    }
-
-    fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-        self.pay_latency();
-        self.gate()?;
-        self.inner.alloc_space(size, align)
-    }
-
-    fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
-        self.pay_latency();
-        self.gate()?;
-        self.inner.call_func(name, args)
-    }
-
-    fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        self.inner.get_variable(name)
-    }
-
-    fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-        self.inner.get_variable_in_frame(name, frame)
-    }
-
-    fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        self.inner.lookup_typedef(name)
-    }
-
-    fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        self.inner.lookup_struct(tag)
-    }
-
-    fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        self.inner.lookup_union(tag)
-    }
-
-    fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-        self.inner.lookup_enum(tag)
-    }
-
-    fn has_function(&mut self, name: &str) -> bool {
-        self.inner.has_function(name)
-    }
-
-    fn frame_count(&mut self) -> usize {
-        self.inner.frame_count()
-    }
-
-    fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-        self.inner.frame_info(n)
-    }
-
-    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        !self.poisoned(addr, len) && self.inner.is_mapped(addr, len)
-    }
-
-    fn take_output(&mut self) -> String {
-        self.inner.take_output()
-    }
-
-    fn trace_handle(&self) -> Option<crate::trace::TraceHandle> {
-        self.inner.trace_handle()
-    }
-
-    fn set_span_context(&mut self, spans: &crate::span::SpanContext) {
-        self.inner.set_span_context(spans);
-    }
-
-    fn span_context(&self) -> Option<crate::span::SpanContext> {
-        self.inner.span_context()
-    }
-
-    fn staleness_handle(&self) -> Option<crate::supervise::StalenessHandle> {
-        self.inner.staleness_handle()
+        results
     }
 }
 

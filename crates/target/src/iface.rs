@@ -128,6 +128,24 @@ impl<'a> ReadRange<'a> {
     }
 }
 
+/// Reads the ranges `pick` selects (by index) in ONE vectored call to
+/// `t`, returning each picked index with its result — how a layer
+/// forwards part of a batch without dissolving it into scalar turns.
+pub(crate) fn read_picked<T: Target + ?Sized>(
+    t: &mut T,
+    ranges: &mut [ReadRange<'_>],
+    pick: impl Fn(usize) -> bool,
+) -> Vec<(usize, TargetResult<()>)> {
+    let (idx, mut fwd): (Vec<usize>, Vec<ReadRange<'_>>) = ranges
+        .iter_mut()
+        .enumerate()
+        .filter(|(i, _)| pick(*i))
+        .map(|(i, r)| (i, ReadRange::new(r.addr, &mut *r.buf)))
+        .unzip();
+    let results = t.get_bytes_multi(&mut fwd);
+    idx.into_iter().zip(results).collect()
+}
+
 /// One range of an *owned-buffer* vectored read: the asynchronous
 /// counterpart of [`ReadRange`].
 ///

@@ -9,6 +9,9 @@
 //!
 //! * [`Target`] — the narrow trait: memory, symbols, types, frames,
 //!   calls. Everything above (eval, mini-C VM, CLI) talks only to this.
+//! * [`Op`] / [`Layer`] — the wire-op set written down once: a
+//!   decorator implements one [`Layer::call`] hook over a borrowed
+//!   [`Op`] and is a `Target` through a blanket impl.
 //! * [`TargetError`] — a two-class fault taxonomy: *faults* (bad
 //!   debuggee state, surfaced as per-subexpression symbolic errors)
 //!   vs *transient failures* (sick backend, retryable).
@@ -59,6 +62,7 @@ pub mod iface;
 pub mod json;
 pub mod meta;
 pub mod metrics;
+pub mod op;
 pub mod pipeline;
 pub mod record;
 pub mod replay;
@@ -82,6 +86,7 @@ pub use iface::{
 };
 pub use meta::{MetaCapture, MetaSnapshot, MetaTarget, META_BASE};
 pub use metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
+pub use op::{Layer, Op, Reply};
 pub use pipeline::{AsyncTarget, PipelineHandle, PipelineStats};
 pub use record::RecordTarget;
 pub use replay::{Divergence, ReplayMode, ReplayTarget};

@@ -59,7 +59,8 @@ pub struct MetaCapture {
     pub backend: String,
     /// Scenario label recorded in the capture header.
     pub scenario: String,
-    /// Events held by the capture.
+    /// Wire events held by the capture (output drains are host-side
+    /// buffer swaps and, as in live tracing, not counted).
     pub events: u64,
 }
 

@@ -53,11 +53,12 @@ use std::thread;
 use std::time::Instant;
 
 use crate::error::TargetResult;
-use crate::iface::{CallValue, FrameInfo, OwnedRange, PipelineTicket, ReadRange, Target, VarInfo};
+use crate::iface::{OwnedRange, PipelineTicket, PrefetchCompletion, ReadRange, Target};
+use crate::op::{Op, Reply};
 use crate::span::{SpanContext, SpanKind};
 use crate::supervise::StalenessHandle;
 use crate::trace::TraceHandle;
-use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
+use duel_ctype::{Abi, TypeTable};
 
 /// Counter snapshot of a [`PipelineHandle`]. Cumulative since
 /// construction.
@@ -466,7 +467,57 @@ impl<T: Target + Send + 'static> AsyncTarget<T> {
     }
 }
 
-impl<T: Target + Send + 'static> Target for AsyncTarget<T> {
+impl<T: Target + Send + 'static> crate::op::Layer for AsyncTarget<T> {
+    type Next = T;
+
+    /// The backend in inline mode. Every method of this layer answers
+    /// actor mode itself, so nothing reaches for the backend while the
+    /// worker owns it.
+    fn next(&self) -> &T {
+        self.inner().expect("the I/O actor owns the backend")
+    }
+
+    fn next_mut(&mut self) -> &mut T {
+        self.inner_mut().expect("the I/O actor owns the backend")
+    }
+
+    fn call(&mut self, op: Op<'_, '_>) -> Reply {
+        if let Op::TakeOutput = op {
+            // Sessions drain output once per produced value, so this
+            // must never be a round-trip: the worker publishes output
+            // into the shared buffer at the end of every job (before
+            // the job's reply), and the front side just swaps it.
+            let buffered = std::mem::take(&mut *self.output.lock().expect("output buffer lock"));
+            return Reply::Output(match &mut self.mode {
+                Mode::Inline(t) if buffered.is_empty() => t.take_output(),
+                Mode::Inline(t) => buffered + &t.take_output(),
+                _ => buffered,
+            });
+        }
+        match &mut self.mode {
+            Mode::Inline(t) => op.apply(t),
+            Mode::Actor(a) => {
+                let call = op.to_call();
+                let job = move |t: &mut T| call.apply(t);
+                // Memory ops never touch the type table. The others —
+                // calls, lookups, frame metadata — can consume
+                // front-minted type ids and intern new ones, so they
+                // sync the type-table mirror.
+                let reply = match op {
+                    Op::GetBytes { .. }
+                    | Op::GetBytesMulti(_)
+                    | Op::PutBytes { .. }
+                    | Op::AllocSpace { .. }
+                    | Op::FrameCount
+                    | Op::IsMapped { .. } => Self::rpc(a, job),
+                    _ => Self::rpc_sym(a, job),
+                };
+                op.fill(reply)
+            }
+            Mode::Switching => unreachable!("transient mode"),
+        }
+    }
+
     fn abi(&self) -> &Abi {
         match &self.mode {
             Mode::Inline(t) => t.abi(),
@@ -487,197 +538,6 @@ impl<T: Target + Send + 'static> Target for AsyncTarget<T> {
         match &mut self.mode {
             Mode::Inline(t) => t.types_mut(),
             Mode::Actor(a) => &mut a.types,
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.get_bytes(addr, buf),
-            Mode::Actor(a) => {
-                let len = buf.len();
-                let (r, data) = Self::rpc(a, move |t| {
-                    let mut v = vec![0u8; len];
-                    let r = t.get_bytes(addr, &mut v);
-                    (r, v)
-                });
-                buf.copy_from_slice(&data);
-                r
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.get_bytes_multi(ranges),
-            Mode::Actor(a) => {
-                let owned: Vec<OwnedRange> = ranges
-                    .iter()
-                    .map(|r| OwnedRange::new(r.addr, r.buf.len()))
-                    .collect();
-                let done = Self::rpc(a, move |t| run_multi(t, owned));
-                let mut results = Vec::with_capacity(done.len());
-                for (dst, (src, r)) in ranges.iter_mut().zip(done) {
-                    dst.buf.copy_from_slice(&src.buf);
-                    results.push(r);
-                }
-                results
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.put_bytes(addr, bytes),
-            Mode::Actor(a) => {
-                let data = bytes.to_vec();
-                Self::rpc(a, move |t| t.put_bytes(addr, &data))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.alloc_space(size, align),
-            Mode::Actor(a) => Self::rpc(a, move |t| t.alloc_space(size, align)),
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.call_func(name, args),
-            Mode::Actor(a) => {
-                let (name, args) = (name.to_string(), args.to_vec());
-                // Calls both consume front-minted type ids and can
-                // intern new ones (native call results), so they take
-                // the symbol path.
-                Self::rpc_sym(a, move |t| t.call_func(&name, &args))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.get_variable(name),
-            Mode::Actor(a) => {
-                let name = name.to_string();
-                Self::rpc_sym(a, move |t| t.get_variable(&name))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.get_variable_in_frame(name, frame),
-            Mode::Actor(a) => {
-                let name = name.to_string();
-                Self::rpc_sym(a, move |t| t.get_variable_in_frame(&name, frame))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.lookup_typedef(name),
-            Mode::Actor(a) => {
-                let name = name.to_string();
-                Self::rpc_sym(a, move |t| t.lookup_typedef(&name))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.lookup_struct(tag),
-            Mode::Actor(a) => {
-                let tag = tag.to_string();
-                Self::rpc_sym(a, move |t| t.lookup_struct(&tag))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.lookup_union(tag),
-            Mode::Actor(a) => {
-                let tag = tag.to_string();
-                Self::rpc_sym(a, move |t| t.lookup_union(&tag))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.lookup_enum(tag),
-            Mode::Actor(a) => {
-                let tag = tag.to_string();
-                Self::rpc_sym(a, move |t| t.lookup_enum(&tag))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn has_function(&mut self, name: &str) -> bool {
-        match &mut self.mode {
-            Mode::Inline(t) => t.has_function(name),
-            Mode::Actor(a) => {
-                let name = name.to_string();
-                Self::rpc_sym(a, move |t| t.has_function(&name))
-            }
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn frame_count(&mut self) -> usize {
-        match &mut self.mode {
-            Mode::Inline(t) => t.frame_count(),
-            Mode::Actor(a) => Self::rpc(a, move |t| t.frame_count()),
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-        match &mut self.mode {
-            Mode::Inline(t) => t.frame_info(n),
-            Mode::Actor(a) => Self::rpc_sym(a, move |t| t.frame_info(n)),
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        match &mut self.mode {
-            Mode::Inline(t) => t.is_mapped(addr, len),
-            Mode::Actor(a) => Self::rpc(a, move |t| t.is_mapped(addr, len)),
-            Mode::Switching => unreachable!("transient mode"),
-        }
-    }
-
-    fn take_output(&mut self) -> String {
-        // Sessions drain output once per produced value, so this must
-        // never be a round-trip: the worker publishes output into the
-        // shared buffer at the end of every job (before the job's
-        // reply), and the front side just swaps the buffer.
-        let buffered = std::mem::take(&mut *self.output.lock().expect("output buffer lock"));
-        match &mut self.mode {
-            Mode::Inline(t) => {
-                let fresh = t.take_output();
-                if buffered.is_empty() {
-                    fresh
-                } else {
-                    buffered + &fresh
-                }
-            }
-            Mode::Actor(_) => buffered,
             Mode::Switching => unreachable!("transient mode"),
         }
     }
@@ -769,6 +629,20 @@ impl<T: Target + Send + 'static> Target for AsyncTarget<T> {
             )
         });
         Some(done)
+    }
+
+    // The page cache lives above this layer: prefetch is not
+    // forwarded into the backend.
+    fn prefetch_submit(&mut self, _ranges: &[(u64, u64)]) -> bool {
+        false
+    }
+
+    fn prefetch_poll(&mut self) -> Option<PrefetchCompletion> {
+        None
+    }
+
+    fn cache_page_size(&self) -> Option<u64> {
+        None
     }
 
     fn pipeline_handle(&self) -> Option<PipelineHandle> {

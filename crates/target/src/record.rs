@@ -20,9 +20,9 @@ use std::time::Instant;
 
 use crate::capture::{footer_to_json, header_to_json, CaptureCall, CaptureEvent, CaptureReply};
 use crate::error::TargetResult;
-use crate::iface::{CallValue, FrameInfo, OwnedRange, PipelineTicket, ReadRange, Target, VarInfo};
-use crate::trace::{TraceHandle, TraceOp, TRACE_OPS};
-use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
+use crate::iface::{OwnedRange, PipelineTicket, ReadRange, Target};
+use crate::op::{Op, Reply};
+use crate::trace::{TraceOp, TRACE_OPS};
 
 /// Events between forced flushes of the capture stream.
 pub const FLUSH_EVERY: u64 = 256;
@@ -31,14 +31,6 @@ struct Recorder {
     sink: BufWriter<Box<dyn Write + Send>>,
     events: u64,
     op_counts: Vec<(TraceOp, u64)>,
-}
-
-impl Recorder {
-    fn bump(&mut self, op: TraceOp) {
-        if let Some(slot) = self.op_counts.iter_mut().find(|(o, _)| *o == op) {
-            slot.1 += 1;
-        }
-    }
 }
 
 /// A deferred capture event: either complete and waiting behind an
@@ -176,13 +168,17 @@ impl<T: Target> RecordTarget<T> {
         &mut self.inner
     }
 
-    fn emit(&mut self, call: CaptureCall, reply: CaptureReply, ns: u64) {
-        if self.recorder.is_none() {
-            return;
+    /// Counts one event of `kind` toward the footer's per-op totals.
+    fn count(&mut self, kind: TraceOp) {
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.op_counts[kind.index()].1 += 1;
         }
-        // An outstanding hole means this event happened after an
-        // in-flight read was submitted; it must land after that read
-        // in the capture too.
+    }
+
+    /// Writes one event, or queues it behind an outstanding hole: an
+    /// event that happened after an in-flight read was submitted must
+    /// land after that read in the capture too.
+    fn queue(&mut self, call: CaptureCall, reply: CaptureReply, ns: u64) {
         if self.deferred.is_empty() {
             self.write_event(call, reply, ns);
         } else {
@@ -197,7 +193,6 @@ impl<T: Target> RecordTarget<T> {
         let Some(rec) = self.recorder.as_mut() else {
             return;
         };
-        rec.bump(call.trace_op());
         let ev = CaptureEvent {
             seq: rec.events,
             call,
@@ -228,307 +223,26 @@ impl<T: Target> RecordTarget<T> {
             self.write_event(call, reply, ns);
         }
     }
-
-    fn clock(&self) -> Option<Instant> {
-        if self.recorder.is_some() {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
 }
 
-fn elapsed_ns(start: Option<Instant>) -> u64 {
-    start.map_or(0, |t| t.elapsed().as_nanos() as u64)
-}
+impl<T: Target> crate::op::Layer for RecordTarget<T> {
+    type Next = T;
 
-fn reply_of<R: Clone>(r: &TargetResult<R>, ok: impl FnOnce(&R) -> CaptureReply) -> CaptureReply {
-    match r {
-        Ok(v) => ok(v),
-        Err(e) => CaptureReply::Err(e.clone()),
-    }
-}
-
-impl<T: Target> Target for RecordTarget<T> {
-    fn abi(&self) -> &Abi {
-        self.inner.abi()
+    fn next(&self) -> &T {
+        &self.inner
     }
 
-    fn types(&self) -> &TypeTable {
-        self.inner.types()
+    fn next_mut(&mut self) -> &mut T {
+        &mut self.inner
     }
 
-    fn types_mut(&mut self) -> &mut TypeTable {
-        self.inner.types_mut()
-    }
-
-    fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        let t = self.clock();
-        let r = self.inner.get_bytes(addr, buf);
-        if self.recorder.is_some() {
-            let reply = reply_of(&r, |_| CaptureReply::Bytes(buf.to_vec()));
-            self.emit(
-                CaptureCall::GetBytes {
-                    addr,
-                    len: buf.len() as u64,
-                },
-                reply,
-                elapsed_ns(t),
-            );
+    /// Forwards with zero bookkeeping while no sink is attached.
+    #[inline(always)]
+    fn call(&mut self, op: Op<'_, '_>) -> Reply {
+        if self.recorder.is_none() {
+            return op.apply(&mut self.inner);
         }
-        r
-    }
-
-    fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        let t = self.clock();
-        let results = self.inner.get_bytes_multi(ranges);
-        if self.recorder.is_some() {
-            let call = CaptureCall::MultiRead {
-                ranges: ranges
-                    .iter()
-                    .map(|r| (r.addr, r.buf.len() as u64))
-                    .collect(),
-            };
-            let reply = CaptureReply::Multi(
-                ranges
-                    .iter()
-                    .zip(&results)
-                    .map(|(r, res)| match res {
-                        Ok(()) => Ok(r.buf.to_vec()),
-                        Err(e) => Err(e.clone()),
-                    })
-                    .collect(),
-            );
-            self.emit(call, reply, elapsed_ns(t));
-        }
-        results
-    }
-
-    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-        let t = self.clock();
-        let r = self.inner.put_bytes(addr, bytes);
-        if self.recorder.is_some() {
-            let reply = reply_of(&r, |_| CaptureReply::Unit);
-            self.emit(
-                CaptureCall::PutBytes {
-                    addr,
-                    data: bytes.to_vec(),
-                },
-                reply,
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-        let t = self.clock();
-        let r = self.inner.alloc_space(size, align);
-        if self.recorder.is_some() {
-            let reply = reply_of(&r, |&a| CaptureReply::Addr(a));
-            self.emit(
-                CaptureCall::AllocSpace { size, align },
-                reply,
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
-        let t = self.clock();
-        let r = self.inner.call_func(name, args);
-        if self.recorder.is_some() {
-            let reply = reply_of(&r, |v| CaptureReply::Value(v.clone()));
-            self.emit(
-                CaptureCall::CallFunc {
-                    name: name.to_string(),
-                    args: args.to_vec(),
-                },
-                reply,
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        let t = self.clock();
-        let r = self.inner.get_variable(name);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::GetVariable {
-                    name: name.to_string(),
-                    frame: None,
-                },
-                CaptureReply::Var(r.clone()),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-        let t = self.clock();
-        let r = self.inner.get_variable_in_frame(name, frame);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::GetVariable {
-                    name: name.to_string(),
-                    frame: Some(frame as u64),
-                },
-                CaptureReply::Var(r.clone()),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        let t = self.clock();
-        let r = self.inner.lookup_typedef(name);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::LookupType {
-                    ns: "typedef".into(),
-                    name: name.to_string(),
-                },
-                CaptureReply::TypeRef(r.map(TypeId::raw)),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        let t = self.clock();
-        let r = self.inner.lookup_struct(tag);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::LookupType {
-                    ns: "struct".into(),
-                    name: tag.to_string(),
-                },
-                CaptureReply::TypeRef(r.map(RecordId::raw)),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        let t = self.clock();
-        let r = self.inner.lookup_union(tag);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::LookupType {
-                    ns: "union".into(),
-                    name: tag.to_string(),
-                },
-                CaptureReply::TypeRef(r.map(RecordId::raw)),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-        let t = self.clock();
-        let r = self.inner.lookup_enum(tag);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::LookupType {
-                    ns: "enum".into(),
-                    name: tag.to_string(),
-                },
-                CaptureReply::TypeRef(r.map(EnumId::raw)),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn has_function(&mut self, name: &str) -> bool {
-        let t = self.clock();
-        let r = self.inner.has_function(name);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::HasFunction {
-                    name: name.to_string(),
-                },
-                CaptureReply::Flag(r),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn frame_count(&mut self) -> usize {
-        let t = self.clock();
-        let r = self.inner.frame_count();
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::FrameCount,
-                CaptureReply::Count(r as u64),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-        let t = self.clock();
-        let r = self.inner.frame_info(n);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::FrameInfo { n: n as u64 },
-                CaptureReply::Frame(r.clone()),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        let t = self.clock();
-        let r = self.inner.is_mapped(addr, len);
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::IsMapped { addr, len },
-                CaptureReply::Flag(r),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn take_output(&mut self) -> String {
-        let t = self.clock();
-        let r = self.inner.take_output();
-        if self.recorder.is_some() {
-            self.emit(
-                CaptureCall::TakeOutput,
-                CaptureReply::Output(r.clone()),
-                elapsed_ns(t),
-            );
-        }
-        r
-    }
-
-    fn trace_handle(&self) -> Option<TraceHandle> {
-        self.inner.trace_handle()
-    }
-
-    fn set_span_context(&mut self, spans: &crate::span::SpanContext) {
-        self.inner.set_span_context(spans);
-    }
-
-    fn span_context(&self) -> Option<crate::span::SpanContext> {
-        self.inner.span_context()
-    }
-
-    fn staleness_handle(&self) -> Option<crate::supervise::StalenessHandle> {
-        self.inner.staleness_handle()
+        self.recorded(op)
     }
 
     fn read_submit(&mut self, ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
@@ -545,7 +259,7 @@ impl<T: Target> Target for RecordTarget<T> {
     }
 
     fn read_poll(&mut self, ticket: PipelineTicket) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
-        let done = self.inner.read_poll(ticket)?;
+        let mut done = self.inner.read_poll(ticket)?;
         let start = match self.inflight.front() {
             Some(&(t, at)) if t == ticket => {
                 self.inflight.pop_front();
@@ -554,21 +268,17 @@ impl<T: Target> Target for RecordTarget<T> {
             _ => None,
         };
         if self.recorder.is_some() {
-            let call = CaptureCall::MultiRead {
-                ranges: done
-                    .iter()
-                    .map(|(o, _)| (o.addr, o.buf.len() as u64))
-                    .collect(),
-            };
-            let reply = CaptureReply::Multi(
-                done.iter()
-                    .map(|(o, r)| match r {
-                        Ok(()) => Ok(o.buf.clone()),
-                        Err(e) => Err(e.clone()),
-                    })
-                    .collect(),
-            );
-            let ns = elapsed_ns(start);
+            // The completed read is the vectored read a synchronous
+            // backend would have served at submit time.
+            let results = Reply::Multi(done.iter().map(|(_, r)| r.clone()).collect());
+            let mut views: Vec<ReadRange<'_>> = done
+                .iter_mut()
+                .map(|(o, _)| ReadRange::new(o.addr, &mut o.buf))
+                .collect();
+            let op = Op::GetBytesMulti(&mut views);
+            let (call, reply) = (op.to_call(), op.to_reply(&results));
+            let ns = start.map_or(0, |t| t.elapsed().as_nanos() as u64);
+            self.count(TraceOp::MultiRead);
             let hole = self
                 .deferred
                 .iter_mut()
@@ -577,27 +287,28 @@ impl<T: Target> Target for RecordTarget<T> {
                 Some(slot) => *slot = Deferred::Ready(call, reply, ns),
                 // Submitted before recording was armed: no reserved
                 // slot, so it lands here in poll order.
-                None => self.emit(call, reply, ns),
+                None => self.queue(call, reply, ns),
             }
             self.flush_deferred();
         }
         Some(done)
     }
+}
 
-    fn prefetch_submit(&mut self, ranges: &[(u64, u64)]) -> bool {
-        self.inner.prefetch_submit(ranges)
-    }
-
-    fn prefetch_poll(&mut self) -> Option<crate::iface::PrefetchCompletion> {
-        self.inner.prefetch_poll()
-    }
-
-    fn cache_page_size(&self) -> Option<u64> {
-        self.inner.cache_page_size()
-    }
-
-    fn pipeline_handle(&self) -> Option<crate::pipeline::PipelineHandle> {
-        self.inner.pipeline_handle()
+impl<T: Target> RecordTarget<T> {
+    /// The recording path of [`crate::Layer::call`]: times the call and
+    /// captures it with its full reply.
+    #[inline(never)]
+    fn recorded(&mut self, mut op: Op<'_, '_>) -> Reply {
+        let start = Instant::now();
+        let reply = op.reborrow().apply(&mut self.inner);
+        let ns = start.elapsed().as_nanos() as u64;
+        let call = op.to_call();
+        if let Some(kind) = call.trace_op() {
+            self.count(kind);
+        }
+        self.queue(call, op.to_reply(&reply), ns);
+        reply
     }
 }
 

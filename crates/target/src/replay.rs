@@ -30,6 +30,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use crate::capture::{Capture, CaptureCall, CaptureEvent, CaptureReply};
 use crate::error::{TargetError, TargetResult};
 use crate::iface::{CallValue, FrameInfo, ReadRange, Target, VarInfo, VarKind};
+use crate::op::{Op, Reply};
 use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
 
 /// How a [`ReplayTarget`] answers calls.
@@ -74,9 +75,13 @@ impl Divergence {
 /// A function-call memo key: name plus raw-typed argument bytes.
 type CallKey = (String, Vec<(u32, Vec<u8>)>);
 
-/// The permissive-mode image rebuilt from a capture.
+/// The permissive-mode image rebuilt from a capture: a leaf backend
+/// answering from frozen recorded state. In strict mode it holds only
+/// the ABI and type table.
 #[derive(Debug, Default)]
 struct Image {
+    abi: Abi,
+    types: TypeTable,
     /// Sparse debuggee memory: every byte any recorded read returned or
     /// any recorded write stored, applied in event order.
     memory: BTreeMap<u64, u8>,
@@ -107,8 +112,15 @@ fn call_key(name: &str, args: &[CallValue]) -> CallKey {
 }
 
 impl Image {
-    fn build(events: &[CaptureEvent]) -> Image {
-        let mut img = Image::default();
+    fn new(abi: Abi, types: TypeTable) -> Image {
+        Image {
+            abi,
+            types,
+            ..Image::default()
+        }
+    }
+
+    fn build(mut img: Image, events: &[CaptureEvent]) -> Image {
         let mut high_water = 0u64;
         let mut touch = |addr: u64, len: u64| {
             high_water = high_water.max(addr.saturating_add(len));
@@ -199,13 +211,11 @@ impl Image {
 /// A [`Target`] that answers entirely from a parsed [`Capture`].
 #[derive(Debug)]
 pub struct ReplayTarget {
-    abi: Abi,
-    types: TypeTable,
     mode: ReplayMode,
     events: Vec<CaptureEvent>,
     pos: usize,
     divergence: Option<Divergence>,
-    image: Option<Image>,
+    image: Image,
     /// Backend/scenario labels from the capture header, for status.
     backend: String,
     scenario: String,
@@ -214,14 +224,15 @@ pub struct ReplayTarget {
 impl ReplayTarget {
     /// Builds a replay target from a parsed capture.
     pub fn from_capture(cap: Capture, mode: ReplayMode) -> ReplayTarget {
-        let types = TypeTable::from_snapshot(cap.types());
+        let image = Image::new(
+            cap.header.abi.clone(),
+            TypeTable::from_snapshot(cap.types()),
+        );
         let image = match mode {
-            ReplayMode::Strict => None,
-            ReplayMode::Permissive => Some(Image::build(&cap.events)),
+            ReplayMode::Strict => image,
+            ReplayMode::Permissive => Image::build(image, &cap.events),
         };
         ReplayTarget {
-            abi: cap.header.abi.clone(),
-            types,
             mode,
             events: cap.events,
             pos: 0,
@@ -231,7 +242,6 @@ impl ReplayTarget {
             scenario: cap.header.scenario,
         }
     }
-
     /// Loads a capture file and builds a replay target from it.
     pub fn load(path: &str, mode: ReplayMode) -> Result<ReplayTarget, String> {
         Ok(ReplayTarget::from_capture(Capture::load(path)?, mode))
@@ -260,6 +270,15 @@ impl ReplayTarget {
     /// Total events in the capture.
     pub fn events_total(&self) -> usize {
         self.events.len()
+    }
+
+    /// Wire events in the capture: every event but output drains,
+    /// which no stats view counts.
+    pub fn wire_events(&self) -> usize {
+        self.events
+            .iter()
+            .filter(|e| e.call.trace_op().is_some())
+            .count()
     }
 
     /// The sticky first-divergence report, if strict replay diverged.
@@ -300,35 +319,36 @@ impl ReplayTarget {
         self.pos += 1;
         Ok(reply)
     }
+}
 
-    fn strict_result<R>(
-        &mut self,
-        call: CaptureCall,
-        extract: impl FnOnce(CaptureReply) -> Option<R>,
-    ) -> TargetResult<R> {
-        match self.advance(call) {
-            Err(d) => Err(d.to_error()),
-            Ok(CaptureReply::Err(e)) => Err(e),
-            Ok(reply) => extract(reply).ok_or_else(|| {
-                TargetError::Backend("capture reply shape does not match its call".into())
-            }),
-        }
+impl crate::op::Layer for ReplayTarget {
+    type Next = dyn Target;
+
+    fn next(&self) -> &Self::Next {
+        &self.image
     }
 
-    fn strict_plain<R>(
-        &mut self,
-        call: CaptureCall,
-        extract: impl FnOnce(CaptureReply) -> Option<R>,
-        fallback: R,
-    ) -> R {
-        match self.advance(call) {
-            Err(_) => fallback,
-            Ok(reply) => extract(reply).unwrap_or(fallback),
+    fn next_mut(&mut self) -> &mut Self::Next {
+        &mut self.image
+    }
+
+    /// Strict: match the call against the next recorded event and
+    /// answer with its reply (a divergence fails the op). Permissive:
+    /// answer from the frozen image.
+    fn call(&mut self, op: Op<'_, '_>) -> Reply {
+        match self.mode {
+            ReplayMode::Strict => {
+                let reply = self
+                    .advance(op.to_call())
+                    .unwrap_or_else(|d| CaptureReply::Err(d.to_error()));
+                op.fill(reply)
+            }
+            ReplayMode::Permissive => op.apply(&mut self.image),
         }
     }
 }
 
-impl Target for ReplayTarget {
+impl Target for Image {
     fn abi(&self) -> &Abi {
         &self.abi
     }
@@ -342,355 +362,111 @@ impl Target for ReplayTarget {
     }
 
     fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        match self.mode {
-            ReplayMode::Strict => {
-                let len = buf.len() as u64;
-                let bytes =
-                    self.strict_result(CaptureCall::GetBytes { addr, len }, |r| match r {
-                        CaptureReply::Bytes(b) => Some(b),
-                        _ => None,
-                    })?;
-                if bytes.len() != buf.len() {
-                    return Err(TargetError::Truncated {
-                        addr,
-                        wanted: len,
-                        got: bytes.len() as u64,
-                    });
-                }
-                buf.copy_from_slice(&bytes);
-                Ok(())
-            }
-            ReplayMode::Permissive => self.image.as_ref().unwrap().read(addr, buf),
-        }
+        self.read(addr, buf)
     }
 
     fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        match self.mode {
-            ReplayMode::Strict => {
-                let call = CaptureCall::MultiRead {
-                    ranges: ranges
-                        .iter()
-                        .map(|r| (r.addr, r.buf.len() as u64))
-                        .collect(),
-                };
-                let replies = match self.advance(call) {
-                    Err(d) => {
-                        let e = d.to_error();
-                        return ranges.iter().map(|_| Err(e.clone())).collect();
-                    }
-                    Ok(CaptureReply::Multi(rs)) if rs.len() == ranges.len() => rs,
-                    Ok(_) => {
-                        let e = TargetError::Backend(
-                            "capture reply shape does not match its call".into(),
-                        );
-                        return ranges.iter().map(|_| Err(e.clone())).collect();
-                    }
-                };
-                ranges
-                    .iter_mut()
-                    .zip(replies)
-                    .map(|(r, reply)| match reply {
-                        Ok(bytes) if bytes.len() == r.buf.len() => {
-                            r.buf.copy_from_slice(&bytes);
-                            Ok(())
-                        }
-                        Ok(bytes) => Err(TargetError::Truncated {
-                            addr: r.addr,
-                            wanted: r.buf.len() as u64,
-                            got: bytes.len() as u64,
-                        }),
-                        Err(e) => Err(e),
-                    })
-                    .collect()
-            }
-            ReplayMode::Permissive => {
-                let img = self.image.as_ref().unwrap();
-                ranges.iter_mut().map(|r| img.read(r.addr, r.buf)).collect()
-            }
-        }
+        ranges
+            .iter_mut()
+            .map(|r| self.read(r.addr, r.buf))
+            .collect()
     }
 
     fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_result(
-                CaptureCall::PutBytes {
-                    addr,
-                    data: bytes.to_vec(),
-                },
-                |r| match r {
-                    CaptureReply::Unit => Some(()),
-                    _ => None,
-                },
-            ),
-            ReplayMode::Permissive => {
-                // The frozen image is a private copy; writes land in it
-                // so follow-up reads in the same postmortem session see
-                // them, without any live target involved.
-                let img = self.image.as_mut().unwrap();
-                for (i, b) in bytes.iter().enumerate() {
-                    img.memory.insert(addr + i as u64, *b);
-                }
-                Ok(())
-            }
+        // The frozen image is a private copy; writes land in it so
+        // follow-up reads in the same postmortem session see them,
+        // without any live target involved.
+        for (i, b) in bytes.iter().enumerate() {
+            self.memory.insert(addr + i as u64, *b);
         }
+        Ok(())
     }
 
     fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-        match self.mode {
-            ReplayMode::Strict => {
-                self.strict_result(CaptureCall::AllocSpace { size, align }, |r| match r {
-                    CaptureReply::Addr(a) => Some(a),
-                    _ => None,
-                })
-            }
-            ReplayMode::Permissive => {
-                let img = self.image.as_mut().unwrap();
-                let align = align.max(1);
-                let addr = img.alloc_next.div_ceil(align) * align;
-                img.alloc_next = addr + size.max(1);
-                // Fresh scratch space reads back as zeroes.
-                for i in 0..size {
-                    img.memory.insert(addr + i, 0);
-                }
-                Ok(addr)
-            }
+        let align = align.max(1);
+        let addr = self.alloc_next.div_ceil(align) * align;
+        self.alloc_next = addr + size.max(1);
+        // Fresh scratch space reads back as zeroes.
+        for i in 0..size {
+            self.memory.insert(addr + i, 0);
         }
+        Ok(addr)
     }
 
     fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_result(
-                CaptureCall::CallFunc {
-                    name: name.to_string(),
-                    args: args.to_vec(),
-                },
-                |r| match r {
-                    CaptureReply::Value(v) => Some(v),
-                    _ => None,
-                },
-            ),
-            ReplayMode::Permissive => {
-                let img = self.image.as_ref().unwrap();
-                if let Some(v) = img.call_results.get(&call_key(name, args)) {
-                    return Ok(v.clone());
-                }
-                if img.functions.contains(name) {
-                    Err(TargetError::CallFailed {
-                        func: name.to_string(),
-                        reason: "call with these arguments is not in the capture \
-                                 (replay cannot execute debuggee code)"
-                            .into(),
-                    })
-                } else {
-                    Err(TargetError::UnknownFunction(name.to_string()))
-                }
-            }
+        if let Some(v) = self.call_results.get(&call_key(name, args)) {
+            return Ok(v.clone());
+        }
+        if self.functions.contains(name) {
+            Err(TargetError::CallFailed {
+                func: name.to_string(),
+                reason: "call with these arguments is not in the capture \
+                         (replay cannot execute debuggee code)"
+                    .into(),
+            })
+        } else {
+            Err(TargetError::UnknownFunction(name.to_string()))
         }
     }
 
     fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::GetVariable {
-                    name: name.to_string(),
-                    frame: None,
-                },
-                |r| match r {
-                    CaptureReply::Var(v) => Some(v),
-                    _ => None,
-                },
-                None,
-            ),
-            ReplayMode::Permissive => {
-                let img = self.image.as_ref().unwrap();
-                img.globals.get(name).cloned().or_else(|| {
-                    // A local recorded in the innermost frame still
-                    // resolves by bare name, mirroring live shadowing.
-                    img.frame_vars.get(&(name.to_string(), 0)).cloned()
-                })
-            }
-        }
+        self.globals.get(name).cloned().or_else(|| {
+            // A local recorded in the innermost frame still resolves
+            // by bare name, mirroring live shadowing.
+            self.frame_vars.get(&(name.to_string(), 0)).cloned()
+        })
     }
 
     fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::GetVariable {
-                    name: name.to_string(),
-                    frame: Some(frame as u64),
-                },
-                |r| match r {
-                    CaptureReply::Var(v) => Some(v),
-                    _ => None,
-                },
-                None,
-            ),
-            ReplayMode::Permissive => {
-                let img = self.image.as_ref().unwrap();
-                img.frame_vars
-                    .get(&(name.to_string(), frame as u64))
-                    .cloned()
-                    .or_else(|| match img.globals.get(name) {
-                        Some(v) if v.kind == VarKind::Global => Some(v.clone()),
-                        _ => None,
-                    })
-            }
-        }
+        self.frame_vars
+            .get(&(name.to_string(), frame as u64))
+            .cloned()
+            .or_else(|| match self.globals.get(name) {
+                Some(v) if v.kind == VarKind::Global => Some(v.clone()),
+                _ => None,
+            })
     }
 
+    // The restored snapshot already holds every tag the recorded
+    // session ever defined.
     fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::LookupType {
-                    ns: "typedef".into(),
-                    name: name.to_string(),
-                },
-                |r| match r {
-                    CaptureReply::TypeRef(t) => Some(t.map(TypeId::from_raw)),
-                    _ => None,
-                },
-                None,
-            ),
-            // Permissive: the restored snapshot already holds every tag
-            // the recorded session ever defined.
-            ReplayMode::Permissive => self.types.typedef(name),
-        }
+        self.types.typedef(name)
     }
 
     fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::LookupType {
-                    ns: "struct".into(),
-                    name: tag.to_string(),
-                },
-                |r| match r {
-                    CaptureReply::TypeRef(t) => Some(t.map(RecordId::from_raw)),
-                    _ => None,
-                },
-                None,
-            ),
-            ReplayMode::Permissive => self.types.struct_tag(tag),
-        }
+        self.types.struct_tag(tag)
     }
 
     fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::LookupType {
-                    ns: "union".into(),
-                    name: tag.to_string(),
-                },
-                |r| match r {
-                    CaptureReply::TypeRef(t) => Some(t.map(RecordId::from_raw)),
-                    _ => None,
-                },
-                None,
-            ),
-            ReplayMode::Permissive => self.types.union_tag(tag),
-        }
+        self.types.union_tag(tag)
     }
 
     fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::LookupType {
-                    ns: "enum".into(),
-                    name: tag.to_string(),
-                },
-                |r| match r {
-                    CaptureReply::TypeRef(t) => Some(t.map(EnumId::from_raw)),
-                    _ => None,
-                },
-                None,
-            ),
-            ReplayMode::Permissive => self.types.enum_tag(tag),
-        }
+        self.types.enum_tag(tag)
     }
 
     fn has_function(&mut self, name: &str) -> bool {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::HasFunction {
-                    name: name.to_string(),
-                },
-                |r| match r {
-                    CaptureReply::Flag(b) => Some(b),
-                    _ => None,
-                },
-                false,
-            ),
-            ReplayMode::Permissive => self.image.as_ref().unwrap().functions.contains(name),
-        }
+        self.functions.contains(name)
     }
 
     fn frame_count(&mut self) -> usize {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::FrameCount,
-                |r| match r {
-                    CaptureReply::Count(n) => Some(n as usize),
-                    _ => None,
-                },
-                0,
-            ),
-            ReplayMode::Permissive => self.image.as_ref().unwrap().frame_count as usize,
-        }
+        self.frame_count as usize
     }
 
     fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::FrameInfo { n: n as u64 },
-                |r| match r {
-                    CaptureReply::Frame(f) => Some(f),
-                    _ => None,
-                },
-                None,
-            ),
-            ReplayMode::Permissive => self
-                .image
-                .as_ref()
-                .unwrap()
-                .frames
-                .get(&(n as u64))
-                .cloned(),
-        }
+        self.frames.get(&(n as u64)).cloned()
     }
 
     fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::IsMapped { addr, len },
-                |r| match r {
-                    CaptureReply::Flag(b) => Some(b),
-                    _ => None,
-                },
-                false,
-            ),
-            ReplayMode::Permissive => {
-                let img = self.image.as_ref().unwrap();
-                img.mapped_probes
-                    .get(&(addr, len))
-                    .copied()
-                    .unwrap_or_else(|| img.covered(addr, len))
-            }
-        }
+        self.mapped_probes
+            .get(&(addr, len))
+            .copied()
+            .unwrap_or_else(|| self.covered(addr, len))
     }
 
     fn take_output(&mut self) -> String {
-        match self.mode {
-            ReplayMode::Strict => self.strict_plain(
-                CaptureCall::TakeOutput,
-                |r| match r {
-                    CaptureReply::Output(s) => Some(s),
-                    _ => None,
-                },
-                String::new(),
-            ),
-            // The recorded session already drained the output stream;
-            // new evaluation over a frozen image produces none.
-            ReplayMode::Permissive => String::new(),
-        }
+        // The recorded session already drained the output stream; new
+        // evaluation over a frozen image produces none.
+        String::new()
     }
 }

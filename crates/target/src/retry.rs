@@ -21,9 +21,10 @@
 //! clamped against whichever deadline is nearer.
 
 use crate::error::{TargetError, TargetResult};
-use crate::iface::{CallValue, FrameInfo, ReadRange, Target, VarInfo};
+use crate::iface::{read_picked, OwnedRange, PipelineTicket, Target};
+use crate::op::{Op, Reply};
 use crate::span::{SpanContext, SpanKind};
-use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
+use crate::trace::TraceOp;
 use std::time::{Duration, Instant};
 
 /// How a [`RetryTarget`] behaves.
@@ -222,12 +223,24 @@ impl<T: Target> RetryTarget<T> {
         }
     }
 
-    fn run<R>(
-        &mut self,
-        name: &'static str,
-        mut op: impl FnMut(&mut T) -> TargetResult<R>,
-    ) -> TargetResult<R> {
+    /// Issues one fallible op, re-driving it while it fails
+    /// transiently. The clean first attempt is the hot path: no span,
+    /// no backoff bookkeeping.
+    #[inline(always)]
+    fn run(&mut self, mut op: Op<'_, '_>) -> Reply {
         let start = Instant::now();
+        self.stats.operations += 1;
+        let reply = op.reborrow().apply(&mut self.inner);
+        if reply.errors().any(TargetError::is_transient) {
+            return self.retry(op, reply, start);
+        }
+        reply
+    }
+
+    /// The retry episode after a transient first attempt: bounded
+    /// re-drives with jittered backoff, clamped by the deadlines.
+    #[inline(never)]
+    fn retry(&mut self, mut op: Op<'_, '_>, mut reply: Reply, start: Instant) -> Reply {
         // The effective budget for this operation: the policy's
         // per-operation allowance clamped by however much of the eval
         // budget is left.
@@ -238,108 +251,10 @@ impl<T: Target> RetryTarget<T> {
             (None, None) => None,
         };
         let mut attempt = 0u32;
-        // One *logical* span covers the whole retry episode, opened
-        // lazily at the first transient failure (a clean first attempt
-        // never touches the span stack) and back-dated to the op start.
+        // One *logical* span covers the whole retry episode, opened at
+        // the first transient failure and back-dated to the op start.
         let mut retry_span = 0u64;
-        self.stats.operations += 1;
-        let result = loop {
-            match op(&mut self.inner) {
-                Ok(r) => break Ok(r),
-                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    attempt += 1;
-                    self.stats.retries += 1;
-                    if retry_span == 0 {
-                        retry_span = self.open_retry_span(name, start);
-                    }
-                    let mut backoff = self.policy.backoff(attempt);
-                    if let Some(budget) = budget {
-                        let elapsed = start.elapsed();
-                        if elapsed >= budget {
-                            self.stats.give_ups += 1;
-                            break Err(TargetError::Timeout {
-                                ms: budget.as_millis() as u64,
-                            });
-                        }
-                        // Never sleep past the deadline.
-                        backoff = backoff.min(budget - elapsed);
-                    }
-                    self.note_attempt(attempt, backoff, retry_span);
-                    self.stats.backoff_ns += backoff.as_nanos() as u64;
-                    if self.policy.sleep {
-                        std::thread::sleep(backoff);
-                    }
-                }
-                Err(e) => {
-                    if e.is_transient() {
-                        self.stats.give_ups += 1;
-                    }
-                    break Err(e);
-                }
-            }
-        };
-        self.close_retry_span(retry_span);
-        result
-    }
-}
-
-impl<T: Target> Target for RetryTarget<T> {
-    fn abi(&self) -> &Abi {
-        self.inner.abi()
-    }
-
-    fn types(&self) -> &TypeTable {
-        self.inner.types()
-    }
-
-    fn types_mut(&mut self) -> &mut TypeTable {
-        self.inner.types_mut()
-    }
-
-    fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        self.run("get_bytes", |t| t.get_bytes(addr, buf))
-    }
-
-    fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        // Batched re-drive: each attempt is ONE inner vectored call
-        // covering only the ranges that are still transient, with the
-        // usual backoff/deadline between attempts. Retrying ranges one
-        // by one would dissolve the batch back into scalar wire turns.
-        let start = Instant::now();
-        let budget = match (self.policy.deadline, self.op_deadline) {
-            (Some(p), Some(od)) => Some(p.min(od.saturating_duration_since(start))),
-            (Some(p), None) => Some(p),
-            (None, Some(od)) => Some(od.saturating_duration_since(start)),
-            (None, None) => None,
-        };
-        self.stats.operations += 1;
-        let n = ranges.len();
-        let mut results: Vec<Option<TargetResult<()>>> = (0..n).map(|_| None).collect();
-        let mut pending = vec![true; n];
-        let mut attempt = 0u32;
-        let mut retry_span = 0u64;
-        loop {
-            let mut fwd = Vec::new();
-            let mut idx = Vec::new();
-            for (i, r) in ranges.iter_mut().enumerate() {
-                if pending[i] {
-                    idx.push(i);
-                    fwd.push(ReadRange::new(r.addr, &mut *r.buf));
-                }
-            }
-            let mut transient = Vec::new();
-            for (i, res) in idx.into_iter().zip(self.inner.get_bytes_multi(&mut fwd)) {
-                let is_transient = res.as_ref().err().is_some_and(|e| e.is_transient());
-                results[i] = Some(res);
-                if is_transient {
-                    transient.push(i);
-                } else {
-                    pending[i] = false;
-                }
-            }
-            if transient.is_empty() {
-                break;
-            }
+        while reply.errors().any(TargetError::is_transient) {
             if attempt >= self.policy.max_retries {
                 self.stats.give_ups += 1;
                 break;
@@ -347,20 +262,22 @@ impl<T: Target> Target for RetryTarget<T> {
             attempt += 1;
             self.stats.retries += 1;
             if retry_span == 0 {
-                retry_span = self.open_retry_span("get_bytes_multi", start);
+                let kind = op.to_call().trace_op();
+                retry_span = self.open_retry_span(kind.map_or("", TraceOp::name), start);
             }
             let mut backoff = self.policy.backoff(attempt);
             if let Some(budget) = budget {
                 let elapsed = start.elapsed();
                 if elapsed >= budget {
                     self.stats.give_ups += 1;
-                    for i in transient {
-                        results[i] = Some(Err(TargetError::Timeout {
-                            ms: budget.as_millis() as u64,
-                        }));
-                    }
+                    let ms = budget.as_millis() as u64;
+                    reply.map_results(|e| {
+                        e.filter(|e| e.is_transient())
+                            .map(|_| TargetError::Timeout { ms })
+                    });
                     break;
                 }
+                // Never sleep past the deadline.
                 backoff = backoff.min(budget - elapsed);
             }
             self.note_attempt(attempt, backoff, retry_span);
@@ -368,74 +285,50 @@ impl<T: Target> Target for RetryTarget<T> {
             if self.policy.sleep {
                 std::thread::sleep(backoff);
             }
+            reply = self.redrive(op.reborrow(), reply);
         }
         self.close_retry_span(retry_span);
-        results.into_iter().map(Option::unwrap).collect()
+        reply
     }
 
-    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-        self.run("put_bytes", |t| t.put_bytes(addr, bytes))
+    /// Re-issues what is still transient. A vectored read is re-driven
+    /// as ONE inner vectored call covering only its transient ranges:
+    /// retrying ranges one by one would dissolve the batch back into
+    /// scalar wire turns.
+    fn redrive(&mut self, op: Op<'_, '_>, reply: Reply) -> Reply {
+        let (ranges, mut results) = match (op, reply) {
+            (Op::GetBytesMulti(ranges), Reply::Multi(results)) => (ranges, results),
+            (op, _) => return op.apply(&mut self.inner),
+        };
+        let transient = |i: usize| results[i].as_ref().is_err_and(TargetError::is_transient);
+        for (i, res) in read_picked(&mut self.inner, ranges, transient) {
+            results[i] = res;
+        }
+        Reply::Multi(results)
+    }
+}
+
+impl<T: Target> crate::op::Layer for RetryTarget<T> {
+    type Next = T;
+
+    fn next(&self) -> &T {
+        &self.inner
     }
 
-    fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-        self.run("alloc_space", |t| t.alloc_space(size, align))
+    fn next_mut(&mut self) -> &mut T {
+        &mut self.inner
     }
 
-    fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
-        // Calls are NOT retried blindly: a call may have side effects,
-        // so only an error that provably happened before execution
-        // (a transport-level failure) would be safe. We retry anyway
-        // only when the backend says the failure was transient, which
-        // for the MI adapter means the command never ran.
-        self.run("call_func", |t| t.call_func(name, args))
-    }
-
-    fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        self.inner.get_variable(name)
-    }
-
-    fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-        self.inner.get_variable_in_frame(name, frame)
-    }
-
-    fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        self.inner.lookup_typedef(name)
-    }
-
-    fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        self.inner.lookup_struct(tag)
-    }
-
-    fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        self.inner.lookup_union(tag)
-    }
-
-    fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-        self.inner.lookup_enum(tag)
-    }
-
-    fn has_function(&mut self, name: &str) -> bool {
-        self.inner.has_function(name)
-    }
-
-    fn frame_count(&mut self) -> usize {
-        self.inner.frame_count()
-    }
-
-    fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-        self.inner.frame_info(n)
-    }
-
-    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        self.inner.is_mapped(addr, len)
-    }
-
-    fn take_output(&mut self) -> String {
-        self.inner.take_output()
-    }
-
-    fn trace_handle(&self) -> Option<crate::trace::TraceHandle> {
-        self.inner.trace_handle()
+    /// Retries memory, allocation and calls. Lookups pass through
+    /// unretried. Calls are retried only when the backend says the
+    /// failure was transient, which for the MI adapter means the
+    /// command never ran, so a side-effecting call is not repeated.
+    #[inline(always)]
+    fn call(&mut self, op: Op<'_, '_>) -> Reply {
+        if !op.is_fallible() {
+            return op.apply(&mut self.inner);
+        }
+        self.run(op)
     }
 
     fn set_span_context(&mut self, spans: &SpanContext) {
@@ -443,39 +336,29 @@ impl<T: Target> Target for RetryTarget<T> {
         self.inner.set_span_context(spans);
     }
 
-    fn span_context(&self) -> Option<SpanContext> {
-        self.inner.span_context()
+    fn read_submit(&mut self, _ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
+        None
     }
 
-    fn staleness_handle(&self) -> Option<crate::supervise::StalenessHandle> {
-        self.inner.staleness_handle()
+    fn read_poll(
+        &mut self,
+        _ticket: PipelineTicket,
+    ) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
+        None
     }
 
-    // Prefetch warms are deliberately NOT retried: a failed page stays
-    // cold and the demand read that eventually needs it re-drives it
-    // through the normal (retried) scalar path. Retrying warms would
-    // desynchronize the wire sequence between pipeline on and off.
-    fn prefetch_submit(&mut self, ranges: &[(u64, u64)]) -> bool {
-        self.inner.prefetch_submit(ranges)
-    }
-
-    fn prefetch_poll(&mut self) -> Option<crate::iface::PrefetchCompletion> {
-        self.inner.prefetch_poll()
-    }
-
-    fn cache_page_size(&self) -> Option<u64> {
-        self.inner.cache_page_size()
-    }
-
-    fn pipeline_handle(&self) -> Option<crate::pipeline::PipelineHandle> {
-        self.inner.pipeline_handle()
-    }
+    // Prefetch warms (forwarded by default) are deliberately NOT
+    // retried: a failed page stays cold and the demand read that
+    // eventually needs it re-drives it through the normal (retried)
+    // scalar path. Retrying warms would desynchronize the wire
+    // sequence between pipeline on and off.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chaos::{ChaosTarget, FaultConfig};
+    use crate::iface::ReadRange;
     use crate::scenario;
 
     #[test]

@@ -39,8 +39,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::{TargetError, TargetResult};
-use crate::iface::{CallValue, FrameInfo, ReadRange, Target, VarInfo};
-use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
+use crate::iface::{OwnedRange, PipelineTicket, Target};
+use crate::op::{Op, Reply};
 
 /// The circuit breaker's state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -307,14 +307,6 @@ impl StalenessHandle {
 }
 
 /// Whether an operation may be served stale while the circuit is open.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum OpClass {
-    /// `get_bytes` — degradable: the cache below may answer it.
-    Read,
-    /// Writes, allocs, calls — must fail fast while open.
-    Mutate,
-}
-
 /// A [`Target`] decorator that owns backend liveness: health probes, a
 /// circuit breaker, reconnection with session resync, and degraded
 /// stale reads. See the module docs for the state machine.
@@ -450,21 +442,7 @@ impl<T: Target> SupervisedTarget<T> {
     /// recovery.
     pub fn health_check(&mut self) -> TargetResult<()> {
         match self.state {
-            CircuitState::Closed => {
-                self.stats.probes += 1;
-                match self.strategy.probe(&mut self.inner) {
-                    Ok(()) => {
-                        self.record_success();
-                        Ok(())
-                    }
-                    Err(e) => {
-                        self.stats.probe_failures += 1;
-                        self.last_failure = Some(e.to_string());
-                        self.record_failure();
-                        Err(e)
-                    }
-                }
-            }
+            CircuitState::Closed => self.probe(),
             CircuitState::Open | CircuitState::HalfOpen => {
                 if !self.cooldown_elapsed() {
                     self.stats.fast_fails += 1;
@@ -595,153 +573,23 @@ impl<T: Target> SupervisedTarget<T> {
         self.staleness.set_degraded(true);
     }
 
-    fn run<R>(
-        &mut self,
-        class: OpClass,
-        mut op: impl FnMut(&mut T) -> TargetResult<R>,
-    ) -> TargetResult<R> {
+    /// Supervises one fallible op: the breaker gates it and its
+    /// outcome feeds the breaker. A vectored read is one operation; it
+    /// counts as a failure if any range came back transient.
+    #[inline(always)]
+    fn run(&mut self, op: Op<'_, '_>) -> Reply {
         self.stats.operations += 1;
-        match self.state {
-            CircuitState::Closed => {}
-            CircuitState::Open | CircuitState::HalfOpen => {
-                if self.cooldown_elapsed() {
-                    if self.try_recover().is_err() {
-                        return self.degraded(class, op);
-                    }
-                    // Recovered: fall through to the closed path.
-                } else {
-                    return self.degraded(class, op);
-                }
+        if self.state != CircuitState::Closed {
+            // Past the cooldown, recover and fall through to the
+            // closed path; otherwise (or if recovery fails) degrade.
+            if !self.cooldown_elapsed() || self.try_recover().is_err() {
+                return self.degraded(op);
             }
         }
-        let r = op(&mut self.inner);
-        match &r {
-            Ok(_) => self.record_success(),
-            Err(e) if e.is_transient() => {
-                self.last_failure = Some(e.to_string());
-                self.record_failure();
-            }
-            // A fault is the debuggee's honest answer: the backend is
-            // alive, so it counts as a healthy outcome.
-            Err(_) => self.record_success(),
-        }
-        if self.state == CircuitState::Closed
-            && self.cfg.probe_every > 0
-            && self.stats.operations.is_multiple_of(self.cfg.probe_every)
-        {
-            self.stats.probes += 1;
-            if let Err(e) = self.strategy.probe(&mut self.inner) {
-                self.stats.probe_failures += 1;
-                self.last_failure = Some(e.to_string());
-                self.record_failure();
-            } else {
-                self.record_success();
-            }
-        }
-        r
-    }
-
-    /// The open-circuit path: reads may still be served (stale) by the
-    /// cache below; everything else fails fast.
-    fn degraded<R>(
-        &mut self,
-        class: OpClass,
-        mut op: impl FnMut(&mut T) -> TargetResult<R>,
-    ) -> TargetResult<R> {
-        if class == OpClass::Mutate || !self.cfg.degrade {
-            self.stats.fast_fails += 1;
-            self.span_mark("fast-fail", || "circuit open".to_string());
-            return Err(self.circuit_open_error());
-        }
-        match op(&mut self.inner) {
-            Ok(r) => {
-                self.staleness.mark_stale();
-                self.span_mark("stale-read", || "served from cache, degraded".to_string());
-                Ok(r)
-            }
-            Err(e) if e.is_transient() => {
-                // The read missed the cache and needed the dead wire.
-                self.stats.fast_fails += 1;
-                self.last_failure = Some(e.to_string());
-                self.span_mark("fast-fail", || "cache miss on dead wire".to_string());
-                Err(self.circuit_open_error())
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The open-circuit path for a vectored read: each range is judged
-    /// on its own — cache-served ranges come back stale, ranges that
-    /// needed the dead wire become [`TargetError::CircuitOpen`].
-    fn degraded_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        if !self.cfg.degrade {
-            self.stats.fast_fails += 1;
-            self.span_mark("fast-fail", || {
-                format!("circuit open, {} ranges", ranges.len())
-            });
-            let e = self.circuit_open_error();
-            return ranges.iter().map(|_| Err(e.clone())).collect();
-        }
-        let results = self.inner.get_bytes_multi(ranges);
-        results
-            .into_iter()
-            .map(|r| match r {
-                Ok(()) => {
-                    self.staleness.mark_stale();
-                    Ok(())
-                }
-                Err(e) if e.is_transient() => {
-                    self.stats.fast_fails += 1;
-                    self.last_failure = Some(e.to_string());
-                    Err(self.circuit_open_error())
-                }
-                Err(e) => Err(e),
-            })
-            .collect()
-    }
-}
-
-impl<T: Target> Target for SupervisedTarget<T> {
-    fn abi(&self) -> &Abi {
-        self.inner.abi()
-    }
-
-    fn types(&self) -> &TypeTable {
-        self.inner.types()
-    }
-
-    fn types_mut(&mut self) -> &mut TypeTable {
-        self.inner.types_mut()
-    }
-
-    fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        self.run(OpClass::Read, |t| t.get_bytes(addr, buf))
-    }
-
-    fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        // One batch = one supervised operation: the breaker sees a
-        // failure if any range came back transient, a success otherwise
-        // (faults are the debuggee's honest answer, as in `run`).
-        self.stats.operations += 1;
-        match self.state {
-            CircuitState::Closed => {}
-            CircuitState::Open | CircuitState::HalfOpen => {
-                if self.cooldown_elapsed() {
-                    if self.try_recover().is_err() {
-                        return self.degraded_multi(ranges);
-                    }
-                    // Recovered: fall through to the closed path.
-                } else {
-                    return self.degraded_multi(ranges);
-                }
-            }
-        }
-        let results = self.inner.get_bytes_multi(ranges);
-        let first_transient = results
-            .iter()
-            .filter_map(|r| r.as_ref().err())
-            .find(|e| e.is_transient());
-        match first_transient {
+        let reply = op.apply(&mut self.inner);
+        // A fault is the debuggee's honest answer: the backend is
+        // alive, so it counts as a healthy outcome.
+        match reply.errors().find(|e| e.is_transient()) {
             Some(e) => {
                 self.last_failure = Some(e.to_string());
                 self.record_failure();
@@ -752,76 +600,90 @@ impl<T: Target> Target for SupervisedTarget<T> {
             && self.cfg.probe_every > 0
             && self.stats.operations.is_multiple_of(self.cfg.probe_every)
         {
-            self.stats.probes += 1;
-            if let Err(e) = self.strategy.probe(&mut self.inner) {
+            let _ = self.probe();
+        }
+        reply
+    }
+
+    /// Runs one health probe and feeds its outcome to the breaker.
+    fn probe(&mut self) -> TargetResult<()> {
+        self.stats.probes += 1;
+        let r = self.strategy.probe(&mut self.inner);
+        match &r {
+            Ok(()) => self.record_success(),
+            Err(e) => {
                 self.stats.probe_failures += 1;
                 self.last_failure = Some(e.to_string());
                 self.record_failure();
-            } else {
-                self.record_success();
             }
         }
-        results
+        r
     }
 
-    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-        self.run(OpClass::Mutate, |t| t.put_bytes(addr, bytes))
+    /// The open-circuit path: reads may still be served (stale) by the
+    /// cache below, each range of a vectored read judged on its own;
+    /// everything else fails fast.
+    #[inline(never)]
+    fn degraded(&mut self, op: Op<'_, '_>) -> Reply {
+        let multi = match &op {
+            Op::GetBytes { .. } => None,
+            Op::GetBytesMulti(ranges) => Some(ranges.len()),
+            _ => {
+                self.stats.fast_fails += 1;
+                self.span_mark("fast-fail", || "circuit open".to_string());
+                return op.fail(self.circuit_open_error());
+            }
+        };
+        if !self.cfg.degrade {
+            self.stats.fast_fails += 1;
+            self.span_mark("fast-fail", || match multi {
+                Some(n) => format!("circuit open, {n} ranges"),
+                None => "circuit open".to_string(),
+            });
+            return op.fail(self.circuit_open_error());
+        }
+        let mut reply = op.apply(&mut self.inner);
+        reply.map_results(|r| match r {
+            None => {
+                self.staleness.mark_stale();
+                if multi.is_none() {
+                    self.span_mark("stale-read", || "served from cache, degraded".to_string());
+                }
+                None
+            }
+            Some(e) if e.is_transient() => {
+                // The read missed the cache and needed the dead wire.
+                self.stats.fast_fails += 1;
+                self.last_failure = Some(e.to_string());
+                if multi.is_none() {
+                    self.span_mark("fast-fail", || "cache miss on dead wire".to_string());
+                }
+                Some(self.circuit_open_error())
+            }
+            Some(_) => None,
+        });
+        reply
+    }
+}
+
+impl<T: Target> crate::op::Layer for SupervisedTarget<T> {
+    type Next = T;
+
+    fn next(&self) -> &T {
+        &self.inner
     }
 
-    fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-        self.run(OpClass::Mutate, |t| t.alloc_space(size, align))
+    fn next_mut(&mut self) -> &mut T {
+        &mut self.inner
     }
 
-    fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
-        self.run(OpClass::Mutate, |t| t.call_func(name, args))
-    }
-
-    fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        self.inner.get_variable(name)
-    }
-
-    fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-        self.inner.get_variable_in_frame(name, frame)
-    }
-
-    fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        self.inner.lookup_typedef(name)
-    }
-
-    fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        self.inner.lookup_struct(tag)
-    }
-
-    fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        self.inner.lookup_union(tag)
-    }
-
-    fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-        self.inner.lookup_enum(tag)
-    }
-
-    fn has_function(&mut self, name: &str) -> bool {
-        self.inner.has_function(name)
-    }
-
-    fn frame_count(&mut self) -> usize {
-        self.inner.frame_count()
-    }
-
-    fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-        self.inner.frame_info(n)
-    }
-
-    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        self.inner.is_mapped(addr, len)
-    }
-
-    fn take_output(&mut self) -> String {
-        self.inner.take_output()
-    }
-
-    fn trace_handle(&self) -> Option<crate::trace::TraceHandle> {
-        self.inner.trace_handle()
+    /// Supervises memory, allocation and calls; lookups pass through.
+    #[inline(always)]
+    fn call(&mut self, op: Op<'_, '_>) -> Reply {
+        if !op.is_fallible() {
+            return op.apply(&mut self.inner);
+        }
+        self.run(op)
     }
 
     fn set_span_context(&mut self, spans: &crate::span::SpanContext) {
@@ -829,16 +691,19 @@ impl<T: Target> Target for SupervisedTarget<T> {
         self.inner.set_span_context(spans);
     }
 
-    fn span_context(&self) -> Option<crate::span::SpanContext> {
-        self.inner.span_context()
-    }
-
     fn staleness_handle(&self) -> Option<StalenessHandle> {
         Some(self.staleness.clone())
     }
 
-    fn prefetch_submit(&mut self, ranges: &[(u64, u64)]) -> bool {
-        self.inner.prefetch_submit(ranges)
+    fn read_submit(&mut self, _ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
+        None
+    }
+
+    fn read_poll(
+        &mut self,
+        _ticket: PipelineTicket,
+    ) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
+        None
     }
 
     fn prefetch_poll(&mut self) -> Option<crate::iface::PrefetchCompletion> {
@@ -852,14 +717,6 @@ impl<T: Target> Target for SupervisedTarget<T> {
             self.record_success();
         }
         Some(c)
-    }
-
-    fn cache_page_size(&self) -> Option<u64> {
-        self.inner.cache_page_size()
-    }
-
-    fn pipeline_handle(&self) -> Option<crate::pipeline::PipelineHandle> {
-        self.inner.pipeline_handle()
     }
 }
 

@@ -29,10 +29,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::error::TargetResult;
-use crate::iface::{CallValue, FrameInfo, ReadRange, Target, VarInfo};
+use crate::error::{TargetError, TargetResult};
+use crate::iface::{OwnedRange, PipelineTicket, PrefetchCompletion, Target};
+use crate::op::{Op, Reply};
 use crate::span::{SpanContext, SpanKind};
-use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
 
 /// The kind of a traced [`Target`] operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -132,20 +132,17 @@ pub enum TraceOutcome {
 }
 
 impl TraceOutcome {
-    fn of_result<R>(r: &TargetResult<R>) -> TraceOutcome {
-        match r {
-            Ok(_) => TraceOutcome::Ok,
-            Err(e) if e.is_transient() => TraceOutcome::Transient,
-            Err(_) => TraceOutcome::Fault,
+    /// The outcome of a call that failed with `errors` (none: it
+    /// succeeded): transient if any error is, else a fault if any.
+    pub fn of_errors<'e>(errors: impl Iterator<Item = &'e TargetError>) -> TraceOutcome {
+        let mut outcome = TraceOutcome::Ok;
+        for e in errors {
+            if e.is_transient() {
+                return TraceOutcome::Transient;
+            }
+            outcome = TraceOutcome::Fault;
         }
-    }
-
-    fn of_option<R>(r: &Option<R>) -> TraceOutcome {
-        if r.is_some() {
-            TraceOutcome::Ok
-        } else {
-            TraceOutcome::NotFound
-        }
+        outcome
     }
 
     /// Short label for event dumps.
@@ -681,233 +678,29 @@ impl<T: Target> TraceTarget<T> {
     pub fn into_inner(self) -> T {
         self.inner
     }
+}
+
+impl<T: Target> crate::op::Layer for TraceTarget<T> {
+    type Next = T;
+
+    fn next(&self) -> &T {
+        &self.inner
+    }
+
+    fn next_mut(&mut self) -> &mut T {
+        &mut self.inner
+    }
 
     /// Records one call: skips *everything* (clock, counters, event)
     /// when tracing is off — the disabled cost is this one relaxed
-    /// load.
-    fn traced<R>(
-        &mut self,
-        op: TraceOp,
-        detail: impl FnOnce() -> String,
-        outcome: impl FnOnce(&R) -> TraceOutcome,
-        call: impl FnOnce(&mut T) -> R,
-    ) -> R {
+    /// load. `take_output` drains a host-side buffer, not the wire, so
+    /// it is never traced.
+    #[inline(always)]
+    fn call(&mut self, op: Op<'_, '_>) -> Reply {
         if !self.handle.0.enabled.load(Ordering::Relaxed) {
-            return call(&mut self.inner);
+            return op.apply(&mut self.inner);
         }
-        let at = Attribution::current(&self.spans);
-        let start = Instant::now();
-        let r = call(&mut self.inner);
-        let nanos = start.elapsed().as_nanos() as u64;
-        self.handle.record(op, detail(), outcome(&r), nanos, at);
-        r
-    }
-}
-
-fn addr_len(addr: u64, len: usize) -> String {
-    format!("0x{addr:x}+{len}")
-}
-
-impl<T: Target> Target for TraceTarget<T> {
-    fn abi(&self) -> &Abi {
-        self.inner.abi()
-    }
-
-    fn types(&self) -> &TypeTable {
-        self.inner.types()
-    }
-
-    fn types_mut(&mut self) -> &mut TypeTable {
-        self.inner.types_mut()
-    }
-
-    fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        let len = buf.len();
-        self.traced(
-            TraceOp::GetBytes,
-            || addr_len(addr, len),
-            TraceOutcome::of_result,
-            |t| t.get_bytes(addr, buf),
-        )
-    }
-
-    fn get_bytes_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
-        if !self.handle.0.enabled.load(Ordering::Relaxed) {
-            return self.inner.get_bytes_multi(ranges);
-        }
-        let n = ranges.len();
-        let total: usize = ranges.iter().map(|r| r.buf.len()).sum();
-        // A vectored read is the one wire op with visible fan-out:
-        // open a parent span for the batch and record one child per
-        // range, so the export shows exactly what the turn carried.
-        let multi_span = self.spans.push(SpanKind::Wire, "multi_read", || {
-            format!("{n} ranges, {total}b")
-        });
-        let mut at = Attribution::current(&self.spans);
-        let start = Instant::now();
-        let results = self.inner.get_bytes_multi(ranges);
-        let nanos = start.elapsed().as_nanos() as u64;
-        if multi_span != 0 {
-            for (r, res) in ranges.iter().zip(&results) {
-                let outcome = TraceOutcome::of_result(res);
-                let (addr, len) = (r.addr, r.buf.len());
-                self.spans.instant(SpanKind::Range, "range", || {
-                    format!("{} {}", addr_len(addr, len), outcome.name())
-                });
-            }
-            self.spans.pop(multi_span);
-            // The batch event is attributed to the batch span itself —
-            // its parent chain still leads to the causing eval node.
-            at.span = multi_span;
-        }
-        let any_transient = results
-            .iter()
-            .any(|r| r.as_ref().err().is_some_and(|e| e.is_transient()));
-        let outcome = if any_transient {
-            TraceOutcome::Transient
-        } else if results.iter().any(|r| r.is_err()) {
-            TraceOutcome::Fault
-        } else {
-            TraceOutcome::Ok
-        };
-        self.handle
-            .record_multi_at(n, format!("{n} ranges, {total}b"), outcome, nanos, at);
-        results
-    }
-
-    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-        let len = bytes.len();
-        self.traced(
-            TraceOp::PutBytes,
-            || addr_len(addr, len),
-            TraceOutcome::of_result,
-            |t| t.put_bytes(addr, bytes),
-        )
-    }
-
-    fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-        self.traced(
-            TraceOp::AllocSpace,
-            || format!("{size}b align {align}"),
-            TraceOutcome::of_result,
-            |t| t.alloc_space(size, align),
-        )
-    }
-
-    fn call_func(&mut self, name: &str, args: &[CallValue]) -> TargetResult<CallValue> {
-        self.traced(
-            TraceOp::CallFunc,
-            || format!("{name}({} args)", args.len()),
-            TraceOutcome::of_result,
-            |t| t.call_func(name, args),
-        )
-    }
-
-    fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        self.traced(
-            TraceOp::GetVariable,
-            || name.to_string(),
-            TraceOutcome::of_option,
-            |t| t.get_variable(name),
-        )
-    }
-
-    fn get_variable_in_frame(&mut self, name: &str, frame: usize) -> Option<VarInfo> {
-        self.traced(
-            TraceOp::GetVariable,
-            || format!("{name}@frame{frame}"),
-            TraceOutcome::of_option,
-            |t| t.get_variable_in_frame(name, frame),
-        )
-    }
-
-    fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        self.traced(
-            TraceOp::LookupType,
-            || format!("typedef {name}"),
-            TraceOutcome::of_option,
-            |t| t.lookup_typedef(name),
-        )
-    }
-
-    fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        self.traced(
-            TraceOp::LookupType,
-            || format!("struct {tag}"),
-            TraceOutcome::of_option,
-            |t| t.lookup_struct(tag),
-        )
-    }
-
-    fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        self.traced(
-            TraceOp::LookupType,
-            || format!("union {tag}"),
-            TraceOutcome::of_option,
-            |t| t.lookup_union(tag),
-        )
-    }
-
-    fn lookup_enum(&mut self, tag: &str) -> Option<EnumId> {
-        self.traced(
-            TraceOp::LookupType,
-            || format!("enum {tag}"),
-            TraceOutcome::of_option,
-            |t| t.lookup_enum(tag),
-        )
-    }
-
-    fn has_function(&mut self, name: &str) -> bool {
-        self.traced(
-            TraceOp::HasFunction,
-            || name.to_string(),
-            |&found: &bool| {
-                if found {
-                    TraceOutcome::Ok
-                } else {
-                    TraceOutcome::NotFound
-                }
-            },
-            |t| t.has_function(name),
-        )
-    }
-
-    fn frame_count(&mut self) -> usize {
-        self.traced(
-            TraceOp::Frames,
-            || "count".to_string(),
-            |_| TraceOutcome::Ok,
-            |t| t.frame_count(),
-        )
-    }
-
-    fn frame_info(&mut self, n: usize) -> Option<FrameInfo> {
-        self.traced(
-            TraceOp::Frames,
-            || format!("frame {n}"),
-            TraceOutcome::of_option,
-            |t| t.frame_info(n),
-        )
-    }
-
-    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        self.traced(
-            TraceOp::IsMapped,
-            || addr_len(addr, len as usize),
-            |&mapped: &bool| {
-                if mapped {
-                    TraceOutcome::Ok
-                } else {
-                    TraceOutcome::NotFound
-                }
-            },
-            |t| t.is_mapped(addr, len),
-        )
-    }
-
-    fn take_output(&mut self) -> String {
-        // Host-side buffer drain, not a wire operation: never traced.
-        self.inner.take_output()
+        self.traced(op)
     }
 
     fn trace_handle(&self) -> Option<TraceHandle> {
@@ -925,15 +718,18 @@ impl<T: Target> Target for TraceTarget<T> {
         Some(self.spans.clone())
     }
 
-    fn staleness_handle(&self) -> Option<crate::supervise::StalenessHandle> {
-        self.inner.staleness_handle()
+    fn read_submit(&mut self, _ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
+        None
     }
 
-    fn prefetch_submit(&mut self, ranges: &[(u64, u64)]) -> bool {
-        self.inner.prefetch_submit(ranges)
+    fn read_poll(
+        &mut self,
+        _ticket: PipelineTicket,
+    ) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
+        None
     }
 
-    fn prefetch_poll(&mut self) -> Option<crate::iface::PrefetchCompletion> {
+    fn prefetch_poll(&mut self) -> Option<PrefetchCompletion> {
         let c = self.inner.prefetch_poll()?;
         // The window's wire read happened below the cache (at submit
         // when synchronous, on the actor when pipelined), so this layer
@@ -961,13 +757,52 @@ impl<T: Target> Target for TraceTarget<T> {
         }
         Some(c)
     }
+}
 
-    fn cache_page_size(&self) -> Option<u64> {
-        self.inner.cache_page_size()
-    }
-
-    fn pipeline_handle(&self) -> Option<crate::pipeline::PipelineHandle> {
-        self.inner.pipeline_handle()
+impl<T: Target> TraceTarget<T> {
+    /// The enabled path of [`crate::Layer::call`]: times the call and records
+    /// its kind, detail and outcome.
+    #[inline(never)]
+    fn traced(&mut self, mut op: Op<'_, '_>) -> Reply {
+        let call = op.to_call();
+        let Some(kind) = call.trace_op() else {
+            return op.apply(&mut self.inner);
+        };
+        let detail = call.detail();
+        // A vectored read is the one wire op with visible fan-out:
+        // open a parent span for the batch and record one child per
+        // range, so the export shows exactly what the turn carried.
+        let multi_span = match op {
+            Op::GetBytesMulti(_) => self
+                .spans
+                .push(SpanKind::Wire, "multi_read", || detail.clone()),
+            _ => 0,
+        };
+        let mut at = Attribution::current(&self.spans);
+        let start = Instant::now();
+        let reply = op.reborrow().apply(&mut self.inner);
+        let nanos = start.elapsed().as_nanos() as u64;
+        let outcome = reply.outcome();
+        let (Op::GetBytesMulti(ranges), Reply::Multi(results)) = (&op, &reply) else {
+            self.handle.record(kind, detail, outcome, nanos, at);
+            return reply;
+        };
+        if multi_span != 0 {
+            for (r, res) in ranges.iter().zip(results) {
+                let outcome = TraceOutcome::of_errors(res.as_ref().err().into_iter());
+                let (addr, len) = (r.addr, r.len());
+                self.spans.instant(SpanKind::Range, "range", || {
+                    format!("0x{addr:x}+{len} {}", outcome.name())
+                });
+            }
+            self.spans.pop(multi_span);
+            // The batch event is attributed to the batch span itself —
+            // its parent chain still leads to the causing eval node.
+            at.span = multi_span;
+        }
+        self.handle
+            .record_multi_at(ranges.len(), detail, outcome, nanos, at);
+        reply
     }
 }
 

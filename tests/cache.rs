@@ -250,7 +250,7 @@ proptest! {
         );
         for &(read, addr, len) in &accesses {
             if read {
-                let n = len.clamp(1, 256) as usize;
+                let n = len.min(256) as usize;
                 let (mut want, mut got) = (vec![0u8; n], vec![0u8; n]);
                 let w = bare.get_bytes(addr, &mut want).map(|()| want);
                 let g = cached.get_bytes(addr, &mut got).map(|()| got);

@@ -7,6 +7,8 @@
 
 use duel::core::Session;
 use duel::gdbmi::{MiTarget, MockGdb, Recorder, Replayer};
+use duel::target::capture::CaptureCall;
+use duel::target::json::Json;
 use duel::target::{
     scenario, CacheConfig, CachedTarget, Capture, ChaosTarget, FaultConfig, RecordTarget,
     ReplayMode, ReplayTarget, RetryPolicy, RetryTarget, SharedSink, SimTarget, Target, TargetError,
@@ -162,6 +164,36 @@ fn capture_has_versioned_header_and_footer() {
     for (i, ev) in cap.events.iter().enumerate() {
         assert_eq!(ev.seq, i as u64);
     }
+}
+
+#[test]
+fn footer_counts_frames_without_output_drains() {
+    // Every produced value drains program output, a host-side buffer
+    // swap that live tracing never counts. The footer's `frames` total
+    // must count only the frame_count + frame_info events.
+    let mut sim = scenario::scan_array();
+    sim.core.push_frame("main");
+    let sink = SharedSink::default();
+    let mut rec = RecordTarget::new(sim);
+    rec.start(Box::new(sink.clone()), "sim", "scan").unwrap();
+    Session::new(&mut rec).eval_lines("x[..10]").unwrap();
+    rec.frame_count();
+    rec.frame_info(0);
+    rec.frame_info(3);
+    rec.stop().unwrap();
+    let text = sink.contents();
+    let cap = Capture::parse(&text).unwrap();
+    let count = |f: fn(&CaptureCall) -> bool| cap.events.iter().filter(|e| f(&e.call)).count();
+    let drains = count(|c| matches!(c, CaptureCall::TakeOutput));
+    let frames = count(|c| matches!(c, CaptureCall::FrameCount | CaptureCall::FrameInfo { .. }));
+    assert!(drains > 0, "the session drained no output:\n{text}");
+    assert!(frames >= 3, "{text}");
+    let footer = Json::parse(text.lines().last().unwrap()).unwrap();
+    let ops = footer.get("metrics").and_then(|m| m.get("ops")).unwrap();
+    assert_eq!(
+        ops.get("frames").and_then(Json::as_u64),
+        Some(frames as u64)
+    );
 }
 
 // ---------------------------------------------------------------------
