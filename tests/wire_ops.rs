@@ -6,23 +6,27 @@
 //! and output drains) through the combined scenario and checks that
 //!
 //! 1. every idle decorator (trace off, recorder unarmed, live chaos
-//!    gate, retry, closed-circuit supervisor) answers exactly what the
-//!    bare `SimTarget` answers;
+//!    gate, retry, closed-circuit supervisor) and the page cache (tiny
+//!    pages and capacity, readahead on, disabled) answers exactly what
+//!    the bare `SimTarget` answers;
 //! 2. the I/O actor (`AsyncTarget` on its worker thread) answers what
 //!    the same layer answers inline;
 //! 3. a recorded session replays strictly to identical answers.
 //!
 //! Each op's answer is rendered to a string; a read's buffer is part of
 //! the answer only when the read succeeded (its contents are
-//! unspecified on error).
+//! unspecified on error). A second test pins the cache's counters after
+//! one fixed, seeded op script with prefetch windows in flight.
 
 use duel::ctype::Prim;
 use duel::target::capture::Capture;
 use duel::target::{
-    scenario, AsyncTarget, CallValue, ChaosTarget, ReadRange, RecordTarget, ReplayMode,
-    ReplayTarget, RetryTarget, SharedSink, SupervisedTarget, Target, TraceTarget, ARENA_BASE,
+    scenario, AsyncTarget, CacheConfig, CacheStats, CachedTarget, CallValue, ChaosTarget,
+    ReadRange, RecordTarget, ReplayMode, ReplayTarget, RetryTarget, SharedSink, SimTarget,
+    SupervisedTarget, Target, TraceTarget, ARENA_BASE,
 };
 use proptest::prelude::*;
+use proptest::TestRng;
 
 /// One wire operation, test-local so the guard does not depend on the
 /// crate's own op encoding.
@@ -200,6 +204,50 @@ fn run(t: &mut dyn Target, ops: &[WireOp]) -> Vec<String> {
     ops.iter().map(|op| drive(t, op)).collect()
 }
 
+/// `answers` with the extent of every `IllegalMemory` fault dropped.
+fn fault_blind(answers: &[String]) -> Vec<String> {
+    answers
+        .iter()
+        .map(|a| {
+            let mut out = String::new();
+            let mut rest = a.as_str();
+            while let Some(i) = rest.find("IllegalMemory {") {
+                out.push_str(&rest[..i + "IllegalMemory".len()]);
+                rest = &rest[i..];
+                rest = &rest[rest.find('}').map_or(rest.len(), |j| j + 1)..];
+            }
+            out.push_str(rest);
+            out
+        })
+        .collect()
+}
+
+/// The cache in three forms: 8-byte pages in a 3-page LRU (every
+/// access evicts, arena edges leave partial pages), sequential
+/// readahead on, and switched off.
+fn cache_forms() -> [(&'static str, CacheConfig); 3] {
+    [
+        (
+            "tiny cache",
+            CacheConfig {
+                page_size: 8,
+                max_pages: 3,
+                ..CacheConfig::default()
+            },
+        ),
+        (
+            "readahead cache",
+            CacheConfig {
+                page_size: 16,
+                max_pages: 64,
+                prefetch_pages: 2,
+                ..CacheConfig::default()
+            },
+        ),
+        ("disabled cache", CacheConfig::disabled()),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 128, ..ProptestConfig::default()
@@ -223,6 +271,16 @@ proptest! {
             let got = run(t.as_mut(), &ops);
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 prop_assert_eq!(g, w, "{} layer, op {} {:?}", label, i, ops[i]);
+            }
+        }
+
+        // The cache reports a fault by the page-sized piece that
+        // faulted, not by the whole request: compare fault-blind.
+        let blind_want = fault_blind(&want);
+        for (label, cfg) in cache_forms() {
+            let got = run(&mut CachedTarget::with_config(scenario::combined(), cfg), &ops);
+            for (i, (g, w)) in fault_blind(&got).iter().zip(&blind_want).enumerate() {
+                prop_assert_eq!(g, w, "{}, op {} {:?}", label, i, ops[i]);
             }
         }
 
@@ -250,4 +308,92 @@ proptest! {
         prop_assert!(replay.divergence().is_none(), "{:?}", replay.divergence());
         prop_assert_eq!(replay.events_consumed(), replay.events_total());
     }
+}
+
+/// Drives `ops` through `t`, warming a prefetch window over the ranges
+/// of every other vectored read before it runs and polling the window
+/// only after it, so demand reads plan pages an unpolled window owns.
+/// Every 50th op starts a new epoch, as a resume would.
+fn run_with_windows(t: &mut CachedTarget<SimTarget>, ops: &[WireOp]) -> Vec<String> {
+    let mut windows = 0;
+    let mut out = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        if i % 50 == 49 {
+            t.invalidate_all();
+        }
+        let window = match op {
+            WireOp::MultiRead(spec) => {
+                windows += 1;
+                let ranges: Vec<(u64, u64)> = spec.iter().map(|&(a, n)| (a, n as u64)).collect();
+                windows % 2 == 0 && t.prefetch_submit(&ranges)
+            }
+            _ => false,
+        };
+        out.push(drive(t, op));
+        if window {
+            assert!(t.prefetch_poll().is_some(), "one completion per submit");
+        }
+    }
+    out
+}
+
+#[test]
+fn cache_counters_after_a_fixed_script_are_pinned() {
+    let ops = prop::collection::vec(op(), 600..601).sample(&mut TestRng::new(0x5eed));
+    let want = run(&mut scenario::combined(), &ops);
+    let mut stats = Vec::new();
+    for (label, cfg) in cache_forms() {
+        let mut t = CachedTarget::with_config(scenario::combined(), cfg);
+        let got = fault_blind(&run_with_windows(&mut t, &ops));
+        assert_eq!(got, fault_blind(&want), "{label}");
+        stats.push(t.stats().clone());
+    }
+    let pinned = [
+        CacheStats {
+            page_hits: 8,
+            page_misses: 454,
+            backend_reads: 685,
+            wire_bytes: 7640,
+            lookup_hits: 67,
+            lookup_misses: 287,
+            write_throughs: 7,
+            invalidations: 12,
+            multi_reads: 36,
+            multi_ranges: 78,
+            pages_prefetched: 538,
+            readahead_pages: 0,
+            mapped_probes: 34,
+        },
+        CacheStats {
+            page_hits: 192,
+            page_misses: 77,
+            backend_reads: 345,
+            wire_bytes: 6976,
+            lookup_hits: 67,
+            lookup_misses: 287,
+            write_throughs: 7,
+            invalidations: 12,
+            multi_reads: 36,
+            multi_ranges: 78,
+            pages_prefetched: 294,
+            readahead_pages: 102,
+            mapped_probes: 34,
+        },
+        CacheStats {
+            page_hits: 0,
+            page_misses: 0,
+            backend_reads: 73,
+            wire_bytes: 3108,
+            lookup_hits: 0,
+            lookup_misses: 0,
+            write_throughs: 0,
+            invalidations: 12,
+            multi_reads: 36,
+            multi_ranges: 78,
+            pages_prefetched: 0,
+            readahead_pages: 0,
+            mapped_probes: 34,
+        },
+    ];
+    assert_eq!(stats, pinned);
 }
