@@ -17,8 +17,9 @@ use duel_minic::{Debugger, StopReason};
 use duel_target::{
     chrome_trace_json, folded_stacks, scenario, AsyncTarget, CacheConfig, CachedTarget,
     ChaosHandle, ChaosTarget, FlameWeight, MetaCapture, MetaSnapshot, MetaTarget, MetricsRegistry,
-    MetricsSnapshot, Op, RecordTarget, ReplayMode, ReplayTarget, Reply, RetryTarget, SimTarget,
-    SpanContext, SpanSnapshot, SupervisedTarget, Target, TraceHandle, TraceStats, TraceTarget,
+    MetricsSnapshot, Op, OwnedRange, PipelineTicket, RecordTarget, ReplayMode, ReplayTarget, Reply,
+    RetryTarget, SimTarget, SpanContext, SpanSnapshot, SupervisedTarget, Target, TargetResult,
+    TraceHandle, TraceStats, TraceTarget,
 };
 
 /// The REPL's decorator tower: tracing outermost (so its counters see
@@ -94,7 +95,8 @@ impl Leaf {
 
 /// Every op and plumbing call goes to whichever backend the leaf
 /// holds: the op through one static dispatch, plumbing through
-/// [`duel_target::Layer`]'s forwarding defaults.
+/// [`duel_target::Layer`]'s forwarding defaults, and the opt-in read
+/// seam explicitly (the sim leaf's I/O actor answers it).
 impl duel_target::Layer for Leaf {
     type Next = dyn Target;
 
@@ -108,6 +110,14 @@ impl duel_target::Layer for Leaf {
 
     fn call(&mut self, op: Op<'_, '_>) -> Reply {
         on_leaf!(self, t => op.apply(t))
+    }
+
+    fn read_submit(&mut self, ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
+        on_leaf!(self, t => Target::read_submit(t, ranges))
+    }
+
+    fn read_poll(&mut self, ticket: PipelineTicket) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
+        on_leaf!(self, t => Target::read_poll(t, ticket))
     }
 }
 

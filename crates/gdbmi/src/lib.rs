@@ -34,7 +34,6 @@ pub mod client;
 pub mod command;
 pub mod mock;
 pub mod parser;
-pub mod replay;
 pub mod supervise;
 pub mod syntax;
 pub mod target;
@@ -42,7 +41,6 @@ pub mod target;
 pub use client::{MiClient, MiTransport};
 pub use mock::MockGdb;
 pub use parser::parse_line;
-pub use replay::{Recorder, Replayer};
 pub use supervise::{
     connect_pipelined, connect_supervised, MiResync, PipelinedMi, SupervisedMi, WatchdogTransport,
 };

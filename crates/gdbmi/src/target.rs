@@ -185,111 +185,6 @@ impl<T: MiTransport> MiTarget<T> {
         &mut self.client
     }
 
-    /// Connects like [`MiTarget::connect`], wrapping the adapter in a
-    /// [`duel_target::RetryTarget`]: transient transport failures
-    /// (dropped lines, timeouts) during memory and call operations are
-    /// retried with bounded exponential backoff, while faults (bad
-    /// addresses, unknown symbols) pass through untouched.
-    pub fn connect_with_retry(
-        transport: T,
-        policy: duel_target::RetryPolicy,
-    ) -> TargetResult<duel_target::RetryTarget<MiTarget<T>>> {
-        Ok(duel_target::RetryTarget::with_policy(
-            MiTarget::connect(transport)?,
-            policy,
-        ))
-    }
-
-    /// The full production decorator stack for an MI connection:
-    /// `RetryTarget<CachedTarget<MiTarget>>`. The cache sits *inside*
-    /// retry so a retried operation re-enters the cache (and a
-    /// transient failure can never strand half-fetched pages), while
-    /// every cache miss that does reach the wire is still retried.
-    /// Call [`duel_target::CachedTarget::invalidate_all`] on the cache
-    /// layer whenever the debuggee resumes.
-    pub fn connect_cached(
-        transport: T,
-        policy: duel_target::RetryPolicy,
-        cache: duel_target::CacheConfig,
-    ) -> TargetResult<duel_target::RetryTarget<duel_target::CachedTarget<MiTarget<T>>>> {
-        Ok(duel_target::RetryTarget::with_policy(
-            duel_target::CachedTarget::with_config(MiTarget::connect(transport)?, cache),
-            policy,
-        ))
-    }
-
-    /// [`MiTarget::connect_cached`] with a flight recorder at the
-    /// *innermost* position:
-    /// `RetryTarget<CachedTarget<RecordTarget<MiTarget>>>`.
-    ///
-    /// The recorder sits below the cache so the capture holds exactly
-    /// the traffic that reached the MI wire — cache hits never hollow
-    /// out the capture, and replaying it through an identically
-    /// configured (cold) tower reproduces the same miss sequence. It
-    /// also sits below retry, so every individual attempt (including
-    /// the transient failures retry absorbs) is recorded; a strict
-    /// [`duel_target::ReplayTarget`] re-serves those transients and the
-    /// retry layer above re-drives them deterministically.
-    ///
-    /// This differs from the MI-transport-level `Recorder`/`Replayer`
-    /// in [`crate::replay`]: that pair captures raw MI text lines
-    /// (one debugger dialect), while this captures the typed `Target`
-    /// interface, so the same file replays under any consumer of the
-    /// trait. See DESIGN.md §11 for the reconciliation.
-    #[allow(clippy::type_complexity)]
-    pub fn connect_recorded(
-        transport: T,
-        policy: duel_target::RetryPolicy,
-        cache: duel_target::CacheConfig,
-        sink: Box<dyn std::io::Write + Send>,
-        scenario: &str,
-    ) -> TargetResult<
-        duel_target::RetryTarget<duel_target::CachedTarget<duel_target::RecordTarget<MiTarget<T>>>>,
-    > {
-        let mut rec = duel_target::RecordTarget::new(MiTarget::connect(transport)?);
-        rec.start(sink, "gdb-mi", scenario)
-            .map_err(|e| duel_target::TargetError::Backend(format!("capture sink: {e}")))?;
-        Ok(duel_target::RetryTarget::with_policy(
-            duel_target::CachedTarget::with_config(rec, cache),
-            policy,
-        ))
-    }
-
-    /// [`MiTarget::connect_cached`] with a [`duel_target::TraceTarget`]
-    /// at *both* ends of the tower:
-    /// `TraceTarget<RetryTarget<CachedTarget<TraceTarget<MiTarget>>>>`.
-    ///
-    /// The outer `"session"` layer counts what the evaluator asks for;
-    /// the inner `"wire"` layer counts what actually crosses the MI
-    /// transport — so cache hits are the difference between the two
-    /// read counters, and every individual retry attempt shows up as
-    /// its own wire event. `Target::trace_handle` resolves to the
-    /// session layer (the outermost decorator answers first); reach the
-    /// wire handle with `.inner().inner().inner().handle()`.
-    #[allow(clippy::type_complexity)]
-    pub fn connect_traced(
-        transport: T,
-        policy: duel_target::RetryPolicy,
-        cache: duel_target::CacheConfig,
-    ) -> TargetResult<
-        duel_target::TraceTarget<
-            duel_target::RetryTarget<
-                duel_target::CachedTarget<duel_target::TraceTarget<MiTarget<T>>>,
-            >,
-        >,
-    > {
-        Ok(duel_target::TraceTarget::with_label(
-            duel_target::RetryTarget::with_policy(
-                duel_target::CachedTarget::with_config(
-                    duel_target::TraceTarget::with_label(MiTarget::connect(transport)?, "wire"),
-                    cache,
-                ),
-                policy,
-            ),
-            "session",
-        ))
-    }
-
     // ----- type-string parsing -------------------------------------------
 
     /// Parses a C type string as rendered by `ptype`-style output
@@ -780,7 +675,7 @@ impl<T: MiTransport> Target for MiTarget<T> {
 mod tests {
     use super::*;
     use crate::mock::MockGdb;
-    use duel_target::scenario;
+    use duel_target::{scenario, CachedTarget, RetryPolicy, RetryTarget, TraceTarget};
 
     fn connect(sim: duel_target::SimTarget) -> MiTarget<MockGdb> {
         MiTarget::connect(MockGdb::new(sim)).unwrap()
@@ -983,7 +878,8 @@ mod tests {
             inner: MockGdb::new(scenario::scan_array()),
             fail_next: 0,
         };
-        let mut t = MiTarget::connect_with_retry(flaky, duel_target::RetryPolicy::fast(3)).unwrap();
+        let mut t =
+            RetryTarget::with_policy(MiTarget::connect(flaky).unwrap(), RetryPolicy::fast(3));
         let x = t.get_variable("x").unwrap();
         t.inner_mut().client_mut().transport_mut().fail_next = 2;
         let mut buf = [0u8; 4];
@@ -998,7 +894,8 @@ mod tests {
             inner: MockGdb::new(scenario::scan_array()),
             fail_next: 0,
         };
-        let mut t = MiTarget::connect_with_retry(flaky, duel_target::RetryPolicy::fast(2)).unwrap();
+        let mut t =
+            RetryTarget::with_policy(MiTarget::connect(flaky).unwrap(), RetryPolicy::fast(2));
         t.inner_mut().client_mut().transport_mut().fail_next = 10;
         let mut buf = [0u8; 4];
         let err = t.get_bytes(0x1000, &mut buf).unwrap_err();
@@ -1012,7 +909,8 @@ mod tests {
             inner: MockGdb::new(scenario::scan_array()),
             fail_next: 0,
         };
-        let mut t = MiTarget::connect_with_retry(flaky, duel_target::RetryPolicy::fast(3)).unwrap();
+        let mut t =
+            RetryTarget::with_policy(MiTarget::connect(flaky).unwrap(), RetryPolicy::fast(3));
         let mut buf = [0u8; 4];
         let err = t.get_bytes(0x10, &mut buf).unwrap_err();
         assert!(matches!(err, TargetError::IllegalMemory { .. }), "{err}");
@@ -1021,14 +919,18 @@ mod tests {
 
     // ---- cache wiring ---------------------------------------------------
 
+    /// The production stack over an MI connection: the cache inside
+    /// retry, so a retried operation re-enters the cache (a transient
+    /// failure cannot strand half-fetched pages) while every miss that
+    /// reaches the wire is still retried.
+    fn cached<T: MiTransport>(transport: T) -> RetryTarget<CachedTarget<MiTarget<T>>> {
+        let mi = MiTarget::connect(transport).unwrap();
+        RetryTarget::with_policy(CachedTarget::new(mi), RetryPolicy::fast(3))
+    }
+
     #[test]
     fn cached_stack_coalesces_wire_reads() {
-        let mut t = MiTarget::connect_cached(
-            MockGdb::new(scenario::scan_array()),
-            duel_target::RetryPolicy::fast(3),
-            duel_target::CacheConfig::default(),
-        )
-        .unwrap();
+        let mut t = cached(MockGdb::new(scenario::scan_array()));
         let x = t.get_variable("x").unwrap();
         let mut buf = [0u8; 4];
         // 16 adjacent ints share one 64-byte page: one MI round-trip.
@@ -1047,12 +949,7 @@ mod tests {
             inner: MockGdb::new(scenario::scan_array()),
             fail_next: 0,
         };
-        let mut t = MiTarget::connect_cached(
-            flaky,
-            duel_target::RetryPolicy::fast(3),
-            duel_target::CacheConfig::default(),
-        )
-        .unwrap();
+        let mut t = cached(flaky);
         let x = t.get_variable("x").unwrap();
         t.inner_mut()
             .inner_mut()
@@ -1073,18 +970,25 @@ mod tests {
 
     // ---- trace wiring ---------------------------------------------------
 
+    /// [`cached`] with a trace layer at both ends: the outer `session`
+    /// layer counts what the evaluator asks for, the inner `wire` layer
+    /// what crosses the MI transport.
+    #[allow(clippy::type_complexity)]
+    fn traced<T: MiTransport>(
+        transport: T,
+    ) -> TraceTarget<RetryTarget<CachedTarget<TraceTarget<MiTarget<T>>>>> {
+        let wire = TraceTarget::with_label(MiTarget::connect(transport).unwrap(), "wire");
+        let retry = RetryTarget::with_policy(CachedTarget::new(wire), RetryPolicy::fast(3));
+        TraceTarget::with_label(retry, "session")
+    }
+
     #[test]
     fn traced_stack_separates_session_from_wire_traffic() {
         let flaky = Flaky {
             inner: MockGdb::new(scenario::scan_array()),
             fail_next: 0,
         };
-        let mut t = MiTarget::connect_traced(
-            flaky,
-            duel_target::RetryPolicy::fast(3),
-            duel_target::CacheConfig::default(),
-        )
-        .unwrap();
+        let mut t = traced(flaky);
         let session = t.handle();
         let wire = t.inner().inner().inner().handle();
         session.set_enabled(true);
@@ -1127,12 +1031,7 @@ mod tests {
         // through retry and cache into the inner "wire" layer — both
         // trace layers must attribute events to the SAME context, or
         // wire events would carry span ids no exported tree contains.
-        let mut t = MiTarget::connect_traced(
-            MockGdb::new(scenario::scan_array()),
-            duel_target::RetryPolicy::fast(3),
-            duel_target::CacheConfig::default(),
-        )
-        .unwrap();
+        let mut t = traced(MockGdb::new(scenario::scan_array()));
         let outer = t.spans();
         let inner = t.inner().inner().inner().spans();
         assert!(

@@ -36,9 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::error::{TargetError, TargetResult};
-use crate::iface::{
-    read_picked, OwnedRange, PipelineTicket, PrefetchCompletion, ReadRange, Target,
-};
+use crate::iface::{read_picked, PrefetchCompletion, ReadRange, Target};
 use crate::op::{Op, Reply};
 
 /// The counted faults a [`ChaosTarget`] injects (see
@@ -457,19 +455,8 @@ impl<T: Target> crate::op::Layer for ChaosTarget<T> {
     }
 
     // The gate sits below the page cache and the I/O actor: it answers
-    // no pipeline or prefetch plumbing, so a pipelined read never
-    // bypasses it.
-    fn read_submit(&mut self, _ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
-        None
-    }
-
-    fn read_poll(
-        &mut self,
-        _ticket: PipelineTicket,
-    ) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
-        None
-    }
-
+    // no pipeline (the read seam's default) or prefetch plumbing, so a
+    // pipelined read never bypasses it.
     fn prefetch_submit(&mut self, _ranges: &[(u64, u64)]) -> bool {
         false
     }

@@ -4,10 +4,9 @@
 //! may cross to the debugger) as a borrowed value: it carries the
 //! caller's own buffers and arguments, so building and forwarding one
 //! never allocates. [`Reply`] is the matching result. Everything a
-//! decorator needs to know about an op is written once: its owned
-//! capture form ([`Op::to_call`], which also gives the op's trace kind
-//! and detail string through [`CaptureCall::trace_op`] and
-//! [`CaptureCall::detail`]), the captured form of a result
+//! decorator needs to know about an op is written once: its trace kind
+//! and detail string ([`Op::trace_op`], [`Op::detail`]), its owned
+//! capture form ([`Op::to_call`]), the captured form of a result
 //! ([`Op::to_reply`]), the result rebuilt from a captured reply
 //! ([`Op::fill`]), and the call itself ([`Op::apply`]).
 //!
@@ -25,7 +24,7 @@ use crate::iface::{
 use crate::pipeline::PipelineHandle;
 use crate::span::SpanContext;
 use crate::supervise::StalenessHandle;
-use crate::trace::{TraceHandle, TraceOutcome};
+use crate::trace::{TraceHandle, TraceOp, TraceOutcome};
 use duel_ctype::{Abi, EnumId, RecordId, TypeId, TypeTable};
 
 /// One call of a wire method of [`Target`], borrowing the caller's
@@ -192,13 +191,63 @@ impl<'r> Op<'_, 'r> {
         )
     }
 
+    /// The [`TraceOp`] bucket the op belongs to. `take_output` drains a
+    /// host-side buffer rather than crossing the wire, so it has none
+    /// and no stats view counts it.
+    pub fn trace_op(&self) -> Option<TraceOp> {
+        Some(match self {
+            Op::GetBytes { .. } => TraceOp::GetBytes,
+            Op::GetBytesMulti(_) => TraceOp::MultiRead,
+            Op::PutBytes { .. } => TraceOp::PutBytes,
+            Op::AllocSpace { .. } => TraceOp::AllocSpace,
+            Op::CallFunc { .. } => TraceOp::CallFunc,
+            Op::GetVariable(_) | Op::GetVariableInFrame(..) => TraceOp::GetVariable,
+            Op::LookupTypedef(_) | Op::LookupStruct(_) | Op::LookupUnion(_) | Op::LookupEnum(_) => {
+                TraceOp::LookupType
+            }
+            Op::HasFunction(_) => TraceOp::HasFunction,
+            Op::FrameCount | Op::FrameInfo(_) => TraceOp::Frames,
+            Op::IsMapped { .. } => TraceOp::IsMapped,
+            Op::TakeOutput => return None,
+        })
+    }
+
+    /// A short human detail (`.trace dump` style): address + length,
+    /// or the symbol asked for.
+    pub fn detail(&self) -> String {
+        match self {
+            Op::GetBytes { addr, buf } => span_detail(*addr, buf.len() as u64),
+            Op::GetBytesMulti(ranges) => ranges_detail(ranges.iter().map(|r| r.len() as u64)),
+            Op::PutBytes { addr, bytes } => span_detail(*addr, bytes.len() as u64),
+            Op::IsMapped { addr, len } => span_detail(*addr, *len),
+            Op::AllocSpace { size, align } => format!("{size}b align {align}"),
+            Op::CallFunc { name, args } => format!("{name}({} args)", args.len()),
+            Op::GetVariable(n) | Op::HasFunction(n) => n.to_string(),
+            Op::GetVariableInFrame(n, f) => format!("{n}@frame{f}"),
+            Op::LookupTypedef(n) | Op::LookupStruct(n) | Op::LookupUnion(n) | Op::LookupEnum(n) => {
+                format!("{} {n}", self.lookup_ns())
+            }
+            Op::FrameCount => "count".into(),
+            Op::FrameInfo(n) => format!("frame {n}"),
+            Op::TakeOutput => "output".into(),
+        }
+    }
+
+    /// A type lookup's namespace as captures name it (empty for every
+    /// other op).
+    fn lookup_ns(&self) -> &'static str {
+        match self {
+            Op::LookupTypedef(_) => "typedef",
+            Op::LookupStruct(_) => "struct",
+            Op::LookupUnion(_) => "union",
+            Op::LookupEnum(_) => "enum",
+            _ => "",
+        }
+    }
+
     /// The op as an owned capture call (what the flight recorder writes
     /// and the I/O actor ships to its worker).
     pub fn to_call(&self) -> CaptureCall {
-        let lookup = |ns: &str, name: &str| CaptureCall::LookupType {
-            ns: ns.into(),
-            name: name.into(),
-        };
         match self {
             Op::GetBytes { addr, buf } => CaptureCall::GetBytes {
                 addr: *addr,
@@ -227,10 +276,12 @@ impl<'r> Op<'_, 'r> {
                 name: n.to_string(),
                 frame: Some(*f as u64),
             },
-            Op::LookupTypedef(n) => lookup("typedef", n),
-            Op::LookupStruct(n) => lookup("struct", n),
-            Op::LookupUnion(n) => lookup("union", n),
-            Op::LookupEnum(n) => lookup("enum", n),
+            Op::LookupTypedef(n) | Op::LookupStruct(n) | Op::LookupUnion(n) | Op::LookupEnum(n) => {
+                CaptureCall::LookupType {
+                    ns: self.lookup_ns().into(),
+                    name: n.to_string(),
+                }
+            }
             Op::HasFunction(n) => CaptureCall::HasFunction {
                 name: n.to_string(),
             },
@@ -354,6 +405,17 @@ impl<'r> Op<'_, 'r> {
     }
 }
 
+/// The detail of an op over `len` bytes at `addr`.
+pub(crate) fn span_detail(addr: u64, len: u64) -> String {
+    format!("0x{addr:x}+{len}")
+}
+
+/// The detail of a vectored read of ranges `lens` bytes long.
+pub(crate) fn ranges_detail(lens: impl ExactSizeIterator<Item = u64>) -> String {
+    let n = lens.len();
+    format!("{n} ranges, {}b", lens.sum::<u64>())
+}
+
 fn error_of(reply: CaptureReply) -> Option<TargetError> {
     match reply {
         CaptureReply::Err(e) => Some(e),
@@ -442,8 +504,10 @@ macro_rules! expect {
 /// A layer sees every wire op through one hook, [`Layer::call`], and
 /// answers the plumbing methods (handles, span context, pipeline,
 /// prefetch) by forwarding to [`Layer::next`] unless it overrides
-/// them. Every `Layer` is a [`Target`] through a blanket impl, so a
-/// new decorator writes only what it changes:
+/// them. The read seam ([`Layer::read_submit`], [`Layer::read_poll`])
+/// is the exception: it answers `None` unless a layer opts in. Every
+/// `Layer` is a [`Target`] through a blanket impl, so a new decorator
+/// writes only what it changes:
 ///
 /// ```
 /// use duel_target::{scenario, Layer, Op, Reply, Target};
@@ -528,14 +592,20 @@ pub trait Layer {
         self.next().staleness_handle()
     }
 
-    /// See [`Target::read_submit`].
-    fn read_submit(&mut self, ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
-        self.next_mut().read_submit(ranges)
+    /// See [`Target::read_submit`]. Opt-in: the default answers `None`
+    /// (no I/O actor below), so a read cannot slip past a layer that
+    /// must see every wire op. Only the layers between the page cache
+    /// and the actor forward it.
+    fn read_submit(&mut self, _ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
+        None
     }
 
-    /// See [`Target::read_poll`].
-    fn read_poll(&mut self, ticket: PipelineTicket) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
-        self.next_mut().read_poll(ticket)
+    /// See [`Target::read_poll`]; opt-in like [`Layer::read_submit`].
+    fn read_poll(
+        &mut self,
+        _ticket: PipelineTicket,
+    ) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
+        None
     }
 
     /// See [`Target::prefetch_submit`].

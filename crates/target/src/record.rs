@@ -303,11 +303,10 @@ impl<T: Target> RecordTarget<T> {
         let start = Instant::now();
         let reply = op.reborrow().apply(&mut self.inner);
         let ns = start.elapsed().as_nanos() as u64;
-        let call = op.to_call();
-        if let Some(kind) = call.trace_op() {
+        if let Some(kind) = op.trace_op() {
             self.count(kind);
         }
-        self.queue(call, op.to_reply(&reply), ns);
+        self.queue(op.to_call(), op.to_reply(&reply), ns);
         reply
     }
 }

@@ -20,8 +20,8 @@
 //! overshoot the eval budget by a full backoff ceiling — sleeps are
 //! clamped against whichever deadline is nearer.
 
-use crate::error::{TargetError, TargetResult};
-use crate::iface::{read_picked, OwnedRange, PipelineTicket, Target};
+use crate::error::TargetError;
+use crate::iface::{read_picked, Target};
 use crate::op::{Op, Reply};
 use crate::span::{SpanContext, SpanKind};
 use crate::trace::TraceOp;
@@ -262,7 +262,7 @@ impl<T: Target> RetryTarget<T> {
             attempt += 1;
             self.stats.retries += 1;
             if retry_span == 0 {
-                let kind = op.to_call().trace_op();
+                let kind = op.trace_op();
                 retry_span = self.open_retry_span(kind.map_or("", TraceOp::name), start);
             }
             let mut backoff = self.policy.backoff(attempt);
@@ -334,17 +334,6 @@ impl<T: Target> crate::op::Layer for RetryTarget<T> {
     fn set_span_context(&mut self, spans: &SpanContext) {
         self.spans = Some(spans.clone());
         self.inner.set_span_context(spans);
-    }
-
-    fn read_submit(&mut self, _ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
-        None
-    }
-
-    fn read_poll(
-        &mut self,
-        _ticket: PipelineTicket,
-    ) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
-        None
     }
 
     // Prefetch warms (forwarded by default) are deliberately NOT

@@ -39,7 +39,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::{TargetError, TargetResult};
-use crate::iface::{OwnedRange, PipelineTicket, Target};
+use crate::iface::Target;
 use crate::op::{Op, Reply};
 
 /// The circuit breaker's state.
@@ -693,17 +693,6 @@ impl<T: Target> crate::op::Layer for SupervisedTarget<T> {
 
     fn staleness_handle(&self) -> Option<StalenessHandle> {
         Some(self.staleness.clone())
-    }
-
-    fn read_submit(&mut self, _ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
-        None
-    }
-
-    fn read_poll(
-        &mut self,
-        _ticket: PipelineTicket,
-    ) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
-        None
     }
 
     fn prefetch_poll(&mut self) -> Option<crate::iface::PrefetchCompletion> {

@@ -29,8 +29,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::error::{TargetError, TargetResult};
-use crate::iface::{OwnedRange, PipelineTicket, PrefetchCompletion, Target};
+use crate::error::TargetError;
+use crate::iface::{PrefetchCompletion, Target};
 use crate::op::{Op, Reply};
 use crate::span::{SpanContext, SpanKind};
 
@@ -718,17 +718,6 @@ impl<T: Target> crate::op::Layer for TraceTarget<T> {
         Some(self.spans.clone())
     }
 
-    fn read_submit(&mut self, _ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
-        None
-    }
-
-    fn read_poll(
-        &mut self,
-        _ticket: PipelineTicket,
-    ) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
-        None
-    }
-
     fn prefetch_poll(&mut self) -> Option<PrefetchCompletion> {
         let c = self.inner.prefetch_poll()?;
         // The window's wire read happened below the cache (at submit
@@ -764,11 +753,10 @@ impl<T: Target> TraceTarget<T> {
     /// its kind, detail and outcome.
     #[inline(never)]
     fn traced(&mut self, mut op: Op<'_, '_>) -> Reply {
-        let call = op.to_call();
-        let Some(kind) = call.trace_op() else {
+        let Some(kind) = op.trace_op() else {
             return op.apply(&mut self.inner);
         };
-        let detail = call.detail();
+        let detail = op.detail();
         // A vectored read is the one wire op with visible fan-out:
         // open a parent span for the batch and record one child per
         // range, so the export shows exactly what the turn carried.

@@ -3,22 +3,29 @@
 //! Every byte of this session crosses a real MI serialization → parse
 //! boundary: the `MiTarget` adapter implements the paper's narrow
 //! debugger interface by issuing MI commands, and `MockGdb` answers
-//! them from a simulated debuggee. The session is recorded and then
-//! replayed with *no debuggee at all* — the transcript alone drives the
-//! second run.
+//! them from a simulated debuggee. A flight recorder under the page
+//! cache captures the calls that reach the wire; the capture is then
+//! replayed strictly with *no debuggee at all* — the capture alone
+//! drives the second run.
 //!
 //! ```sh
 //! cargo run --example mi_session
 //! ```
 
 use duel::core::Session;
-use duel::gdbmi::{MiTarget, MockGdb, Recorder, Replayer};
-use duel::target::scenario;
+use duel::gdbmi::{MiTarget, MockGdb};
+use duel::target::{
+    scenario, CachedTarget, Capture, RecordTarget, ReplayMode, ReplayTarget, SharedSink,
+};
 
 fn main() {
-    // 1. A live session over MI, recorded.
-    let recorder = Recorder::new(MockGdb::new(scenario::hash_table_basic()));
-    let mut target = MiTarget::connect(recorder).expect("connect");
+    // 1. A live session over MI, recorded below the cache.
+    let sink = SharedSink::default();
+    let mi = MiTarget::connect(MockGdb::new(scenario::hash_table_basic())).expect("connect");
+    let mut rec = RecordTarget::new(mi);
+    rec.start(Box::new(sink.clone()), "gdb-mi", "hash")
+        .expect("start recording");
+    let mut target = CachedTarget::new(rec);
     let queries = [
         "(hash[..1024] !=? 0)->scope >? 5",
         "hash[0]-->next->scope",
@@ -37,23 +44,29 @@ fn main() {
             first_run.push(lines);
         }
     }
-    let dump = target.client_mut().transport().dump();
-    let exchanges = dump.lines().filter(|l| l.starts_with('>')).count();
+    target.inner_mut().stop().expect("finalize capture");
+    let text = sink.contents();
+    let capture = Capture::parse(&text).expect("parse capture");
     println!(
-        "— recorded {exchanges} MI commands ({} bytes of transcript)\n",
-        dump.len()
+        "— recorded {} wire calls ({} bytes of capture)\n",
+        capture.events.len(),
+        text.len()
     );
-    for line in dump.lines().take(6) {
+    for line in text.lines().skip(1).take(5) {
         println!("    {line}");
     }
     println!("    …\n");
 
-    // 2. Replay: the transcript alone answers the same queries.
-    let mut target = MiTarget::connect(Replayer::from_dump(&dump)).expect("replay connect");
+    // 2. Strict replay: the capture alone answers the same queries.
+    let mut target = CachedTarget::new(ReplayTarget::from_capture(capture, ReplayMode::Strict));
     let mut session = Session::new(&mut target);
     for (q, want) in queries.iter().zip(first_run.iter()) {
         let got = session.eval_lines(q).expect("replayed query");
         assert_eq!(&got, want, "replay diverged on `{q}`");
     }
-    println!("replayed the session from the transcript: outputs identical");
+    drop(session);
+    let replay = target.inner();
+    assert!(replay.divergence().is_none(), "{:?}", replay.divergence());
+    assert_eq!(replay.events_consumed(), replay.events_total());
+    println!("replayed the session from the capture: outputs identical");
 }

@@ -2,11 +2,10 @@
 //! seam and replaying it — strictly (byte-identical, symbolic
 //! divergence reports) or permissively (new expressions over the
 //! frozen recorded state) — plus capture behaviour under fault
-//! injection and the gdbmi transport-level Recorder/Replayer
-//! round-trip it complements.
+//! injection and a capture taken over the gdb/MI wire.
 
 use duel::core::Session;
-use duel::gdbmi::{MiTarget, MockGdb, Recorder, Replayer};
+use duel::gdbmi::{MiTarget, MockGdb};
 use duel::target::capture::CaptureCall;
 use duel::target::json::Json;
 use duel::target::{
@@ -335,21 +334,21 @@ fn capture_under_retry_records_transients_and_replays_deterministically() {
 }
 
 // ---------------------------------------------------------------------
-// gdbmi: Target-level capture over the MI wire, and the
-// transport-level Recorder/Replayer it complements
+// gdbmi: Target-level capture over the MI wire
 // ---------------------------------------------------------------------
 
 #[test]
 fn connect_recorded_captures_an_mi_session_that_replays() {
+    // The recorder sits innermost, below cache and retry: the capture
+    // holds exactly the traffic that reached the MI wire.
     let sink = SharedSink::default();
-    let mut t = MiTarget::connect_recorded(
-        MockGdb::new(scenario::hash_table_basic()),
+    let mut rec =
+        RecordTarget::new(MiTarget::connect(MockGdb::new(scenario::hash_table_basic())).unwrap());
+    rec.start(Box::new(sink.clone()), "gdb-mi", "hash").unwrap();
+    let mut t = RetryTarget::with_policy(
+        CachedTarget::with_config(rec, CacheConfig::default()),
         RetryPolicy::fast(3),
-        CacheConfig::default(),
-        Box::new(sink.clone()),
-        "hash",
-    )
-    .unwrap();
+    );
     let live = {
         let mut s = Session::new(&mut t);
         s.eval_lines("#/(hash[..64]-->next)").unwrap()
@@ -376,34 +375,6 @@ fn connect_recorded_captures_an_mi_session_that_replays() {
     };
     assert_eq!(live, replayed);
     assert!(t.inner().inner().divergence().is_none());
-}
-
-#[test]
-fn gdbmi_transport_recorder_roundtrips_full_session_output() {
-    // The MI-text-level pair (one debugger dialect, raw lines) —
-    // recorded and replayed around a *complete* evaluator session, not
-    // just single adapter calls: DESIGN.md §11's reconciliation says
-    // both layers must reproduce identical session output.
-    let exprs = ["x[1..4,8,12..50] >? 5 <? 10", "#/(x[..50] >? 0)"];
-    let rec = Recorder::new(MockGdb::new(scenario::scan_array()));
-    let mut t = MiTarget::connect(rec).unwrap();
-    let live: Vec<Vec<String>> = {
-        let mut s = Session::new(&mut t);
-        exprs.iter().map(|e| s.eval_lines(e).unwrap()).collect()
-    };
-    let dump = t.client_mut().transport().dump();
-
-    let mut t2 = MiTarget::connect(Replayer::from_dump(&dump)).unwrap();
-    let replayed: Vec<Vec<String>> = {
-        let mut s = Session::new(&mut t2);
-        exprs.iter().map(|e| s.eval_lines(e).unwrap()).collect()
-    };
-    assert_eq!(live, replayed);
-    assert_eq!(
-        t2.client_mut().transport().remaining(),
-        0,
-        "the session must consume the whole recording"
-    );
 }
 
 // ---------------------------------------------------------------------
