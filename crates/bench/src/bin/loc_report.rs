@@ -9,7 +9,7 @@
 //! recorded in EXPERIMENTS.md, then the same count for every crate of
 //! the workspace (every `.rs` file under `crates/*/src`, so a new file
 //! is counted without editing this binary), then per file for the
-//! target and CLI crates.
+//! target, CLI and gdb/MI crates.
 //!
 //! ```sh
 //! cargo run -p duel-bench --bin loc_report
@@ -166,9 +166,9 @@ fn main() {
     println!("{}", "-".repeat(56));
     let workspace: usize = crates.iter().map(|(_, n)| n).sum();
     println!("{:<46} {workspace:>8}", "total (workspace crates)");
-    // The decorator tower and the REPL, file by file, so a change to
-    // one layer can be read off its own row.
-    for dir in ["crates/target/src", "crates/cli/src"] {
+    // The decorator tower, the REPL and the MI adapter, file by file,
+    // so a change to one layer can be read off its own row.
+    for dir in ["crates/target/src", "crates/cli/src", "crates/gdbmi/src"] {
         println!("\nPer module: {dir} (tests excluded)\n");
         println!("{:<46} {:>8}", "file", "rust");
         println!("{}", "-".repeat(56));

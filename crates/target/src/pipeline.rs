@@ -195,8 +195,8 @@ type Job<T> = Box<dyn FnOnce(&mut T) + Send>;
 
 /// Runs an owned-buffer vectored read against `t` and hands the filled
 /// buffers back (the body of both the blocking multi RPC and an
-/// asynchronous submission; also the cache's synchronous fallback when
-/// no actor is below it).
+/// asynchronous submission; also the page cache's coalesced fetch, on
+/// demand and for a prefetch window when no actor is below it).
 pub(crate) fn run_multi<T: Target + ?Sized>(
     t: &mut T,
     mut owned: Vec<OwnedRange>,
