@@ -12,7 +12,11 @@
 //! queries that reached the backend (`*_mapped_probes`): each is a wire
 //! turn of its own that `backend_reads` does not count. The cache
 //! answers them with the page fills the following reads need, so a
-//! cached pointer walk sends next to none.
+//! cached pointer walk sends next to none. The cached hash walk also
+//! runs the evaluator's wavefront reads (a `-->` over a ranged root
+//! reads its root slots and chains in vectored batches), and the run
+//! asserts that its backend reads stay within
+//! [`HASH_WALK_MAX_CACHED_READS`].
 //!
 //! Not a criterion bench on purpose: the quantity of interest is the
 //! *backend call count* from `CacheStats`, which criterion cannot
@@ -28,6 +32,12 @@ use duel_target::{CacheConfig, CachedTarget, ChaosTarget, FaultConfig, SimTarget
 /// bench doubles as a CI smoke test; the *call counts* are what the
 /// acceptance check reads, and those are latency-independent.
 const LATENCY: Duration = Duration::from_micros(20);
+
+/// Ceiling on the cached hash walk's backend reads. The demand walk
+/// filled the 1,024 root slots' 128 pages one read at a time (140
+/// reads); the wavefront reads them, and the few chains, in a handful
+/// of vectored batches (14 reads).
+const HASH_WALK_MAX_CACHED_READS: u64 = 20;
 
 struct Workload {
     name: &'static str,
@@ -128,6 +138,13 @@ fn main() {
         );
         if !identical {
             eprintln!("FAIL: `{}` output differs under caching", w.name);
+            failed = true;
+        }
+        if w.name == "hash_walk" && cached.backend_reads > HASH_WALK_MAX_CACHED_READS {
+            eprintln!(
+                "FAIL: `{}` took {} cached backend reads, above the {} ceiling",
+                w.name, cached.backend_reads, HASH_WALK_MAX_CACHED_READS
+            );
             failed = true;
         }
         if reduction < 5.0 {

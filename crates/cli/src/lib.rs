@@ -243,9 +243,10 @@ DUEL commands:
                      while the circuit is open, serve reads from cache
                      tagged <stale> instead of failing (default: on)
   .set prefetch on|off
-                     generator-aware prefetch: warm the cache with one
-                     vectored read before contiguous scans (`x[a..b]`)
-                     and structure walks (default: off)
+                     generator-aware prefetch: warm the cache in
+                     windowed vectored reads before contiguous scans
+                     (`x[a..b]`) (default: off; `-->` over a ranged
+                     root reads ahead whenever the cache is on)
   .set pipeline on|off
                      asynchronous wire pipeline: run the backend on an
                      I/O actor thread and double-buffer prefetch

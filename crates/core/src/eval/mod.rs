@@ -76,19 +76,22 @@ pub struct EvalOptions {
     /// walkthroughs, made observable.
     pub trace: bool,
     /// Generator-aware prefetch: when a generator is about to expand a
-    /// compile-time-known contiguous range (`x[a..b]`, `x[..n]`) or
-    /// walk freshly discovered structure nodes, warm the cache with one
-    /// vectored read first, so the element-by-element scan that follows
-    /// is served locally instead of one wire turn per element. Purely
-    /// advisory (values and errors are identical either way); off by
-    /// default so read-count-sensitive experiments are undisturbed.
+    /// compile-time-known contiguous range (`x[a..b]`, `x[..n]`), warm
+    /// the cache in windowed vectored reads first, so the
+    /// element-by-element scan that follows is served locally instead
+    /// of one wire turn per element. Purely advisory (values and errors
+    /// are identical either way); off by default so read-count-sensitive
+    /// experiments are undisturbed. Structure walks do not depend on
+    /// it: a `-->` over a ranged root reads its chains level by level
+    /// whenever the tower's page cache is enabled.
     pub prefetch: bool,
     /// Prefetch window size in cache pages: a planner warm-up never
     /// reads more than this many pages in one call, so warming
     /// `x[..100000]` costs bounded memory instead of one giant buffer.
     /// When the tower has an I/O actor below the cache, windows are
     /// double-buffered: window *k+1* is on the wire while the evaluator
-    /// consumes window *k*.
+    /// consumes window *k*. A `-->` over a ranged root reads at most
+    /// one window per batch and two per group of chains.
     pub prefetch_window: usize,
 }
 
@@ -294,8 +297,8 @@ fn compile_inner(e: &Expr) -> Gen {
         Index(a, b) => structure::index(compile(a), compile(b), range_hint(b)),
         Select(a, b) => structure::select(compile(a), compile(b)),
         With(link, a, b) => structure::with(*link, compile(a), compile(b)),
-        Dfs(a, b) => structure::expand(compile(a), b.as_ref(), false),
-        Bfs(a, b) => structure::expand(compile(a), b.as_ref(), true),
+        Dfs(a, b) => structure::expand(compile(a), b, false, wave_hint(a, b)),
+        Bfs(a, b) => structure::expand(compile(a), b, true, wave_hint(a, b)),
         Imply(a, b) => control::imply(compile(a), compile(b)),
         Seq(a, b) => control::seq(compile(a), compile(b)),
         Discard(a) => control::discard(compile(a)),
@@ -372,6 +375,21 @@ fn range_hint(e: &Expr) -> Option<(i64, i64)> {
         }
         _ => None,
     }
+}
+
+/// The wavefront planner's compile-time analysis of a `-->`/`-->>`:
+/// is its root a hinted range (`base[lo..hi]`, `base[..n]`) over a base
+/// with no generator operators, and its step a bare name? Then the
+/// root yields exactly `hi - lo + 1` values, one per consecutive slot.
+/// Returns that count and the name; whether the name is a pointer
+/// field of the node struct is checked at run time.
+fn wave_hint(root: &Expr, step: &Expr) -> Option<(u64, String)> {
+    let (Expr::Index(base, idx), Expr::Name(field)) = (root, step) else {
+        return None;
+    };
+    let (lo, hi) = range_hint(idx)?;
+    let total = hi.checked_sub(lo)?.checked_add(1)?;
+    (!base.has_duel_ops()).then(|| (total as u64, field.clone()))
 }
 
 /// Drives a generator to exhaustion, feeding each value to `f` — the

@@ -4,6 +4,8 @@
 
 use std::collections::{HashSet, VecDeque};
 
+use duel_target::ReadRange;
+
 use crate::{
     apply::{self, Class},
     ast::{Expr, WithLink},
@@ -104,22 +106,6 @@ impl WindowPlan {
             }
         }
         self.consumed += 1;
-    }
-}
-
-/// Warms one bounded chunk of ranges: through the cache's prefetch
-/// seam when the tower offers it (submit + immediate apply — callers
-/// consume these bytes right away, so there is nothing to overlap),
-/// else through the legacy vectored read.
-fn warm_chunk(ctx: &mut Ctx<'_>, chunk: &[(u64, u64)]) {
-    ctx.prefetch_calls += 1;
-    ctx.windows_planned += 1;
-    if ctx.target.prefetch_submit(chunk) {
-        if let Some(c) = ctx.target.prefetch_poll() {
-            ctx.prefetch_ranges += c.clean;
-        }
-    } else {
-        ctx.prefetch_ranges += apply::prefetch(ctx.target, chunk) as u64;
     }
 }
 
@@ -420,6 +406,10 @@ pub fn with(link: WithLink, base: Gen, inner: Gen) -> Gen {
 /// children are stacked in reverse so a `(left,right)` expansion visits
 /// in preorder. The paper's implementation "does not handle cycles" —
 /// ours guards with a visited set unless `dfs_cycle_check` is off.
+///
+/// When the root is a hinted range and the step a bare field name
+/// (`hash[..1024]-->next`), a [`Wavefront`] warms the cache ahead of
+/// the walk; the walk itself is unchanged.
 struct ExpandGen {
     root: Gen,
     expand: Gen,
@@ -431,6 +421,7 @@ struct ExpandGen {
     /// `max_expand` — the backstop that terminates cyclic structures
     /// when the visited-set check is disabled.
     expanded: u64,
+    wave: Option<Wavefront>,
 }
 
 impl ExpandGen {
@@ -477,6 +468,9 @@ impl GenT for ExpandGen {
             if self.frontier.is_empty() {
                 match self.root.next(ctx)? {
                     Some(u) => {
+                        if let Some(w) = &mut self.wave {
+                            w.root(ctx, &u);
+                        }
                         self.visited.clear();
                         self.expanded = 0;
                         if let Some(p) = self.pointer_target(ctx, &u)? {
@@ -490,6 +484,9 @@ impl GenT for ExpandGen {
                     }
                     None => {
                         self.running = false;
+                        if let Some(w) = &mut self.wave {
+                            w.rewind();
+                        }
                         return Ok(None);
                     }
                 }
@@ -528,49 +525,6 @@ impl GenT for ExpandGen {
             })();
             ctx.with_stack.pop();
             res?;
-            // Planner hook: the children are homogeneous nodes about to
-            // have their fields read one by one — warm them in vectored
-            // turns of at most `prefetch_window` pages each. Advisory;
-            // a node that fails to warm is fetched on demand as before.
-            if ctx.opts.prefetch && !children.is_empty() {
-                let ranges: Vec<(u64, u64)> = children
-                    .iter()
-                    .filter_map(|c| {
-                        let addr = match c.place {
-                            crate::value::Place::RVal(Scalar::Ptr(p)) if p != 0 => p,
-                            _ => return None,
-                        };
-                        let pointee = match apply::classify(ctx.target, c.ty) {
-                            Class::Ptr { pointee } => pointee,
-                            _ => return None,
-                        };
-                        let size = ctx.target.types().size_of(pointee, ctx.target.abi()).ok()?;
-                        (size > 0).then_some((addr, size))
-                    })
-                    .collect();
-                if !ranges.is_empty() {
-                    let span = ctx.span_enter(duel_target::SpanKind::Prefetch, "prefetch", || {
-                        format!("warm {} discovered nodes", ranges.len())
-                    });
-                    let page = ctx.target.cache_page_size().unwrap_or(64);
-                    let window = (ctx.opts.prefetch_window.max(1) as u64).saturating_mul(page);
-                    let mut chunk: Vec<(u64, u64)> = Vec::new();
-                    let mut chunk_bytes = 0u64;
-                    for &(addr, len) in &ranges {
-                        if !chunk.is_empty() && chunk_bytes + len > window {
-                            warm_chunk(ctx, &chunk);
-                            chunk.clear();
-                            chunk_bytes = 0;
-                        }
-                        chunk.push((addr, len));
-                        chunk_bytes += len;
-                    }
-                    if !chunk.is_empty() {
-                        warm_chunk(ctx, &chunk);
-                    }
-                    ctx.span_exit(span);
-                }
-            }
             if self.bfs {
                 // Queue in natural order.
                 for c in children {
@@ -593,11 +547,16 @@ impl GenT for ExpandGen {
         self.visited.clear();
         self.running = false;
         self.expanded = 0;
+        if let Some(w) = &mut self.wave {
+            w.rewind();
+        }
     }
 }
 
-/// Builds a `-->` / `-->>` expansion.
-pub fn expand(root: Gen, expand_expr: &Expr, bfs: bool) -> Gen {
+/// Builds a `-->` / `-->>` expansion. `wave` is the compile-time
+/// wavefront hint (see `wave_hint` in the parent module): how many
+/// root values the ranged root yields, and the step's field name.
+pub fn expand(root: Gen, expand_expr: &Expr, bfs: bool, wave: Option<(u64, String)>) -> Gen {
     Box::new(ExpandGen {
         root,
         expand: compile(expand_expr),
@@ -606,7 +565,245 @@ pub fn expand(root: Gen, expand_expr: &Expr, bfs: bool) -> Gen {
         visited: HashSet::new(),
         running: false,
         expanded: 0,
+        wave: wave.map(|(total, field)| Wavefront {
+            total,
+            field,
+            seen: 0,
+            next_group: 0,
+            group: 0,
+        }),
     })
+}
+
+// ----- wavefront reads for `-->` over a ranged root ---------------------
+
+/// The read planner of a `-->`/`-->>` walk whose root is a hinted range
+/// (`hash[..1024]-->next`). The demand walk discovers its nodes one
+/// pointer at a time, so a cold walk costs one wire turn per page it
+/// touches. The chains of a ranged root are independent, though: the
+/// wavefront reads a *group* of root slots in one vectored batch, then
+/// the group's chains level by level — every node of a level in one
+/// batch per `prefetch_window` pages — decoding the next level's
+/// pointers from the batch's own buffers.
+///
+/// Advisory like every planner read: it only warms the page cache. A
+/// range that fails stays cold, and the demand walk still checks,
+/// loads and counts every node, so values and errors are unchanged. A
+/// group reads at most two windows of pages, so they stay resident
+/// until the walk gets to them; the next group's size is adapted from
+/// the pages this one read.
+struct Wavefront {
+    /// Root values the ranged root yields.
+    total: u64,
+    /// The step: a field of the node struct pointing to the same struct.
+    field: String,
+    /// Root values pulled so far in the current root sequence.
+    seen: u64,
+    /// Ordinal of the root value that opens the next group.
+    next_group: u64,
+    /// Roots the next group takes (0 = not yet sized).
+    group: u64,
+}
+
+/// What the wavefront needs to know about one walk's nodes.
+struct NodeShape {
+    /// Bytes of one root slot (a pointer).
+    slot: u64,
+    /// Bytes of one node.
+    node: u64,
+    /// Offset of the step's pointer inside a node.
+    link: usize,
+    /// Pointer width and byte order.
+    ptr: usize,
+    big_endian: bool,
+    /// Cache page size, and `prefetch_window` in pages.
+    page: u64,
+    window: u64,
+}
+
+impl NodeShape {
+    /// Resolves the shape for root value `u`: a pointer to a struct
+    /// whose step field points to the same struct, over a tower with an
+    /// enabled page cache. `None` means the wavefront does not apply.
+    fn of(ctx: &Ctx<'_>, u: &Value, field: &str) -> Option<NodeShape> {
+        let page = ctx.target.cache_page_size()?;
+        let Class::Ptr { pointee } = apply::classify(ctx.target, u.ty) else {
+            return None;
+        };
+        let (types, abi) = (ctx.target.types(), ctx.target.abi());
+        let (rid, _) = types.as_record(pointee)?;
+        let (idx, f) = types.find_field(pointee, field).ok()?;
+        if apply::classify(ctx.target, f.ty) != (Class::Ptr { pointee }) {
+            return None;
+        }
+        let link = types.field_layout(rid, idx, abi).ok()?;
+        let node = types.size_of(pointee, abi).ok()?;
+        let slot = types.size_of(u.ty, abi).ok()?;
+        let ptr = abi.pointer_bytes;
+        let fits = link.offset.checked_add(ptr).is_some_and(|end| end <= node);
+        let small = node <= apply::PREFETCH_MAX_BYTES;
+        if link.bit_width.is_some() || !fits || !small || !(1..=8).contains(&ptr) || slot != ptr {
+            return None;
+        }
+        Some(NodeShape {
+            slot,
+            node,
+            link: link.offset as usize,
+            ptr: ptr as usize,
+            big_endian: abi.endian == duel_ctype::Endian::Big,
+            page,
+            window: ctx.opts.prefetch_window.max(1) as u64,
+        })
+    }
+
+    /// The pointer at `off` of `bytes`, in target byte order.
+    fn ptr_at(&self, bytes: &[u8], off: usize) -> u64 {
+        let b = &bytes[off..off + self.ptr];
+        if self.big_endian {
+            b.iter().fold(0, |acc, &x| acc << 8 | x as u64)
+        } else {
+            b.iter().rev().fold(0, |acc, &x| acc << 8 | x as u64)
+        }
+    }
+
+    /// The base of every page `[addr, addr+len)` touches; `None` when
+    /// the range wraps the address space.
+    fn pages(&self, addr: u64, len: u64) -> Option<impl Iterator<Item = u64> + Clone> {
+        let last = addr.checked_add(len - 1)? & !(self.page - 1);
+        let page = self.page;
+        Some((addr & !(page - 1)..=last).step_by(page as usize))
+    }
+}
+
+impl Wavefront {
+    /// Starts a new root sequence.
+    fn rewind(&mut self) {
+        self.seen = 0;
+        self.next_group = 0;
+    }
+
+    /// Called with each root value before the walk expands it: the
+    /// first root of a group reads the whole group ahead.
+    fn root(&mut self, ctx: &mut Ctx<'_>, u: &Value) {
+        if self.seen == self.next_group && self.seen < self.total {
+            // A walk the wavefront cannot plan is left to the demand
+            // path for the rest of this root sequence.
+            self.next_group = self.total;
+            if let (Some(slot0), Some(shape)) = (u.lval_addr(), NodeShape::of(ctx, u, &self.field))
+            {
+                self.read_group(ctx, slot0, &shape);
+            }
+        }
+        self.seen += 1;
+    }
+
+    /// Reads the group of roots starting at the slot at `slot0`, level
+    /// by level, within two windows of pages.
+    fn read_group(&mut self, ctx: &mut Ctx<'_>, slot0: u64, s: &NodeShape) {
+        let cap = s.window.saturating_mul(2);
+        // Bytes one batch may carry: a window, and never more than any
+        // planner read (nodes that overlap cost no new pages).
+        let batch_bytes = s
+            .window
+            .saturating_mul(s.page)
+            .min(apply::PREFETCH_MAX_BYTES);
+        // The root slots take at most one window, leaving one for nodes.
+        let max_roots = (batch_bytes / s.slot).max(1);
+        if self.group == 0 {
+            self.group = (s.window / 2).max(1);
+        }
+        let roots = self.group.min(max_roots).min(self.total - self.seen);
+        self.next_group = self.seen + roots;
+        let span = ctx.span_enter(duel_target::SpanKind::Prefetch, "prefetch", || {
+            format!("wavefront over {roots} roots at 0x{slot0:x}")
+        });
+        let mut pages = HashSet::new();
+        let mut seen = HashSet::new();
+        let mut level: Vec<u64> = Vec::new();
+        let slots = roots * s.slot;
+        if let Some(ps) = s.pages(slot0, slots) {
+            pages.extend(ps);
+            read_batch(ctx, &[(slot0, slots)], |bytes| {
+                for off in (0..bytes.len()).step_by(s.slot as usize) {
+                    let p = s.ptr_at(bytes, off);
+                    if p != 0 && seen.insert(p) {
+                        level.push(p);
+                    }
+                }
+            });
+        }
+        let mut truncated = false;
+        while !level.is_empty() && !truncated {
+            // Admit the level's nodes in walk order while the group
+            // stays within its cap, cutting a batch at every window of
+            // pages not yet read by this group (or of bytes).
+            let mut batches: Vec<Vec<(u64, u64)>> = vec![Vec::new()];
+            let (mut fresh_in_batch, mut bytes_in_batch) = (0u64, 0u64);
+            for &p in &level {
+                let Some(ps) = s.pages(p, s.node) else {
+                    continue;
+                };
+                // Checked against the node's whole span, so the cap
+                // holds whichever of its pages the group already read.
+                if (pages.len() + ps.clone().count()) as u64 > cap {
+                    truncated = true;
+                    break;
+                }
+                let fresh = ps.filter(|&b| pages.insert(b)).count() as u64;
+                if fresh_in_batch + fresh > s.window || bytes_in_batch + s.node > batch_bytes {
+                    batches.push(Vec::new());
+                    (fresh_in_batch, bytes_in_batch) = (0, 0);
+                }
+                fresh_in_batch += fresh;
+                bytes_in_batch += s.node;
+                batches
+                    .last_mut()
+                    .expect("a level starts with one batch")
+                    .push((p, s.node));
+            }
+            level.clear();
+            for batch in batches.iter().filter(|b| !b.is_empty()) {
+                read_batch(ctx, batch, |bytes| {
+                    let p = s.ptr_at(bytes, s.link);
+                    if p != 0 && seen.insert(p) {
+                        level.push(p);
+                    }
+                });
+            }
+        }
+        // Size the next group to fill about 15/16 of the cap at this
+        // group's pages per root; halve it when this one hit the cap.
+        self.group = if truncated {
+            (roots / 2).max(1)
+        } else {
+            let fill = roots.saturating_mul(cap).saturating_mul(15) / 16;
+            (fill / (pages.len() as u64).max(1)).clamp(1, max_roots)
+        };
+        ctx.span_exit(span);
+    }
+}
+
+/// Reads `ranges` (address, length) in ONE vectored call into one
+/// buffer and hands the bytes of each range that read cleanly to `f`.
+/// Advisory: a failed range is skipped and left to the demand path.
+fn read_batch(ctx: &mut Ctx<'_>, ranges: &[(u64, u64)], mut f: impl FnMut(&[u8])) {
+    let total: u64 = ranges.iter().map(|r| r.1).sum();
+    let mut buf = vec![0u8; total as usize];
+    let mut reads = Vec::with_capacity(ranges.len());
+    let mut rest = &mut buf[..];
+    for &(addr, len) in ranges {
+        let (head, tail) = rest.split_at_mut(len as usize);
+        reads.push(ReadRange::new(addr, head));
+        rest = tail;
+    }
+    ctx.prefetch_calls += 1;
+    let results = ctx.target.get_bytes_multi(&mut reads);
+    for (r, res) in reads.iter().zip(&results) {
+        if res.is_ok() {
+            ctx.prefetch_ranges += 1;
+            f(r.buf);
+        }
+    }
 }
 
 // ----- index alias ------------------------------------------------------

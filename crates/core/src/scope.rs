@@ -59,7 +59,8 @@ pub struct Ctx<'a> {
     pub yields: u64,
     /// Structure-expansion steps performed by `-->`/`-->>`.
     pub expansions: u64,
-    /// Vectored cache warm-ups issued by the prefetch planner.
+    /// Vectored cache warm-ups issued by the prefetch planner and the
+    /// wavefront reads of structure walks.
     pub prefetch_calls: u64,
     /// Ranges those warm-ups read cleanly (a faulted or flaky range is
     /// simply left cold for the demand path).

@@ -71,8 +71,9 @@ pub struct EvalStats {
     /// the output). Zero unless the tower contains a
     /// `SupervisedTarget` in degraded mode.
     pub stale_values: u64,
-    /// Vectored cache warm-ups the prefetch planner issued (zero unless
-    /// [`EvalOptions::prefetch`] is on).
+    /// Vectored cache warm-ups the planner issued: windows of hinted
+    /// scans (with [`EvalOptions::prefetch`] on) and the batches of a
+    /// `-->` over a ranged root (with the page cache on).
     pub prefetch_calls: u64,
     /// Ranges those warm-ups read cleanly.
     pub prefetch_ranges: u64,

@@ -42,7 +42,7 @@
 //! *outside* [`crate::ChaosTarget`] in tests (injected faults hit the
 //! cache the way real backend faults would).
 
-use crate::error::TargetResult;
+use crate::error::{TargetError, TargetResult};
 use crate::iface::{OwnedRange, PipelineTicket, PrefetchCompletion, ReadRange, Target};
 use crate::op::{Op, Reply};
 use crate::pipeline::run_multi;
@@ -606,7 +606,17 @@ impl<T: Target> CachedTarget<T> {
             let in_page = (ps - (cur - base)) as usize;
             let take = in_page.min(buf.len() - pos);
             let end = pos + take;
-            self.read_within_page(base, cur, &mut buf[pos..end])?;
+            if let Err(e) = self.read_within_page(base, cur, &mut buf[pos..end]) {
+                // A fault in any page-sized piece is a fault of the
+                // whole request, reported as the backend reports it.
+                return Err(match e {
+                    TargetError::IllegalMemory { .. } => TargetError::IllegalMemory {
+                        addr,
+                        len: buf.len() as u64,
+                    },
+                    e => e,
+                });
+            }
             pos = end;
             cur += take as u64;
         }
@@ -979,7 +989,7 @@ impl<T: Target> crate::op::Layer for CachedTarget<T> {
     }
 
     fn cache_page_size(&self) -> Option<u64> {
-        Some(self.cfg.page_size)
+        self.cfg.enabled.then_some(self.cfg.page_size)
     }
 }
 

@@ -381,7 +381,9 @@ pub trait Target {
     }
 
     /// The page size of the [`crate::CachedTarget`] in this tower, if
-    /// any — what converts `prefetch_window` (pages) into bytes.
+    /// any and enabled — what converts `prefetch_window` (pages) into
+    /// bytes. `None` also tells the evaluator's wavefront planner that
+    /// no cache would keep what it reads.
     fn cache_page_size(&self) -> Option<u64> {
         None
     }

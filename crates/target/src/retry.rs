@@ -36,7 +36,8 @@ pub struct RetryPolicy {
     pub base_delay: Duration,
     /// Backoff ceiling.
     pub max_delay: Duration,
-    /// Per-operation wall-clock budget, checked before every retry.
+    /// Per-operation wall-clock budget, counted from the operation's
+    /// first transient failure and checked before every retry.
     pub deadline: Option<Duration>,
     /// Whether to actually sleep between attempts (tests disable this
     /// to stay fast while still observing the retry count).
@@ -122,7 +123,8 @@ pub struct RetryTarget<T: Target> {
     op_deadline: Option<Instant>,
     /// Shared span timeline, installed by the trace layer above. One
     /// retrying operation opens ONE logical `retry` span (back-dated
-    /// to the op start) with an instant child per re-attempt.
+    /// to its first transient failure) with an instant child per
+    /// re-attempt.
     spans: Option<SpanContext>,
 }
 
@@ -193,7 +195,7 @@ impl<T: Target> RetryTarget<T> {
     }
 
     /// Opens (at most once per operation) the logical `retry` span for
-    /// this retry episode, back-dated to the operation start.
+    /// this retry episode, back-dated to the first transient failure.
     fn open_retry_span(&self, name: &'static str, start: Instant) -> u64 {
         match &self.spans {
             Some(s) if s.is_enabled() => {
@@ -224,23 +226,28 @@ impl<T: Target> RetryTarget<T> {
     }
 
     /// Issues one fallible op, re-driving it while it fails
-    /// transiently. The clean first attempt is the hot path: no span,
-    /// no backoff bookkeeping.
+    /// transiently. The clean first attempt is the hot path: no clock
+    /// read, no span, no backoff bookkeeping.
     #[inline(always)]
     fn run(&mut self, mut op: Op<'_, '_>) -> Reply {
-        let start = Instant::now();
         self.stats.operations += 1;
         let reply = op.reborrow().apply(&mut self.inner);
         if reply.errors().any(TargetError::is_transient) {
-            return self.retry(op, reply, start);
+            return self.retry(op, reply);
         }
         reply
     }
 
     /// The retry episode after a transient first attempt: bounded
     /// re-drives with jittered backoff, clamped by the deadlines.
+    ///
+    /// The episode starts at the first transient failure, not when the
+    /// op was issued: the per-operation budget and the back-dated
+    /// `retry` span both count from there, so a clean op never reads
+    /// the clock.
     #[inline(never)]
-    fn retry(&mut self, mut op: Op<'_, '_>, mut reply: Reply, start: Instant) -> Reply {
+    fn retry(&mut self, mut op: Op<'_, '_>, mut reply: Reply) -> Reply {
+        let start = Instant::now();
         // The effective budget for this operation: the policy's
         // per-operation allowance clamped by however much of the eval
         // budget is left.
@@ -252,7 +259,8 @@ impl<T: Target> RetryTarget<T> {
         };
         let mut attempt = 0u32;
         // One *logical* span covers the whole retry episode, opened at
-        // the first transient failure and back-dated to the op start.
+        // the first re-attempt and back-dated to the first transient
+        // failure.
         let mut retry_span = 0u64;
         while reply.errors().any(TargetError::is_transient) {
             if attempt >= self.policy.max_retries {

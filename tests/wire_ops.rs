@@ -204,24 +204,6 @@ fn run(t: &mut dyn Target, ops: &[WireOp]) -> Vec<String> {
     ops.iter().map(|op| drive(t, op)).collect()
 }
 
-/// `answers` with the extent of every `IllegalMemory` fault dropped.
-fn fault_blind(answers: &[String]) -> Vec<String> {
-    answers
-        .iter()
-        .map(|a| {
-            let mut out = String::new();
-            let mut rest = a.as_str();
-            while let Some(i) = rest.find("IllegalMemory {") {
-                out.push_str(&rest[..i + "IllegalMemory".len()]);
-                rest = &rest[i..];
-                rest = &rest[rest.find('}').map_or(rest.len(), |j| j + 1)..];
-            }
-            out.push_str(rest);
-            out
-        })
-        .collect()
-}
-
 /// The cache in three forms: 8-byte pages in a 3-page LRU (every
 /// access evicts, arena edges leave partial pages), sequential
 /// readahead on, and switched off.
@@ -274,12 +256,11 @@ proptest! {
             }
         }
 
-        // The cache reports a fault by the page-sized piece that
-        // faulted, not by the whole request: compare fault-blind.
-        let blind_want = fault_blind(&want);
+        // The cache reports a fault over the whole request, fault
+        // extents included.
         for (label, cfg) in cache_forms() {
             let got = run(&mut CachedTarget::with_config(scenario::combined(), cfg), &ops);
-            for (i, (g, w)) in fault_blind(&got).iter().zip(&blind_want).enumerate() {
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 prop_assert_eq!(g, w, "{}, op {} {:?}", label, i, ops[i]);
             }
         }
@@ -344,8 +325,8 @@ fn cache_counters_after_a_fixed_script_are_pinned() {
     let mut stats = Vec::new();
     for (label, cfg) in cache_forms() {
         let mut t = CachedTarget::with_config(scenario::combined(), cfg);
-        let got = fault_blind(&run_with_windows(&mut t, &ops));
-        assert_eq!(got, fault_blind(&want), "{label}");
+        let got = run_with_windows(&mut t, &ops);
+        assert_eq!(got, want, "{label}");
         stats.push(t.stats().clone());
     }
     let pinned = [
