@@ -97,6 +97,7 @@ impl GenT for StrGen {
             Some(a) => a,
             None => {
                 let len = self.s.len() as u64 + 1;
+                ctx.ran_target_code = true;
                 let a = ctx.target.alloc_space(len, 1)?;
                 ctx.target.put_bytes(a, self.s.as_bytes())?;
                 ctx.target.put_bytes(a + self.s.len() as u64, &[0])?;
@@ -184,6 +185,7 @@ impl GenT for DeclGen {
                         sym: d.name.clone(),
                         message: e.to_string(),
                     })?;
+                ctx.ran_target_code = true;
                 let addr = ctx.target.alloc_space(size, align)?;
                 // Zero-initialize so fresh DUEL variables are
                 // deterministic.
@@ -481,6 +483,7 @@ impl CallGen {
         for v in &self.cur {
             call_args.push(apply::to_call_value(ctx.target, v)?);
         }
+        ctx.ran_target_code = true;
         let ret = ctx.target.call_func(&self.name, &call_args)?;
         let sym = if ctx.eager_sym() {
             Sym::call(&self.name, self.cur.iter().map(|v| v.sym.clone()).collect())

@@ -81,6 +81,11 @@ pub struct Ctx<'a> {
     pub spans: Option<duel_target::SpanContext>,
     /// Wall-clock deadline derived from [`EvalOptions::timeout_ms`].
     pub deadline: Option<std::time::Instant>,
+    /// Set just before an op that runs target code (a function call or
+    /// a target allocation) — the only ops that can leave program
+    /// output behind. The drive loop drains output only while it is
+    /// set, then clears it.
+    pub ran_target_code: bool,
 }
 
 impl<'a> Ctx<'a> {
@@ -115,6 +120,7 @@ impl<'a> Ctx<'a> {
             profile: None,
             spans,
             deadline,
+            ran_target_code: false,
         }
     }
 

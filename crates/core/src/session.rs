@@ -205,11 +205,6 @@ impl<'t> Session<'t> {
                 return Err(e);
             }
         };
-        // The symbolic value is shown only when it differs from the
-        // typed expression: `duel 1 + (double)3/2` prints `2.500`, while
-        // `duel x[1..3] == 7` prints `x[1]==7 = 0` — generator
-        // substitution is what makes the symbolic value informative.
-        let src_squeezed: String = src.chars().filter(|c| !c.is_whitespace()).collect();
         // Match the paper's transcripts: a top-level call shows the
         // program output it triggers, not its (uninteresting) return
         // values. The frame-exploration builtins are exempt — their
@@ -251,9 +246,14 @@ impl<'t> Session<'t> {
         }
         let mut lines = Vec::new();
         let result = eval::drive(&mut ctx, &mut gen, |ctx, v| {
-            let out = ctx.target.take_output();
-            if !out.is_empty() {
-                lines.push(OutputLine::Stdout(out));
+            // Only target code (a call, an allocation) can print, so
+            // drain just after such an op; the end of the command
+            // drains the rest.
+            if std::mem::take(&mut ctx.ran_target_code) {
+                let out = ctx.target.take_output();
+                if !out.is_empty() {
+                    lines.push(OutputLine::Stdout(out));
+                }
             }
             if suppress_values {
                 return Ok(());
@@ -295,10 +295,14 @@ impl<'t> Session<'t> {
                 None
             } else {
                 let rendered = v.sym.render(thr);
-                let squeezed: String = rendered.chars().filter(|c| !c.is_whitespace()).collect();
-                // Also collapse `0 = 0`-style lines where the symbolic
-                // value is just the value itself (fully substituted).
-                if squeezed == src_squeezed || rendered == value {
+                // The symbolic value is shown only when it differs from
+                // the typed expression: `duel 1 + (double)3/2` prints
+                // `2.500`, while `duel x[1..3] == 7` prints
+                // `x[1]==7 = 0` — generator substitution is what makes
+                // the symbolic value informative. Also collapse
+                // `0 = 0`-style lines where the symbolic value is just
+                // the value itself (fully substituted).
+                if same_ignoring_whitespace(&rendered, src) || rendered == value {
                     None
                 } else {
                     Some(rendered)
@@ -341,7 +345,8 @@ impl<'t> Session<'t> {
             trace_id,
         };
         // Flush any output produced after the last value (or before an
-        // error).
+        // error). This is the command's only drain when it ran no
+        // target code.
         let out = self.target.take_output();
         if !out.is_empty() {
             lines.push(OutputLine::Stdout(out));
@@ -413,6 +418,13 @@ impl<'t> Session<'t> {
     pub fn target_mut(&mut self) -> &mut dyn Target {
         &mut *self.target
     }
+}
+
+/// Whether `a` and `b` are equal once all whitespace is removed.
+fn same_ignoring_whitespace(a: &str, b: &str) -> bool {
+    a.chars()
+        .filter(|c| !c.is_whitespace())
+        .eq(b.chars().filter(|c| !c.is_whitespace()))
 }
 
 /// Renders output lines to printable strings, splitting stdout chunks on

@@ -48,7 +48,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
 
@@ -216,24 +216,9 @@ struct Inflight {
     submitted: Instant,
 }
 
-/// Appends any pending program output of `t` to the shared front-side
-/// buffer. The worker runs this at the end of *every* job, before the
-/// job's reply is sent, so output ordering relative to RPC returns is
-/// exactly the inline ordering.
-fn drain_output<T: Target + ?Sized>(t: &mut T, out: &Mutex<String>) {
-    let s = t.take_output();
-    if !s.is_empty() {
-        out.lock().expect("output buffer lock").push_str(&s);
-    }
-}
-
 struct Actor<T: Target + Send + 'static> {
     tx: mpsc::Sender<Job<T>>,
     join: thread::JoinHandle<T>,
-    /// Clone of the front's shared output buffer, captured into every
-    /// job so the worker can publish program output without a
-    /// round-trip.
-    output: Arc<Mutex<String>>,
     /// Front-side ABI mirror (the ABI never changes mid-session).
     abi: Abi,
     /// Front-side type-table mirror; always a superset of the worker's
@@ -273,11 +258,6 @@ pub struct AsyncTarget<T: Target + Send + 'static> {
     /// Front-side span context installed from above; never forwarded
     /// into the worker.
     spans: Option<SpanContext>,
-    /// Program output published by the worker (which drains the
-    /// backend after every job). Lets [`Target::take_output`] stay a
-    /// buffer swap instead of a per-value round-trip through the
-    /// actor — the single hottest call on a scan.
-    output: Arc<Mutex<String>>,
 }
 
 impl<T: Target + Send + 'static> std::fmt::Debug for AsyncTarget<T> {
@@ -303,7 +283,6 @@ impl<T: Target + Send + 'static> AsyncTarget<T> {
             inner_trace,
             inner_staleness,
             spans: None,
-            output: Arc::new(Mutex::new(String::new())),
         }
     }
 
@@ -351,13 +330,9 @@ impl<T: Target + Send + 'static> AsyncTarget<T> {
     pub fn set_async(&mut self, on: bool) {
         match (&self.mode, on) {
             (Mode::Inline(_), true) => {
-                let Mode::Inline(mut inner) = std::mem::replace(&mut self.mode, Mode::Switching)
-                else {
+                let Mode::Inline(inner) = std::mem::replace(&mut self.mode, Mode::Switching) else {
                     unreachable!()
                 };
-                // Output produced before the switch must not be
-                // stranded inside the backend until its first job.
-                drain_output(&mut inner, &self.output);
                 let abi = inner.abi().clone();
                 let types = TypeTable::from_snapshot(&inner.types().snapshot());
                 let synced = types.len();
@@ -375,7 +350,6 @@ impl<T: Target + Send + 'static> AsyncTarget<T> {
                 self.mode = Mode::Actor(Box::new(Actor {
                     tx,
                     join,
-                    output: self.output.clone(),
                     abi,
                     types,
                     synced,
@@ -419,14 +393,8 @@ impl<T: Target + Send + 'static> AsyncTarget<T> {
     /// operations use this directly; they never touch the type table.
     fn rpc<R: Send + 'static>(a: &Actor<T>, f: impl FnOnce(&mut T) -> R + Send + 'static) -> R {
         let (rtx, rrx) = mpsc::channel();
-        let out = a.output.clone();
         a.tx.send(Box::new(move |t: &mut T| {
-            let r = f(t);
-            // Publish output *before* the reply: once the caller sees
-            // the reply, a following `take_output` must already see
-            // everything this op printed (inline-mode ordering).
-            drain_output(t, &out);
-            let _ = rtx.send(r);
+            let _ = rtx.send(f(t));
         }))
         .expect("duel-io-actor is alive");
         rrx.recv().expect("duel-io-actor replied")
@@ -482,34 +450,23 @@ impl<T: Target + Send + 'static> crate::op::Layer for AsyncTarget<T> {
     }
 
     fn call(&mut self, op: Op<'_, '_>) -> Reply {
-        if let Op::TakeOutput = op {
-            // Sessions drain output once per produced value, so this
-            // must never be a round-trip: the worker publishes output
-            // into the shared buffer at the end of every job (before
-            // the job's reply), and the front side just swaps it.
-            let buffered = std::mem::take(&mut *self.output.lock().expect("output buffer lock"));
-            return Reply::Output(match &mut self.mode {
-                Mode::Inline(t) if buffered.is_empty() => t.take_output(),
-                Mode::Inline(t) => buffered + &t.take_output(),
-                _ => buffered,
-            });
-        }
         match &mut self.mode {
             Mode::Inline(t) => op.apply(t),
             Mode::Actor(a) => {
                 let call = op.to_call();
                 let job = move |t: &mut T| call.apply(t);
-                // Memory ops never touch the type table. The others —
-                // calls, lookups, frame metadata — can consume
-                // front-minted type ids and intern new ones, so they
-                // sync the type-table mirror.
+                // Memory ops and the output drain never touch the type
+                // table. The others — calls, lookups, frame metadata —
+                // can consume front-minted type ids and intern new
+                // ones, so they sync the type-table mirror.
                 let reply = match op {
                     Op::GetBytes { .. }
                     | Op::GetBytesMulti(_)
                     | Op::PutBytes { .. }
                     | Op::AllocSpace { .. }
                     | Op::FrameCount
-                    | Op::IsMapped { .. } => Self::rpc(a, job),
+                    | Op::IsMapped { .. }
+                    | Op::TakeOutput => Self::rpc(a, job),
                     _ => Self::rpc_sym(a, job),
                 };
                 op.fill(reply)
@@ -578,11 +535,8 @@ impl<T: Target + Send + 'static> crate::op::Layer for AsyncTarget<T> {
         };
         let n = ranges.len();
         let (rtx, rrx) = mpsc::channel();
-        let out = a.output.clone();
         a.tx.send(Box::new(move |t: &mut T| {
-            let r = run_multi(t, ranges);
-            drain_output(t, &out);
-            let _ = rtx.send(r);
+            let _ = rtx.send(run_multi(t, ranges));
         }))
         .expect("duel-io-actor is alive");
         self.next_ticket += 1;
