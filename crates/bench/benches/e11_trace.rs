@@ -185,7 +185,7 @@ fn main() {
                  \"traced_on_us\": {},\n      \"overhead_pct\": {:.2},\n      \
                  \"calls_recorded\": {},\n      \"identical_output\": {}\n    }}",
                 r.name,
-                json_str(r.expr),
+                duel_target::json::quote(r.expr),
                 r.baseline_us,
                 r.traced_off_us,
                 r.traced_on_us,
@@ -207,8 +207,4 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-}
-
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }

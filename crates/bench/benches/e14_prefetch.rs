@@ -156,7 +156,7 @@ fn main() {
              \"prefetch_calls\": {},\n      \"demand_wall_us\": {},\n      \
              \"planned_wall_us\": {},\n      \"identical_output\": {}\n    }}",
             w.name,
-            json_str(w.expr),
+            duel_target::json::quote(w.expr),
             planned.lines.len(),
             demand.wire_turns,
             planned.wire_turns,
@@ -185,8 +185,4 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-}
-
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }

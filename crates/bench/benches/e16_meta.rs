@@ -1,7 +1,7 @@
 //! E16 — self-hosted introspection: the meta-target's three promises.
 //!
-//! PR-9 turns the debugger's own telemetry into a first-class debuggee
-//! (`.query` over a synthetic [`duel_target::MetaTarget`]). This bench
+//! `.query` turns the debugger's own telemetry into a first-class
+//! debuggee (a simulated one, [`duel_target::MetaSnapshot::image`]). This bench
 //! pins the three properties the design rests on:
 //!
 //! 1. **Agreement** — aggregating `events`/`spans`/`counters` with
@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use duel_cli::Repl;
 use duel_core::oneshot_lines;
 use duel_target::trace::TRACE_OPS;
-use duel_target::{MetaSnapshot, MetaTarget, SpanContext, SpanKind};
+use duel_target::{MetaSnapshot, SpanContext, SpanKind};
 
 /// Interleaved timing rounds for the 4096-span measurement.
 const ROUNDS: usize = 25;
@@ -183,7 +183,7 @@ fn time_ring_query(failed: &mut bool) -> Duration {
             spans: ctx.snapshot(),
             ..MetaSnapshot::default()
         };
-        let mut meta = MetaTarget::new(&snap);
+        let mut meta = snap.image();
         let (count, err1) = oneshot_lines(&mut meta, "#/(spans[..nspans].id)", &opts);
         let (total, err2) = oneshot_lines(&mut meta, "+/(spans[..nspans].dur_ns)", &opts);
         best = best.min(start.elapsed());

@@ -19,10 +19,9 @@ use std::fmt::Write as _;
 
 use duel_cli::{render_top_report, Repl};
 use duel_target::capture::{Capture, CaptureCall};
-use duel_target::trace::{fmt_ns, TraceEvent, TraceHandle, TraceStats};
+use duel_target::trace::{fmt_ns, TraceEvent, TraceHandle};
 use duel_target::{
-    chrome_trace_json, MetaCapture, MetaSnapshot, MetaTarget, MetricsRegistry, SpanContext,
-    SpanKind,
+    chrome_trace_json, MetaCapture, MetaSnapshot, MetricsRegistry, SpanContext, SpanKind,
 };
 
 const USAGE: &str = "usage: duel-replay CAPTURE.jsonl \
@@ -118,10 +117,12 @@ fn main() {
 /// Rebuilds live-telemetry shapes from a capture: a span context with
 /// one `capture` root covering the recording, the events laid end to
 /// end on a synthetic timeline (captures hold per-call latencies, not
-/// wall-clock timestamps) and attributed to that root, and a
-/// [`TraceHandle`] fed through the live `TraceStats` machinery — so
-/// the offline views and the REPL's stay one code path.
-fn synthesize(cap: &Capture) -> (SpanContext, Vec<TraceEvent>, TraceHandle) {
+/// wall-clock timestamps) and attributed to that root, a
+/// [`TraceHandle`] fed through the live `TraceStats` machinery, and a
+/// metrics registry charged with its per-op totals under the live
+/// `wire.<op>.*` names — so the offline views and the REPL's stay one
+/// code path.
+fn synthesize(cap: &Capture) -> (SpanContext, Vec<TraceEvent>, TraceHandle, MetricsRegistry) {
     let spans = SpanContext::new(cap.events.len().max(1));
     spans.set_enabled(true);
     let trace = spans.begin_trace();
@@ -161,35 +162,19 @@ fn synthesize(cap: &Capture) -> (SpanContext, Vec<TraceEvent>, TraceHandle) {
             })
         })
         .collect();
-    (spans, events, handle)
-}
-
-/// Charges a capture's per-op totals to a fresh metrics registry under
-/// the same `wire.<op>.{calls,errors,ns}` names the live REPL's
-/// `feed_metrics` uses, so offline meta-queries and counter tables
-/// read identically to live ones.
-fn wire_metrics(stats: &TraceStats) -> MetricsRegistry {
-    let m = MetricsRegistry::new();
-    for o in stats.ops.iter().filter(|o| o.calls > 0) {
-        m.counter(&format!("wire.{}.calls", o.op.name()))
-            .add(o.calls);
-        if o.errors > 0 {
-            m.counter(&format!("wire.{}.errors", o.op.name()))
-                .add(o.errors);
-        }
-        m.counter(&format!("wire.{}.ns", o.op.name()))
-            .add(o.total_ns);
+    let metrics = MetricsRegistry::new();
+    for o in &handle.snapshot().ops {
+        metrics.charge_wire(o.op.name(), o.calls, o.errors, o.total_ns);
     }
-    m
+    (spans, events, handle, metrics)
 }
 
 /// The offline `.top`: hottest spans (here: the one capture root),
 /// wire ops, and busiest counters, rendered by the same
 /// [`render_top_report`] the live view uses.
 fn render_offline_top(path: &str, cap: &Capture, n: usize) -> String {
-    let (spans, _, handle) = synthesize(cap);
+    let (spans, _, handle, metrics) = synthesize(cap);
     let stats = handle.snapshot();
-    let metrics = wire_metrics(&stats);
     let mut out = String::new();
     let _ = writeln!(out, "top — `{path}` ({} events)", cap.events.len());
     render_top_report(
@@ -207,8 +192,7 @@ fn render_offline_top(path: &str, cap: &Capture, n: usize) -> String {
 /// header identity) and evaluates the DUEL expression against it.
 /// Returns the rendered output and whether the query failed.
 fn run_query(cap: &Capture, expr: &str) -> (String, bool) {
-    let (spans, events, handle) = synthesize(cap);
-    let metrics = wire_metrics(&handle.snapshot());
+    let (spans, events, _, metrics) = synthesize(cap);
     let wire_events = events.len() as u64;
     let snap = MetaSnapshot {
         spans: spans.snapshot(),
@@ -221,7 +205,7 @@ fn run_query(cap: &Capture, expr: &str) -> (String, bool) {
         }),
         ..MetaSnapshot::default()
     };
-    let mut meta = MetaTarget::new(&snap);
+    let mut meta = snap.image();
     let (lines, err) = duel_core::oneshot_lines(&mut meta, expr, &Repl::default_options());
     let mut out = String::new();
     for l in lines {
@@ -237,7 +221,7 @@ fn run_query(cap: &Capture, expr: &str) -> (String, bool) {
 /// ui.perfetto.dev); a zero-event capture still yields a valid
 /// (metadata-only) document.
 fn export_perfetto(out: &str, cap: &Capture) {
-    let (spans, events, _) = synthesize(cap);
+    let (spans, events, ..) = synthesize(cap);
     let total_ns: u64 = cap.events.iter().map(|e| e.ns).sum();
     let json = chrome_trace_json(&spans.snapshot(), &events);
     match std::fs::write(out, &json) {
@@ -257,7 +241,7 @@ fn export_perfetto(out: &str, cap: &Capture) {
 
 /// Prints the last `n` wire events in the `.trace dump` format.
 fn print_timeline(cap: &Capture, n: usize) {
-    let (_, events, _) = synthesize(cap);
+    let (_, events, ..) = synthesize(cap);
     let skip = events.len().saturating_sub(n);
     if skip > 0 {
         println!("... {skip} earlier event(s) ...");
@@ -304,7 +288,7 @@ fn print_summary(path: &str, cap: &Capture) {
         fmt_ns(total_ns)
     );
 
-    let (_, _, handle) = synthesize(cap);
+    let (_, _, handle, _) = synthesize(cap);
     let stats = handle.snapshot();
     println!("\nper-op stats:");
     for o in stats.ops.iter().filter(|o| o.calls > 0) {
@@ -402,7 +386,7 @@ mod tests {
                 ns: 10,
             });
         }
-        let (_, events, handle) = synthesize(&cap);
+        let (_, events, handle, _) = synthesize(&cap);
         assert_eq!(handle.snapshot().op(duel_target::TraceOp::Frames).calls, 2);
         assert_eq!(events.len(), 4, "two reads and two frame ops");
         let (out, failed) = run_query(&cap, "capture.events");
@@ -411,7 +395,7 @@ mod tests {
 
     #[test]
     fn zero_event_capture_exports_valid_perfetto_json() {
-        let (spans, events, _) = synthesize(&empty_capture());
+        let (spans, events, ..) = synthesize(&empty_capture());
         let json = chrome_trace_json(&spans.snapshot(), &events);
         let doc = Json::parse(&json).expect("empty-capture chrome trace must parse");
         let Some(Json::Arr(events)) = doc.get("traceEvents") else {

@@ -14,9 +14,10 @@ use std::time::{Duration, Instant};
 
 use duel_core::{DuelError, EvalOptions, EvalStats, Session, SymMode, Value};
 use duel_minic::{Debugger, StopReason};
+use duel_target::json::quote;
 use duel_target::{
     chrome_trace_json, folded_stacks, scenario, AsyncTarget, CacheConfig, CachedTarget,
-    ChaosHandle, ChaosTarget, FlameWeight, MetaCapture, MetaSnapshot, MetaTarget, MetricsRegistry,
+    ChaosHandle, ChaosTarget, FlameWeight, MetaCapture, MetaSnapshot, MetricsRegistry,
     MetricsSnapshot, Op, OwnedRange, PipelineTicket, RecordTarget, ReplayMode, ReplayTarget, Reply,
     RetryTarget, SimTarget, SpanContext, SpanSnapshot, SupervisedTarget, Target, TargetResult,
     TraceHandle, TraceStats, TraceTarget,
@@ -488,15 +489,7 @@ impl Repl {
             let calls = o.calls.saturating_sub(prev.0);
             let errors = o.errors.saturating_sub(prev.1);
             let ns = o.total_ns.saturating_sub(prev.2);
-            if calls == 0 && errors == 0 {
-                continue;
-            }
-            m.counter(&format!("wire.{}.calls", o.op.name())).add(calls);
-            if errors > 0 {
-                m.counter(&format!("wire.{}.errors", o.op.name()))
-                    .add(errors);
-            }
-            m.counter(&format!("wire.{}.ns", o.op.name())).add(ns);
+            m.charge_wire(o.op.name(), calls, errors, ns);
             wire_ns += ns;
             wire_calls += calls;
         }
@@ -553,12 +546,10 @@ impl Repl {
     pub fn trace_json(&self) -> String {
         format!(
             "{{\"schema_version\":1,\"name\":\"duel_trace\",\
-             \"config\":{{\"backend\":\"{}\",\"scenario\":\"{}\",\"cache\":{}}},\
+             \"config\":{{\"backend\":\"{}\",\"scenario\":{},\"cache\":{}}},\
              \"metrics\":{{\"layers\":[{}]}}}}",
             self.leaf().label(),
-            self.scenario_label
-                .replace('\\', "\\\\")
-                .replace('"', "\\\""),
+            quote(&self.scenario_label),
             self.cache_enabled,
             self.tower.handle().to_json("session")
         )
@@ -587,7 +578,6 @@ impl Repl {
     /// `schema_version`/`name`/`config`/`metrics` envelope that bench
     /// reports, capture files, and `--trace-json` all follow.
     pub fn stats_json(&self) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
         let c = self.cache().stats();
         let r = self.retry().stats();
         let sup = self.supervisor().stats();
@@ -640,12 +630,12 @@ impl Repl {
         }
         format!(
             "{{\"schema_version\":1,\"name\":\"duel_stats\",\
-             \"config\":{{\"backend\":\"{}\",\"scenario\":\"{}\",\"cache\":{},\
+             \"config\":{{\"backend\":\"{}\",\"scenario\":{},\"cache\":{},\
              \"prefetch\":{},\"pipeline\":{},\"degrade\":{},\"trace\":{},\"spans\":{},\
              \"trace_buf\":{},\"span_buf\":{}}},\
              \"metrics\":{{{}}}}}",
             self.leaf().label(),
-            esc(&self.scenario_label),
+            quote(&self.scenario_label),
             self.cache_enabled,
             self.options.prefetch,
             self.pipeline_enabled,
@@ -713,13 +703,12 @@ impl Repl {
     }
 
     /// The `.query EXPR` body: one-shot DUEL evaluation against a
-    /// fresh [`MetaTarget`] built from [`Repl::meta_snapshot`].
+    /// fresh [`MetaSnapshot::image`] of [`Repl::meta_snapshot`].
     /// Deliberately bypasses `feed_metrics` and the op deadline — a
     /// meta-query must perturb neither the metrics it inspects nor
     /// the debuggee tower.
     fn meta_query(&mut self, expr: &str, out: &mut String) {
-        let snap = self.meta_snapshot();
-        let mut meta = MetaTarget::new(&snap);
+        let mut meta = self.meta_snapshot().image();
         let (lines, err) = duel_core::oneshot_lines(&mut meta, expr, &self.options);
         for l in lines {
             let _ = writeln!(out, "{l}");

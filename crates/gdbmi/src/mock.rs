@@ -19,7 +19,9 @@ pub struct MockGdb {
     /// The simulated debuggee being served.
     pub sim: SimTarget,
     queue: VecDeque<String>,
-    /// Every command line received (for protocol tests).
+    /// Always empty: the server keeps no log of the commands it
+    /// serves, so a long session's memory stays flat. (Callers that
+    /// clear it may keep doing so.)
     pub log: Vec<String>,
 }
 
@@ -52,7 +54,6 @@ impl MockGdb {
     }
 
     fn handle(&mut self, line: &str) {
-        self.log.push(line.to_string());
         let token_end = line
             .find(|c: char| !c.is_ascii_digit())
             .unwrap_or(line.len());

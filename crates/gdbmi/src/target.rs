@@ -968,6 +968,53 @@ mod tests {
         assert_eq!(t.inner().stats().backend_reads, reads);
     }
 
+    /// A transport that passes `pass` sends, then drops one.
+    struct FailOnce<T> {
+        inner: T,
+        pass: Option<u32>,
+    }
+
+    impl<T: MiTransport> MiTransport for FailOnce<T> {
+        fn send_line(&mut self, line: &str) -> Result<(), MiError> {
+            match self.pass {
+                Some(0) => {
+                    self.pass = None;
+                    Err(MiError::Disconnected)
+                }
+                Some(n) => {
+                    self.pass = Some(n - 1);
+                    self.inner.send_line(line)
+                }
+                None => self.inner.send_line(line),
+            }
+        }
+
+        fn recv_line(&mut self) -> Result<String, MiError> {
+            self.inner.recv_line()
+        }
+    }
+
+    #[test]
+    fn a_flake_on_the_fault_probe_is_not_a_fault() {
+        let flaky = FailOnce {
+            inner: MockGdb::new(scenario::scan_array()),
+            pass: None,
+        };
+        let mut t = cached(flaky);
+        let x = t.get_variable("x").unwrap();
+        // x[58..60] is mapped, but its page runs past the 240-byte
+        // arena: the page fetch faults (send 1) and the `is_mapped`
+        // probe (send 2) meets the flake.
+        t.inner_mut().inner_mut().client_mut().transport_mut().pass = Some(1);
+        let mut buf = [0u8; 8];
+        t.get_bytes(x.addr + 232, &mut buf).unwrap();
+        assert_eq!(i32::from_le_bytes(buf[..4].try_into().unwrap()), 158);
+        assert_eq!(i32::from_le_bytes(buf[4..].try_into().unwrap()), 159);
+        let stats = t.inner().stats();
+        assert_eq!((stats.backend_reads, stats.mapped_probes), (2, 1));
+        assert!(t.inner().inner().client.transport().pass.is_none());
+    }
+
     // ---- trace wiring ---------------------------------------------------
 
     /// [`cached`] with a trace layer at both ends: the outer `session`

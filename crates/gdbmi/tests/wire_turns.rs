@@ -74,3 +74,49 @@ fn cold_hash_walk_fills_its_pages_in_tens_of_turns() {
     );
     assert!(turns <= 100, "{turns} MI turns for {filled} pages");
 }
+
+/// The mock server keeps no log of the commands it serves: cold walk
+/// after cold walk leaves it empty, so a long session's memory stays
+/// flat.
+#[test]
+fn cold_walks_leave_no_command_log() {
+    struct Watch {
+        inner: MockGdb,
+        longest_log: Arc<AtomicU64>,
+    }
+    impl MiTransport for Watch {
+        fn send_line(&mut self, line: &str) -> Result<(), MiError> {
+            self.inner.send_line(line)?;
+            let len = self.inner.log.len() as u64;
+            self.longest_log.fetch_max(len, Ordering::Relaxed);
+            Ok(())
+        }
+
+        fn recv_line(&mut self) -> Result<String, MiError> {
+            self.inner.recv_line()
+        }
+    }
+    let longest_log = Arc::new(AtomicU64::new(0));
+    let watch_log = longest_log.clone();
+    let mut t = connect_supervised(
+        move || {
+            Ok(Watch {
+                inner: MockGdb::new(scenario::bench_hash(1024, 4, 7)),
+                longest_log: watch_log.clone(),
+            })
+        },
+        RetryPolicy::default(),
+        CacheConfig::default(),
+        SupervisorConfig::default(),
+        Duration::from_secs(30),
+    )
+    .unwrap();
+    for _ in 0..10 {
+        t.inner_mut().inner_mut().invalidate_all();
+        let lines = Session::new(&mut t)
+            .eval_lines("#/(hash[..1024]-->next)")
+            .unwrap();
+        assert_eq!(lines, ["4096"]);
+    }
+    assert_eq!(longest_log.load(Ordering::Relaxed), 0);
+}

@@ -34,8 +34,11 @@
 //!   cache (a debuggee call can write anywhere); and
 //!   [`CachedTarget::invalidate_all`] bumps the epoch when the target
 //!   resumes. A failed page fetch (fault *or* transient error) caches
-//!   nothing — the access falls back to an exact uncached read, so a
-//!   flaky backend can never poison a page with partial data.
+//!   nothing, so a flaky backend can never poison a page with partial
+//!   data: after a transient error the access falls back to an exact
+//!   uncached read; a fault is ruled on by one `is_mapped` probe over
+//!   the request (a wild range gets one exact read, with no
+//!   bisection; a mapped edge gets its page's readable prefix cached).
 //!
 //! Stacking order (see `DESIGN.md`): the cache sits *inside*
 //! [`crate::RetryTarget`] (a retried operation re-enters the cache) and
@@ -410,10 +413,17 @@ impl<T: Target> CachedTarget<T> {
             // partial or failed fetch cannot poison a page. (The retry
             // layer above, if any, re-enters.)
             Err(_) => false,
-            // Not covered by the mapped prefix (or a flake aborted the
-            // probe): the exact read gives the backend the chance to
-            // answer (or to report the honest per-access fault).
-            Ok(false) => matches!(self.fill_prefix(base), Ok(n) if off + buf.len() <= n),
+            // A fault, ruled on as `is_mapped` rules on one: one probe
+            // tells a wild range (no bisection) from a mapped edge. The
+            // probe's "unmapped" is not a fault by itself (a flake on
+            // the wire reads the same), so the exact read rules on it;
+            // it also serves a request the edge's prefix does not cover
+            // (or one whose bisection a flake aborted).
+            Ok(false) => {
+                let end = off + buf.len();
+                self.probe_mapped(addr, buf.len() as u64)
+                    && matches!(self.fill_prefix(base, end), Ok(n) if end <= n)
+            }
         };
         if !covered {
             return self.read_exact_uncached(addr, buf);
@@ -445,11 +455,12 @@ impl<T: Target> CachedTarget<T> {
     /// of an arena or segment): binary-searches the largest readable
     /// prefix of the page at `base` once and caches it as a partial
     /// page, so later reads inside the mapped part still coalesce.
-    /// Returns the prefix length. A transient error mid-probe caches
-    /// nothing (the prefix it found is suspect).
-    fn fill_prefix(&mut self, base: u64) -> TargetResult<usize> {
+    /// `mapped` bytes from `base` on were reported mapped, so the
+    /// search starts above them. Returns the prefix length. A transient
+    /// error mid-probe caches nothing (the prefix it found is suspect).
+    fn fill_prefix(&mut self, base: u64, mapped: usize) -> TargetResult<usize> {
         let mut page = vec![0u8; self.cfg.page_size as usize];
-        let readable = self.probe_prefix(base, &mut page)?;
+        let readable = self.probe_prefix(base, &mut page, mapped)?;
         if readable > 0 {
             page.truncate(readable);
             self.insert_page(base, page);
@@ -497,7 +508,7 @@ impl<T: Target> CachedTarget<T> {
                         // readable prefix its read is about to need.
                         let mapped = self.probe_mapped(addr, end - addr);
                         if mapped {
-                            let _ = self.fill_prefix(base);
+                            let _ = self.fill_prefix(base, (end - base).min(ps) as usize);
                         }
                         Some(mapped)
                     }
@@ -530,19 +541,20 @@ impl<T: Target> CachedTarget<T> {
     }
 
     /// Finds the largest `n` such that `[base, base+n)` is readable,
-    /// by bisection, and leaves those bytes in `page[..n]`. Costs
+    /// by bisection above `lo` (a length taken as readable: a mapped
+    /// range ends there), and leaves those bytes in `page[..n]`. Costs
     /// O(log page_size) backend reads, paid at most once per partial
-    /// page per epoch.
+    /// page per epoch. If the first `lo` bytes turn out unreadable
+    /// after all, the answer is 0.
     ///
     /// Only *faults* narrow the bisection: a fault is the arena's
     /// honest edge. A *transient* error mid-probe aborts the whole
     /// probe instead — treating a wire flake as "unreadable" would
     /// cache a permanently shrunk prefix for the rest of the epoch.
     /// The caller caches nothing on `Err` so a retry re-drives cleanly.
-    fn probe_prefix(&mut self, base: u64, page: &mut [u8]) -> TargetResult<usize> {
-        let mut lo = 0usize; // readable
+    fn probe_prefix(&mut self, base: u64, page: &mut [u8], mut lo: usize) -> TargetResult<usize> {
         let mut hi = page.len(); // known unreadable (full fetch failed)
-        while hi - lo > 1 {
+        while hi > lo + 1 {
             let mid = lo + (hi - lo) / 2;
             self.stats.backend_reads += 1;
             match self.inner.get_bytes(base, &mut page[..mid]) {
@@ -883,7 +895,13 @@ impl<T: Target> crate::op::Layer for CachedTarget<T> {
                     format!("{n} pages ({n_missing} missed)")
                 });
             }
-            match self.inner.read_submit(self.page_ranges(&fetch)) {
+            // Only a live I/O actor takes a window; without one the
+            // pages are built once, for the synchronous read.
+            let actor = self.inner.pipeline_handle().is_some_and(|h| h.is_async());
+            let ticket = actor
+                .then(|| self.inner.read_submit(self.page_ranges(&fetch)))
+                .flatten();
+            match ticket {
                 Some(ticket) => PendingRead::Async(ticket),
                 None => {
                     // No I/O actor below: perform the vectored read now

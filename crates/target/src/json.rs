@@ -87,6 +87,7 @@ impl Json {
     /// garbage.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -101,6 +102,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -175,6 +177,17 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote,
+            // escape or control byte in one slice: all three are ASCII,
+            // so the run ends on a char boundary.
+            let start = self.pos;
+            while self
+                .peek()
+                .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+            {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
@@ -209,14 +222,8 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Copy a full UTF-8 sequence through unchanged.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8 in string")?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                // RFC 8259: control characters must be escaped.
+                Some(_) => return Err(format!("raw control character at byte {}", self.pos)),
             }
         }
     }
@@ -324,6 +331,22 @@ mod tests {
         let nasty = "a\"b\\c\nd\te\u{1}f — π";
         let j = Json::parse(&format!("{{\"k\":{}}}", quote(nasty))).unwrap();
         assert_eq!(j.get("k").unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let long = "ab\u{e9}".repeat(1_000_000);
+        let j = Json::parse(&quote(&long)).unwrap();
+        assert_eq!(j.as_str().map(str::len), Some(long.len()));
+        let hex = "0f".repeat(1_000_000);
+        assert_eq!(Json::parse(&quote(&hex)).unwrap().as_str(), Some(&hex[..]));
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_rejected() {
+        assert!(Json::parse("\"a\nb\"").is_err());
+        assert!(Json::parse("\"a\u{1}b\"").is_err());
+        assert_eq!(Json::parse(r#""a\nb""#).unwrap().as_str(), Some("a\nb"));
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub use iface::{
     CallValue, FrameInfo, OwnedRange, PipelineTicket, PrefetchCompletion, ReadRange, Target,
     VarInfo, VarKind,
 };
-pub use meta::{MetaCapture, MetaSnapshot, MetaTarget, META_BASE};
+pub use meta::{MetaCapture, MetaSnapshot};
 pub use metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use op::{Layer, Op, Reply};
 pub use pipeline::{AsyncTarget, PipelineHandle, PipelineStats};

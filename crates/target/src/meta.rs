@@ -7,11 +7,11 @@
 //! module closes the loop: [`MetaSnapshot`] freezes every telemetry
 //! source the tower publishes (the span ring, the wire-event ring, the
 //! metrics registry, cache/retry/supervision counters, the replayed
-//! capture header), and [`MetaTarget`] materializes that snapshot as
-//! an ordinary [`Target`] — a synthetic C type table plus a little-
-//! endian arena served through `get_bytes` — so **every DUEL operator
-//! works on it unchanged**: generators, filters, reductions, sorts,
-//! structure traversal.
+//! capture header), and [`MetaSnapshot::image`] materializes that
+//! snapshot as a simulated debuggee — a [`SimTarget`] with a synthetic
+//! C type table and one global per root symbol — so **every DUEL
+//! operator works on it unchanged**: generators, filters, reductions,
+//! sorts, structure traversal, even the simulator's native functions.
 //!
 //! Root symbols of the synthetic image:
 //!
@@ -28,27 +28,24 @@
 //! `nspans`/`nevents`/`ncounters`/`nhists` are `unsigned long long`
 //! globals, so `spans[..nspans].name` needs no out-of-band count.
 //!
-//! The snapshot is a *copy*: querying it can perturb neither the
-//! debuggee nor the live telemetry it was taken from.
+//! The image is a *copy*: querying it (writes and native calls
+//! included) can perturb neither the debuggee nor the live telemetry it
+//! was taken from.
 
 use std::collections::HashMap;
 
-use duel_ctype::{Abi, EnumId, Field, Prim, RecordId, RecordLayout, TypeId, TypeTable};
+use duel_ctype::{Abi, Field, Prim, RecordLayout, TypeId};
 
 use crate::cache::CacheStats;
-use crate::error::{TargetError, TargetResult};
-use crate::iface::{CallValue, FrameInfo, Target, VarInfo, VarKind};
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{log2_quantile, MetricsSnapshot};
 use crate::retry::RetryStats;
+use crate::sim::SimTarget;
 use crate::span::SpanSnapshot;
 use crate::supervise::{CircuitState, SupervisorStats};
 use crate::trace::TraceEvent;
 
-/// Base address of the synthetic telemetry arena (same convention as
-/// the simulated debuggee: NULL and small integers stay unmapped).
-pub const META_BASE: u64 = 0x1000;
-
-/// Growth cap for [`Target::alloc_space`] scratch allocations.
+/// How far scratch allocation (`alloc_space`, `malloc`) may grow the
+/// image past its encoded rows.
 const META_ALLOC_CAP: u64 = 1 << 20;
 
 /// Identity of the capture being replayed, for the `capture` root
@@ -106,7 +103,7 @@ impl Default for MetaSnapshot {
 }
 
 /// Numeric code of a circuit state (`breaker.state_code`).
-pub fn circuit_code(state: CircuitState) -> u64 {
+fn circuit_code(state: CircuitState) -> u64 {
     match state {
         CircuitState::Closed => 0,
         CircuitState::Open => 1,
@@ -116,7 +113,7 @@ pub fn circuit_code(state: CircuitState) -> u64 {
 
 /// Parses a wire-event detail of the `0xADDR+LEN` shape into
 /// `(addr, len)`; symbol details (`hash`, …) yield `(0, 0)`.
-pub fn parse_addr_len(detail: &str) -> (u64, u64) {
+fn parse_addr_len(detail: &str) -> (u64, u64) {
     let Some(rest) = detail.strip_prefix("0x") else {
         return (0, 0);
     };
@@ -127,64 +124,18 @@ pub fn parse_addr_len(detail: &str) -> (u64, u64) {
     (u64::from_str_radix(hex, 16).unwrap_or(0), len)
 }
 
-/// Upper bound of the bucket holding the `q`-quantile sample of a log₂
-/// histogram (same semantics as `Histogram::quantile`, but over a
-/// frozen bucket vector).
-pub fn bucket_quantile(buckets: &[u64], q: f64) -> u64 {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return 0;
-    }
-    let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
-    let mut seen = 0u64;
-    for (i, n) in buckets.iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            return 1u64 << (i + 1).min(63);
-        }
-    }
-    u64::MAX
-}
-
-/// One synthesized struct: its type, record id, and computed layout.
-struct StructDef {
-    layout: RecordLayout,
-}
-
-impl StructDef {
-    fn new(tt: &TypeTable, abi: &Abi, rid: RecordId) -> StructDef {
-        let layout = tt
-            .record_layout(rid, abi)
-            .expect("meta struct layouts are complete by construction");
-        StructDef { layout }
-    }
-
-    fn size(&self) -> u64 {
-        self.layout.size
-    }
-}
-
 /// Writes one struct instance field by field, at the offsets the type
-/// table computed — the arena layout and the C layout can never skew.
+/// table computed — the image layout and the C layout can never skew.
 struct FieldWriter<'a> {
     mem: &'a mut [u8],
     base: usize,
-    def: &'a StructDef,
+    layout: &'a RecordLayout,
     next: usize,
 }
 
-impl<'a> FieldWriter<'a> {
-    fn new(mem: &'a mut [u8], base: usize, def: &'a StructDef) -> FieldWriter<'a> {
-        FieldWriter {
-            mem,
-            base,
-            def,
-            next: 0,
-        }
-    }
-
+impl FieldWriter<'_> {
     fn field_off(&mut self) -> usize {
-        let off = self.def.layout.fields[self.next].offset as usize;
+        let off = self.layout.fields[self.next].offset as usize;
         self.next += 1;
         self.base + off
     }
@@ -216,6 +167,27 @@ impl<'a> FieldWriter<'a> {
     }
 }
 
+/// Encodes `items` as consecutive rows of the struct `layout`, in one
+/// buffer.
+fn rows<T>(
+    items: &[T],
+    layout: &RecordLayout,
+    mut write: impl FnMut(&mut FieldWriter<'_>, &T),
+) -> Vec<u8> {
+    let size = layout.size as usize;
+    let mut mem = vec![0u8; items.len() * size];
+    for (i, item) in items.iter().enumerate() {
+        let mut w = FieldWriter {
+            mem: &mut mem,
+            base: i * size,
+            layout,
+            next: 0,
+        };
+        write(&mut w, item);
+    }
+    mem
+}
+
 /// String-field capacities of the synthetic structs.
 const KIND_CAP: usize = 12;
 const NAME_CAP: usize = 32;
@@ -227,81 +199,23 @@ const STATE_CAP: usize = 12;
 const BACKEND_CAP: usize = 16;
 const SCENARIO_CAP: usize = 48;
 
-/// A synthetic in-process [`Target`] whose memory image is a frozen
-/// [`MetaSnapshot`] of the debugger's own telemetry.
-///
-/// See the module docs for the root symbols. The image is served from
-/// a flat little-endian arena under [`Abi::lp64`]; writes land in the
-/// copy (harmless), scratch allocation bump-extends the arena, and
-/// function calls / frames are honestly absent.
-pub struct MetaTarget {
-    abi: Abi,
-    types: TypeTable,
-    mem: Vec<u8>,
-    globals: HashMap<String, (u64, TypeId)>,
-    alloc_extra: u64,
-}
-
-impl MetaTarget {
-    /// Materializes a snapshot: synthesizes the type table, lays the
-    /// data out as an arena, and registers the root symbols.
-    pub fn new(snap: &MetaSnapshot) -> MetaTarget {
+impl MetaSnapshot {
+    /// Materializes the snapshot as a simulated debuggee under
+    /// [`Abi::lp64`]: synthesizes the type table and defines one global
+    /// per root symbol (see the module docs), each encoded at the
+    /// offsets its struct layout gives. Scratch allocation may grow the
+    /// image by at most 1 MiB.
+    pub fn image(&self) -> SimTarget {
         let abi = Abi::lp64();
-        let mut tt = TypeTable::new();
+        let mut sim = SimTarget::new(abi.clone());
+        let c = &mut sim.core;
+        // The rings' own bounds size the rows; only scratch allocation
+        // after them is capped.
+        c.arena_cap = u64::MAX;
+        let tt = &mut c.types;
         let u64_ = tt.prim(Prim::ULongLong);
         let ch = tt.prim(Prim::Char);
-        let chars = |n: usize, tt: &mut TypeTable| tt.array(ch, Some(n as u64));
-
-        // ----- struct duel_span ---------------------------------------
-        let kind_t = chars(KIND_CAP, &mut tt);
-        let name_t = chars(NAME_CAP, &mut tt);
-        let detail_t = chars(DETAIL_CAP, &mut tt);
-        let (span_rid, span_ty) = tt.struct_type(
-            "duel_span",
-            vec![
-                Field::new("trace", u64_),
-                Field::new("id", u64_),
-                Field::new("parent", u64_),
-                Field::new("start_ns", u64_),
-                Field::new("dur_ns", u64_),
-                Field::new("self_ns", u64_),
-                Field::new("reads", u64_),
-                Field::new("open", u64_),
-                Field::new("kind", kind_t),
-                Field::new("name", name_t),
-                Field::new("detail", detail_t),
-            ],
-        );
-
-        // ----- struct duel_wire_event ---------------------------------
-        let op_t = chars(OP_CAP, &mut tt);
-        let outcome_t = chars(OUTCOME_CAP, &mut tt);
-        let edetail_t = chars(DETAIL_CAP, &mut tt);
-        let (event_rid, event_ty) = tt.struct_type(
-            "duel_wire_event",
-            vec![
-                Field::new("seq", u64_),
-                Field::new("op_code", u64_),
-                Field::new("outcome_code", u64_),
-                Field::new("addr", u64_),
-                Field::new("len", u64_),
-                Field::new("lat_ns", u64_),
-                Field::new("ts_ns", u64_),
-                Field::new("trace", u64_),
-                Field::new("span", u64_),
-                Field::new("op", op_t),
-                Field::new("outcome", outcome_t),
-                Field::new("detail", edetail_t),
-            ],
-        );
-
-        // ----- struct duel_counter / struct duel_hist -----------------
-        let metric_t = chars(METRIC_CAP, &mut tt);
-        let (counter_rid, counter_ty) = tt.struct_type(
-            "duel_counter",
-            vec![Field::new("value", u64_), Field::new("name", metric_t)],
-        );
-        let hist_buckets = snap
+        let hist_buckets = self
             .metrics
             .histograms
             .iter()
@@ -309,138 +223,108 @@ impl MetaTarget {
             .max()
             .unwrap_or(crate::metrics::METRIC_HIST_BUCKETS);
         let buckets_t = tt.array(u64_, Some(hist_buckets as u64));
-        let hmetric_t = chars(METRIC_CAP, &mut tt);
-        let (hist_rid, hist_ty) = tt.struct_type(
-            "duel_hist",
-            vec![
-                Field::new("count", u64_),
-                Field::new("p50", u64_),
-                Field::new("p99", u64_),
-                Field::new("buckets", buckets_t),
-                Field::new("name", hmetric_t),
-            ],
-        );
+        let mut chars = |n: usize| tt.array(ch, Some(n as u64));
+        let u64s = |names: &[&str]| {
+            names
+                .iter()
+                .map(|n| Field::new(*n, u64_))
+                .collect::<Vec<_>>()
+        };
 
-        // ----- struct duel_cache --------------------------------------
-        let (cache_rid, cache_ty) = tt.struct_type(
-            "duel_cache",
-            vec![
-                Field::new("page_hits", u64_),
-                Field::new("page_misses", u64_),
-                Field::new("backend_reads", u64_),
-                Field::new("wire_bytes", u64_),
-                Field::new("lookup_hits", u64_),
-                Field::new("lookup_misses", u64_),
-                Field::new("write_throughs", u64_),
-                Field::new("invalidations", u64_),
-                Field::new("multi_reads", u64_),
-                Field::new("multi_ranges", u64_),
-                Field::new("pages_prefetched", u64_),
-                Field::new("readahead_pages", u64_),
-                Field::new("resident_pages", u64_),
-            ],
-        );
+        let mut span_fields = u64s(&[
+            "trace", "id", "parent", "start_ns", "dur_ns", "self_ns", "reads", "open",
+        ]);
+        span_fields.push(Field::new("kind", chars(KIND_CAP)));
+        span_fields.push(Field::new("name", chars(NAME_CAP)));
+        span_fields.push(Field::new("detail", chars(DETAIL_CAP)));
 
-        // ----- struct duel_breaker ------------------------------------
-        let state_t = chars(STATE_CAP, &mut tt);
-        let (breaker_rid, breaker_ty) = tt.struct_type(
-            "duel_breaker",
-            vec![
-                Field::new("state_code", u64_),
-                Field::new("operations", u64_),
-                Field::new("failures", u64_),
-                Field::new("probes", u64_),
-                Field::new("probe_failures", u64_),
-                Field::new("trips", u64_),
-                Field::new("reconnects", u64_),
-                Field::new("reconnect_failures", u64_),
-                Field::new("fast_fails", u64_),
-                Field::new("stale_reads", u64_),
-                Field::new("retry_operations", u64_),
-                Field::new("retry_retries", u64_),
-                Field::new("retry_give_ups", u64_),
-                Field::new("retry_backoff_ns", u64_),
-                Field::new("state", state_t),
-            ],
-        );
+        let mut event_fields = u64s(&[
+            "seq",
+            "op_code",
+            "outcome_code",
+            "addr",
+            "len",
+            "lat_ns",
+            "ts_ns",
+            "trace",
+            "span",
+        ]);
+        event_fields.push(Field::new("op", chars(OP_CAP)));
+        event_fields.push(Field::new("outcome", chars(OUTCOME_CAP)));
+        event_fields.push(Field::new("detail", chars(DETAIL_CAP)));
 
-        // ----- struct duel_capture ------------------------------------
-        let backend_t = chars(BACKEND_CAP, &mut tt);
-        let cscenario_t = chars(SCENARIO_CAP, &mut tt);
-        let (capture_rid, capture_ty) = tt.struct_type(
-            "duel_capture",
-            vec![
-                Field::new("events", u64_),
-                Field::new("backend", backend_t),
-                Field::new("scenario", cscenario_t),
-            ],
-        );
+        let mut counter_fields = u64s(&["value"]);
+        counter_fields.push(Field::new("name", chars(METRIC_CAP)));
 
-        let span_def = StructDef::new(&tt, &abi, span_rid);
-        let event_def = StructDef::new(&tt, &abi, event_rid);
-        let counter_def = StructDef::new(&tt, &abi, counter_rid);
-        let hist_def = StructDef::new(&tt, &abi, hist_rid);
-        let cache_def = StructDef::new(&tt, &abi, cache_rid);
-        let breaker_def = StructDef::new(&tt, &abi, breaker_rid);
-        let capture_def = StructDef::new(&tt, &abi, capture_rid);
+        let mut hist_fields = u64s(&["count", "p50", "p99"]);
+        hist_fields.push(Field::new("buckets", buckets_t));
+        hist_fields.push(Field::new("name", chars(METRIC_CAP)));
 
-        // ----- arena layout -------------------------------------------
+        let cache_fields = u64s(&[
+            "page_hits",
+            "page_misses",
+            "backend_reads",
+            "wire_bytes",
+            "lookup_hits",
+            "lookup_misses",
+            "write_throughs",
+            "invalidations",
+            "multi_reads",
+            "multi_ranges",
+            "pages_prefetched",
+            "readahead_pages",
+            "resident_pages",
+        ]);
+
+        let mut breaker_fields = u64s(&[
+            "state_code",
+            "operations",
+            "failures",
+            "probes",
+            "probe_failures",
+            "trips",
+            "reconnects",
+            "reconnect_failures",
+            "fast_fails",
+            "stale_reads",
+            "retry_operations",
+            "retry_retries",
+            "retry_give_ups",
+            "retry_backoff_ns",
+        ]);
+        breaker_fields.push(Field::new("state", chars(STATE_CAP)));
+
+        let mut capture_fields = u64s(&["events"]);
+        capture_fields.push(Field::new("backend", chars(BACKEND_CAP)));
+        capture_fields.push(Field::new("scenario", chars(SCENARIO_CAP)));
+
+        let mut def = |tag: &str, fields: Vec<Field>| {
+            let (rid, ty) = tt.struct_type(tag, fields);
+            let layout = tt
+                .record_layout(rid, &abi)
+                .expect("meta struct layouts are complete by construction");
+            (ty, layout)
+        };
+        let (span_ty, span_l) = def("duel_span", span_fields);
+        let (event_ty, event_l) = def("duel_wire_event", event_fields);
+        let (counter_ty, counter_l) = def("duel_counter", counter_fields);
+        let (hist_ty, hist_l) = def("duel_hist", hist_fields);
+        let (cache_ty, cache_l) = def("duel_cache", cache_fields);
+        let (breaker_ty, breaker_l) = def("duel_breaker", breaker_fields);
+        let (capture_ty, capture_l) = def("duel_capture", capture_fields);
+
+        // ----- rows ----------------------------------------------------
         // Completed spans first (oldest first), then still-open ones —
-        // the same order `SpanSnapshot::aggregate` visits.
-        let all_spans: Vec<(&crate::span::SpanRecord, bool)> = snap
+        // the same order `SpanSnapshot::aggregate` visits. Exclusive
+        // time (children subtracted) and per-span attributed reads are
+        // computed exactly as `.top`'s aggregation does.
+        let all_spans: Vec<(&crate::span::SpanRecord, bool)> = self
             .spans
             .spans
             .iter()
             .map(|s| (s, false))
-            .chain(snap.spans.open.iter().map(|s| (s, true)))
+            .chain(self.spans.open.iter().map(|s| (s, true)))
             .collect();
-        let nspans = all_spans.len() as u64;
-        let nevents = snap.events.len() as u64;
-        let ncounters = snap.metrics.counters.len() as u64;
-        let nhists = snap.metrics.histograms.len() as u64;
-
-        let mut globals = HashMap::new();
-        let mut cursor = META_BASE;
-        let mut place = |name: &str, ty: TypeId, size: u64, align: u64| {
-            let a = align.max(1);
-            cursor = cursor.div_ceil(a) * a;
-            let addr = cursor;
-            cursor += size;
-            globals.insert(name.to_string(), (addr, ty));
-            addr
-        };
-
-        let spans_ty = tt.array(span_ty, Some(nspans));
-        let spans_addr = place("spans", spans_ty, nspans * span_def.size(), 8);
-        let events_ty = tt.array(event_ty, Some(nevents));
-        let events_addr = place("events", events_ty, nevents * event_def.size(), 8);
-        let counters_ty = tt.array(counter_ty, Some(ncounters));
-        let counters_addr = place("counters", counters_ty, ncounters * counter_def.size(), 8);
-        let hists_ty = tt.array(hist_ty, Some(nhists));
-        let hists_addr = place("hists", hists_ty, nhists * hist_def.size(), 8);
-        let cache_addr = place("cache", cache_ty, cache_def.size(), 8);
-        let breaker_addr = place("breaker", breaker_ty, breaker_def.size(), 8);
-        let capture_addr = if snap.capture.is_some() {
-            Some(place("capture", capture_ty, capture_def.size(), 8))
-        } else {
-            None
-        };
-        for (name, v) in [
-            ("nspans", nspans),
-            ("nevents", nevents),
-            ("ncounters", ncounters),
-            ("nhists", nhists),
-        ] {
-            let addr = place(name, u64_, 8, 8);
-            let _ = (addr, v); // encoded below, once mem exists
-        }
-
-        let mut mem = vec![0u8; (cursor - META_BASE) as usize];
-        let at = |addr: u64| (addr - META_BASE) as usize;
-
-        // ----- encode spans -------------------------------------------
-        // Exclusive time (children subtracted) and per-span attributed
-        // reads, computed exactly as `.top`'s aggregation does.
         let mut child_ns: HashMap<u64, u64> = HashMap::new();
         for (s, _) in &all_spans {
             if s.parent != 0 {
@@ -448,15 +332,13 @@ impl MetaTarget {
             }
         }
         let mut span_reads: HashMap<u64, u64> = HashMap::new();
-        for e in &snap.events {
+        for e in &self.events {
             if e.span != 0 {
                 *span_reads.entry(e.span).or_insert(0) += 1;
             }
         }
-        for (i, (s, open)) in all_spans.iter().enumerate() {
-            let base = at(spans_addr) + i * span_def.size() as usize;
+        let spans = rows(&all_spans, &span_l, |w, (s, open)| {
             let children = child_ns.get(&s.id).copied().unwrap_or(0);
-            let mut w = FieldWriter::new(&mut mem, base, &span_def);
             w.u64(s.trace);
             w.u64(s.id);
             w.u64(s.parent);
@@ -468,50 +350,38 @@ impl MetaTarget {
             w.str(KIND_CAP, s.kind.name());
             w.str(NAME_CAP, s.name);
             w.str(DETAIL_CAP, &s.detail);
-        }
-
-        // ----- encode events ------------------------------------------
-        for (i, e) in snap.events.iter().enumerate() {
-            let base = at(events_addr) + i * event_def.size() as usize;
+        });
+        let events = rows(&self.events, &event_l, |w, e| {
             let (addr, len) = parse_addr_len(&e.detail);
-            let mut w = FieldWriter::new(&mut mem, base, &event_def);
-            w.u64(e.seq);
-            w.u64(e.op.index() as u64);
-            w.u64(e.outcome.index() as u64);
-            w.u64(addr);
-            w.u64(len);
-            w.u64(e.nanos);
-            w.u64(e.ts_ns);
-            w.u64(e.trace);
-            w.u64(e.span);
+            for v in [
+                e.seq,
+                e.op.index() as u64,
+                e.outcome.index() as u64,
+                addr,
+                len,
+                e.nanos,
+                e.ts_ns,
+                e.trace,
+                e.span,
+            ] {
+                w.u64(v);
+            }
             w.str(OP_CAP, e.op.name());
             w.str(OUTCOME_CAP, e.outcome.name());
             w.str(DETAIL_CAP, &e.detail);
-        }
-
-        // ----- encode metrics -----------------------------------------
-        for (i, (name, v)) in snap.metrics.counters.iter().enumerate() {
-            let base = at(counters_addr) + i * counter_def.size() as usize;
-            let mut w = FieldWriter::new(&mut mem, base, &counter_def);
+        });
+        let counters = rows(&self.metrics.counters, &counter_l, |w, (name, v)| {
             w.u64(*v);
             w.str(METRIC_CAP, name);
-        }
-        for (i, (name, buckets)) in snap.metrics.histograms.iter().enumerate() {
-            let base = at(hists_addr) + i * hist_def.size() as usize;
-            let mut padded = buckets.clone();
-            padded.resize(hist_buckets, 0);
-            let mut w = FieldWriter::new(&mut mem, base, &hist_def);
+        });
+        let hists = rows(&self.metrics.histograms, &hist_l, |w, (name, buckets)| {
             w.u64(buckets.iter().sum());
-            w.u64(bucket_quantile(buckets, 0.5));
-            w.u64(bucket_quantile(buckets, 0.99));
-            w.u64_array(&padded);
+            w.u64(log2_quantile(buckets, 0.5));
+            w.u64(log2_quantile(buckets, 0.99));
+            w.u64_array(buckets);
             w.str(METRIC_CAP, name);
-        }
-
-        // ----- encode cache / breaker / capture -----------------------
-        {
-            let c = &snap.cache;
-            let mut w = FieldWriter::new(&mut mem, at(cache_addr), &cache_def);
+        });
+        let cache = rows(std::slice::from_ref(&self.cache), &cache_l, |w, c| {
             for v in [
                 c.page_hits,
                 c.page_misses,
@@ -525,17 +395,15 @@ impl MetaTarget {
                 c.multi_ranges,
                 c.pages_prefetched,
                 c.readahead_pages,
-                snap.resident_pages,
+                self.resident_pages,
             ] {
                 w.u64(v);
             }
-        }
-        {
-            let s = &snap.supervise;
-            let r = &snap.retry;
-            let mut w = FieldWriter::new(&mut mem, at(breaker_addr), &breaker_def);
+        });
+        let breaker = rows(&[()], &breaker_l, |w, _| {
+            let (s, r) = (&self.supervise, &self.retry);
             for v in [
-                circuit_code(snap.circuit),
+                circuit_code(self.circuit),
                 s.operations,
                 s.failures,
                 s.probes,
@@ -552,13 +420,43 @@ impl MetaTarget {
             ] {
                 w.u64(v);
             }
-            w.str(STATE_CAP, snap.circuit.name());
+            w.str(STATE_CAP, self.circuit.name());
+        });
+        let capture = self.capture.as_ref().map(|cap| {
+            rows(std::slice::from_ref(cap), &capture_l, |w, cap| {
+                w.u64(cap.events);
+                w.str(BACKEND_CAP, &cap.backend);
+                w.str(SCENARIO_CAP, &cap.scenario);
+            })
+        });
+
+        // ----- globals, in image order ----------------------------------
+        let nspans = all_spans.len() as u64;
+        let nevents = self.events.len() as u64;
+        let ncounters = self.metrics.counters.len() as u64;
+        let nhists = self.metrics.histograms.len() as u64;
+        let arrays = [
+            ("spans", span_ty, nspans, &spans),
+            ("events", event_ty, nevents, &events),
+            ("counters", counter_ty, ncounters, &counters),
+            ("hists", hist_ty, nhists, &hists),
+        ]
+        .map(|(name, elem, n, bytes)| (name, c.types.array(elem, Some(n)), bytes));
+        let mut global = |name: &str, ty: TypeId, bytes: &[u8]| {
+            let addr = c
+                .define_global(name, ty)
+                .expect("the meta image has no arena cap while it is built");
+            c.mem
+                .write(addr, bytes)
+                .expect("a global holds its own rows");
+        };
+        for (name, ty, bytes) in arrays {
+            global(name, ty, bytes);
         }
-        if let (Some(addr), Some(cap)) = (capture_addr, &snap.capture) {
-            let mut w = FieldWriter::new(&mut mem, at(addr), &capture_def);
-            w.u64(cap.events);
-            w.str(BACKEND_CAP, &cap.backend);
-            w.str(SCENARIO_CAP, &cap.scenario);
+        global("cache", cache_ty, &cache);
+        global("breaker", breaker_ty, &breaker);
+        if let Some(bytes) = &capture {
+            global("capture", capture_ty, bytes);
         }
         for (name, v) in [
             ("nspans", nspans),
@@ -566,148 +464,17 @@ impl MetaTarget {
             ("ncounters", ncounters),
             ("nhists", nhists),
         ] {
-            let (addr, _) = globals[name];
-            let off = at(addr);
-            mem[off..off + 8].copy_from_slice(&v.to_le_bytes());
+            global(name, u64_, &v.to_le_bytes());
         }
-
-        MetaTarget {
-            abi,
-            types: tt,
-            mem,
-            globals,
-            alloc_extra: 0,
-        }
-    }
-
-    fn contains(&self, addr: u64, len: u64) -> bool {
-        let end = META_BASE + self.mem.len() as u64;
-        addr >= META_BASE && addr.checked_add(len).is_some_and(|e| e <= end)
-    }
-
-    /// The root symbols of the image, sorted by name (for `.query`
-    /// usage text and tests).
-    pub fn symbol_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.globals.keys().cloned().collect();
-        v.sort();
-        v
-    }
-
-    /// Size of the encoded arena in bytes.
-    pub fn arena_len(&self) -> usize {
-        self.mem.len()
-    }
-}
-
-impl Target for MetaTarget {
-    fn abi(&self) -> &Abi {
-        &self.abi
-    }
-
-    fn types(&self) -> &TypeTable {
-        &self.types
-    }
-
-    fn types_mut(&mut self) -> &mut TypeTable {
-        &mut self.types
-    }
-
-    fn get_bytes(&mut self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
-        let len = buf.len() as u64;
-        if !self.contains(addr, len) {
-            return Err(TargetError::IllegalMemory { addr, len });
-        }
-        let off = (addr - META_BASE) as usize;
-        buf.copy_from_slice(&self.mem[off..off + buf.len()]);
-        Ok(())
-    }
-
-    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> TargetResult<()> {
-        let len = bytes.len() as u64;
-        if !self.contains(addr, len) {
-            return Err(TargetError::IllegalMemory { addr, len });
-        }
-        let off = (addr - META_BASE) as usize;
-        self.mem[off..off + bytes.len()].copy_from_slice(bytes);
-        Ok(())
-    }
-
-    fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
-        let a = align.max(1);
-        let end = META_BASE + self.mem.len() as u64;
-        let addr = end.div_ceil(a) * a;
-        let new_end = addr
-            .checked_add(size)
-            .ok_or_else(|| TargetError::Backend("allocation overflows the arena".into()))?;
-        let grow = new_end - end;
-        if self.alloc_extra + grow > META_ALLOC_CAP {
-            return Err(TargetError::Backend(format!(
-                "meta arena allocation cap ({META_ALLOC_CAP} bytes) exceeded"
-            )));
-        }
-        self.alloc_extra += grow;
-        self.mem.resize((new_end - META_BASE) as usize, 0);
-        Ok(addr)
-    }
-
-    fn call_func(&mut self, name: &str, _args: &[CallValue]) -> TargetResult<CallValue> {
-        Err(TargetError::UnknownFunction(name.to_string()))
-    }
-
-    fn get_variable(&mut self, name: &str) -> Option<VarInfo> {
-        let (addr, ty) = *self.globals.get(name)?;
-        Some(VarInfo {
-            name: name.to_string(),
-            addr,
-            ty,
-            kind: VarKind::Global,
-        })
-    }
-
-    fn get_variable_in_frame(&mut self, _name: &str, _frame: usize) -> Option<VarInfo> {
-        None
-    }
-
-    fn lookup_typedef(&mut self, name: &str) -> Option<TypeId> {
-        self.types.typedef(name)
-    }
-
-    fn lookup_struct(&mut self, tag: &str) -> Option<RecordId> {
-        self.types.struct_tag(tag)
-    }
-
-    fn lookup_union(&mut self, tag: &str) -> Option<RecordId> {
-        self.types.union_tag(tag)
-    }
-
-    fn lookup_enum(&mut self, _tag: &str) -> Option<EnumId> {
-        None
-    }
-
-    fn has_function(&mut self, _name: &str) -> bool {
-        false
-    }
-
-    fn frame_count(&mut self) -> usize {
-        0
-    }
-
-    fn frame_info(&mut self, _n: usize) -> Option<FrameInfo> {
-        None
-    }
-
-    fn is_mapped(&mut self, addr: u64, len: u64) -> bool {
-        self.contains(addr, len)
-    }
-
-    fn take_output(&mut self) -> String {
-        String::new()
+        c.cap_growth(META_ALLOC_CAP);
+        sim
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iface::{CallValue, Target};
     use crate::span::{SpanKind, SpanRecord};
     use crate::trace::{TraceOp, TraceOutcome};
 
@@ -772,7 +539,7 @@ mod tests {
         }
     }
 
-    fn read_u64(t: &mut MetaTarget, addr: u64) -> u64 {
+    fn read_u64(t: &mut SimTarget, addr: u64) -> u64 {
         let mut buf = [0u8; 8];
         t.get_bytes(addr, &mut buf).unwrap();
         u64::from_le_bytes(buf)
@@ -780,23 +547,26 @@ mod tests {
 
     #[test]
     fn roots_and_counts_are_registered() {
-        let mut t = MetaTarget::new(&sample_snapshot());
-        assert_eq!(
-            t.symbol_names(),
-            vec![
-                "breaker",
-                "cache",
-                "capture",
-                "counters",
-                "events",
-                "hists",
-                "ncounters",
-                "nevents",
-                "nhists",
-                "nspans",
-                "spans",
-            ]
-        );
+        let mut t = sample_snapshot().image();
+        let mut last = 0;
+        for name in [
+            "spans",
+            "events",
+            "counters",
+            "hists",
+            "cache",
+            "breaker",
+            "capture",
+            "nspans",
+            "nevents",
+            "ncounters",
+            "nhists",
+        ] {
+            let v = t.get_variable(name).expect(name);
+            assert!(v.addr > last, "roots are laid out in order: {name}");
+            last = v.addr;
+        }
+        assert_eq!(t.get_variable("spans").unwrap().addr, crate::ARENA_BASE);
         let nspans = t.get_variable("nspans").unwrap();
         assert_eq!(read_u64(&mut t, nspans.addr), 2);
         let nevents = t.get_variable("nevents").unwrap();
@@ -806,7 +576,7 @@ mod tests {
     #[test]
     fn span_fields_round_trip_through_the_arena() {
         let snap = sample_snapshot();
-        let mut t = MetaTarget::new(&snap);
+        let mut t = snap.image();
         let spans = t.get_variable("spans").unwrap();
         let rid = t.lookup_struct("duel_span").unwrap();
         let layout = t.types().record_layout(rid, &Abi::lp64()).unwrap();
@@ -815,7 +585,7 @@ mod tests {
         let node = &snap.spans.spans[1];
         assert_eq!(node.kind, SpanKind::Node);
         let node_base = spans.addr + layout.size;
-        let field = |t: &mut MetaTarget, name: &str| {
+        let field = |t: &mut SimTarget, name: &str| {
             let i = rec.field_index(name).unwrap();
             read_u64(t, node_base + layout.fields[i].offset)
         };
@@ -835,6 +605,24 @@ mod tests {
     }
 
     #[test]
+    fn hist_rows_carry_log2_quantiles() {
+        let mut t = sample_snapshot().image();
+        let hists = t.get_variable("hists").unwrap();
+        let rid = t.lookup_struct("duel_hist").unwrap();
+        let layout = t.types().record_layout(rid, &Abi::lp64()).unwrap();
+        let rec = t.types().record(rid).clone();
+        let field = |t: &mut SimTarget, name: &str| {
+            let i = rec.field_index(name).unwrap();
+            read_u64(t, hists.addr + layout.fields[i].offset)
+        };
+        // `eval.ticks` buckets [0, 2, 1]: 3 samples, p50 in [2, 4),
+        // p99 in [4, 8).
+        assert_eq!(field(&mut t, "count"), 3);
+        assert_eq!(field(&mut t, "p50"), 4);
+        assert_eq!(field(&mut t, "p99"), 8);
+    }
+
+    #[test]
     fn event_addr_len_parse_from_detail() {
         assert_eq!(parse_addr_len("0x1040+16"), (0x1040, 16));
         assert_eq!(parse_addr_len("0xdead"), (0xdead, 0));
@@ -843,42 +631,13 @@ mod tests {
     }
 
     #[test]
-    fn hist_quantiles_match_live_histograms() {
-        let reg = crate::metrics::MetricsRegistry::new();
-        let h = reg.histogram("h");
-        for v in [1, 1, 1, 1000] {
-            h.observe(v);
-        }
-        let snap = reg.snapshot();
-        let (_, buckets) = &snap.histograms[0];
-        assert_eq!(bucket_quantile(buckets, 0.5), h.quantile(0.5));
-        assert_eq!(bucket_quantile(buckets, 0.99), h.quantile(0.99));
-        assert_eq!(bucket_quantile(&[], 0.5), 0);
-    }
-
-    #[test]
-    fn reads_outside_the_arena_fault() {
-        let mut t = MetaTarget::new(&MetaSnapshot::default());
-        let mut buf = [0u8; 4];
-        assert!(matches!(
-            t.get_bytes(0, &mut buf),
-            Err(TargetError::IllegalMemory { .. })
-        ));
-        assert!(!t.is_mapped(0, 1));
-        assert!(t.call_func("getpid", &[]).is_err());
-        assert_eq!(t.frame_count(), 0);
-    }
-
-    #[test]
-    fn alloc_space_bumps_past_the_image() {
-        let mut t = MetaTarget::new(&MetaSnapshot::default());
-        let before = t.arena_len();
-        let addr = t.alloc_space(32, 8).unwrap();
-        assert_eq!(addr % 8, 0);
-        assert!(t.arena_len() >= before + 32);
-        t.put_bytes(addr, &[1, 2, 3]).unwrap();
-        let mut buf = [0u8; 3];
-        t.get_bytes(addr, &mut buf).unwrap();
-        assert_eq!(buf, [1, 2, 3]);
+    fn queries_may_scratch_up_to_a_mebibyte_and_call_natives() {
+        let mut t = MetaSnapshot::default().image();
+        let abi = Abi::lp64();
+        assert!(t.alloc_space(META_ALLOC_CAP / 2, 8).is_ok());
+        assert!(t.alloc_space(META_ALLOC_CAP, 8).is_err());
+        let int = t.core.types.prim(Prim::Int);
+        let arg = CallValue::from_u64(int, (-3i32) as u32 as u64, 4, &abi).unwrap();
+        assert_eq!(t.call_func("abs", &[arg]).unwrap().to_u64(&abi), 3);
     }
 }

@@ -19,14 +19,88 @@
 //! that sees a sample also sees every counter add made before it; the
 //! snapshot reads counters before histograms, and snapshots are ordered
 //! among themselves by the registry's lock.
+//!
+//! The module also holds the primitives every telemetry source shares:
+//! the log₂ bucket and quantile rule ([`log2_bucket`],
+//! [`log2_quantile`]) and the bounded ring behind the trace-event and
+//! span buffers.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+use crate::json::quote;
 
 /// Buckets in a [`Histogram`]: bucket `i` holds samples in
 /// `[2^i, 2^(i+1))` (bucket 0 also holds zero).
 pub const METRIC_HIST_BUCKETS: usize = 64;
+
+/// The log₂ bucket of `v` among `n` buckets: bucket `i` holds
+/// `[2^i, 2^(i+1))`, bucket 0 also holds zero, and the last bucket
+/// everything above its range.
+pub fn log2_bucket(v: u64, n: usize) -> usize {
+    (63 - v.max(1).leading_zeros() as usize).min(n - 1)
+}
+
+/// Upper bound of the bucket holding the `q`-quantile sample of a log₂
+/// histogram (`q` in `[0, 1]`; 0 when empty).
+pub fn log2_quantile(buckets: &[u64], q: f64) -> u64 {
+    let total: u64 = buckets.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
+    let mut seen = 0u64;
+    for (i, n) in buckets.iter().enumerate() {
+        seen += n;
+        if seen >= rank {
+            return 1u64 << (i + 1).min(63);
+        }
+    }
+    u64::MAX
+}
+
+/// A bounded FIFO of telemetry records: a push onto a full ring evicts
+/// the oldest entry and counts it as dropped.
+#[derive(Debug)]
+pub(crate) struct Ring<T> {
+    pub(crate) items: VecDeque<T>,
+    pub(crate) capacity: usize,
+    pub(crate) dropped: u64,
+}
+
+impl<T> Ring<T> {
+    pub(crate) fn new(capacity: usize) -> Ring<T> {
+        Ring {
+            items: VecDeque::new(),
+            capacity: capacity.max(1),
+            dropped: 0,
+        }
+    }
+
+    pub(crate) fn push(&mut self, item: T) {
+        if self.items.len() >= self.capacity {
+            self.items.pop_front();
+            self.dropped += 1;
+        }
+        self.items.push_back(item);
+    }
+
+    /// Rebounds the ring, evicting (and counting) the oldest entries
+    /// if it now holds more than `capacity`.
+    pub(crate) fn set_capacity(&mut self, capacity: usize) {
+        self.capacity = capacity.max(1);
+        let excess = self.items.len().saturating_sub(self.capacity);
+        self.items.drain(..excess);
+        self.dropped += excess as u64;
+    }
+
+    /// Drops every entry and zeroes the drop count.
+    pub(crate) fn clear(&mut self) {
+        self.items.clear();
+        self.dropped = 0;
+    }
+}
 
 /// A monotonic counter handle. Cloning shares the underlying cell.
 #[derive(Clone, Debug, Default)]
@@ -62,7 +136,7 @@ impl Default for Histogram {
 impl Histogram {
     /// Records one sample.
     pub fn observe(&self, v: u64) {
-        let bucket = (64 - v.max(1).leading_zeros() as usize - 1).min(METRIC_HIST_BUCKETS - 1);
+        let bucket = log2_bucket(v, METRIC_HIST_BUCKETS);
         // Release: whoever reads this sample (Acquire below) also sees
         // every write this thread made before it, counter adds included.
         self.0[bucket].fetch_add(1, Ordering::Release);
@@ -81,20 +155,7 @@ impl Histogram {
     /// Upper bound of the bucket holding the `q`-quantile sample
     /// (`q` in `[0, 1]`; 0 when empty).
     pub fn quantile(&self, q: f64) -> u64 {
-        let buckets = self.buckets();
-        let total: u64 = buckets.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, n) in buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        u64::MAX
+        log2_quantile(&self.buckets(), q)
     }
 }
 
@@ -148,6 +209,20 @@ impl MetricsRegistry {
         let h = Histogram::default();
         inner.histograms.insert(name.to_string(), h.clone());
         h
+    }
+
+    /// Charges one wire op's traffic to the `wire.<op>.{calls,errors,ns}`
+    /// counters (`errors` only when there are any); a charge of no
+    /// calls and no errors registers nothing.
+    pub fn charge_wire(&self, op: &str, calls: u64, errors: u64, ns: u64) {
+        if calls == 0 && errors == 0 {
+            return;
+        }
+        self.counter(&format!("wire.{op}.calls")).add(calls);
+        if errors > 0 {
+            self.counter(&format!("wire.{op}.errors")).add(errors);
+        }
+        self.counter(&format!("wire.{op}.ns")).add(ns);
     }
 
     /// Drops every metric (names and values).
@@ -204,14 +279,14 @@ impl MetricsSnapshot {
         let mut parts: Vec<String> = self
             .counters
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", k.replace('"', "'"), v))
+            .map(|(k, v)| format!("{}:{v}", quote(k)))
             .collect();
         for (k, buckets) in &self.histograms {
             let last = buckets.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
             let vals: Vec<String> = buckets[..last].iter().map(|n| n.to_string()).collect();
             parts.push(format!(
-                "\"{}_hist_log2\":[{}]",
-                k.replace('"', "'"),
+                "{}:[{}]",
+                quote(&format!("{k}_hist_log2")),
                 vals.join(",")
             ));
         }
@@ -248,6 +323,25 @@ mod tests {
         let buckets = h.buckets();
         assert_eq!(buckets[0], 3);
         assert_eq!(buckets[9], 1); // 1000 ∈ [512, 1024)
+    }
+
+    #[test]
+    fn log2_quantile_reads_any_bucket_slice() {
+        // The quantile of a snapshot's buckets is the live histogram's.
+        let m = MetricsRegistry::new();
+        let h = m.histogram("h");
+        for v in [1, 1, 1, 1000] {
+            h.observe(v);
+        }
+        let snap = m.snapshot();
+        let (_, buckets) = &snap.histograms[0];
+        assert_eq!(log2_quantile(buckets, 0.5), h.quantile(0.5));
+        assert_eq!(log2_quantile(buckets, 0.5), 2);
+        assert_eq!(log2_quantile(buckets, 0.99), h.quantile(0.99));
+        assert_eq!(log2_quantile(buckets, 0.99), 1024);
+        // Empty, whether no buckets or all zero, reads 0.
+        assert_eq!(log2_quantile(&[], 0.5), 0);
+        assert_eq!(log2_quantile(&[0, 0], 0.99), 0);
     }
 
     #[test]

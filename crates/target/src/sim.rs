@@ -110,6 +110,10 @@ pub struct SimCore {
     /// Stack frames; the *last* entry is the innermost frame.
     frames: Vec<SimFrame>,
     output: String,
+    /// Bound on the arena's size: [`ARENA_CAP`], except for the
+    /// `.query` telemetry image, which is built unbounded and then
+    /// capped at its own size plus its scratch allowance.
+    pub(crate) arena_cap: u64,
 }
 
 impl SimCore {
@@ -122,6 +126,7 @@ impl SimCore {
             globals: HashMap::new(),
             frames: Vec::new(),
             output: String::new(),
+            arena_cap: ARENA_CAP,
         }
     }
 
@@ -138,13 +143,18 @@ impl SimCore {
         let new_end = addr.checked_add(size).ok_or(TargetError::Backend(
             "allocation overflows the address space".to_string(),
         ))?;
-        if new_end - ARENA_BASE > ARENA_CAP {
+        if new_end - ARENA_BASE > self.arena_cap {
             return Err(TargetError::Backend(format!(
                 "simulator arena exhausted: cannot allocate {size} byte(s)"
             )));
         }
         self.mem.bytes.resize((new_end - ARENA_BASE) as usize, 0);
         Ok(addr)
+    }
+
+    /// Caps the arena at `extra` bytes past its current end.
+    pub(crate) fn cap_growth(&mut self, extra: u64) {
+        self.arena_cap = self.mem.bytes.len() as u64 + extra;
     }
 
     /// Defines a zero-initialized global of type `ty`, returning its

@@ -27,12 +27,13 @@
 //! [`DEFAULT_SPAN_CAPACITY`] records (~1 MiB worst case); `.set
 //! trace_buf N` resizes it together with the event ring.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::trace::{TraceEvent, TraceOutcome};
+use crate::json::quote;
+use crate::metrics::Ring;
+use crate::trace::TraceEvent;
 
 /// Default bound on completed spans kept for export.
 pub const DEFAULT_SPAN_CAPACITY: usize = 8192;
@@ -141,9 +142,7 @@ struct ActiveSpan {
 
 struct SpanInner {
     stack: Vec<ActiveSpan>,
-    ring: VecDeque<SpanRecord>,
-    capacity: usize,
-    dropped: u64,
+    ring: Ring<SpanRecord>,
 }
 
 struct SpanShared {
@@ -193,9 +192,7 @@ impl SpanContext {
             current: AtomicU64::new(0),
             inner: Mutex::new(SpanInner {
                 stack: Vec::new(),
-                ring: VecDeque::new(),
-                capacity: capacity.max(1),
-                dropped: 0,
+                ring: Ring::new(capacity),
             }),
         }))
     }
@@ -221,7 +218,6 @@ impl SpanContext {
         let mut inner = self.0.inner.lock().unwrap();
         inner.stack.clear();
         inner.ring.clear();
-        inner.dropped = 0;
         self.0.current.store(0, Ordering::Relaxed);
         self.0.current_trace.store(0, Ordering::Relaxed);
         self.0.trace_seq.store(0, Ordering::Relaxed);
@@ -231,17 +227,12 @@ impl SpanContext {
     /// Rebounds the completed-span ring, evicting oldest spans if the
     /// new bound is smaller.
     pub fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.0.inner.lock().unwrap();
-        inner.capacity = capacity.max(1);
-        while inner.ring.len() > inner.capacity {
-            inner.ring.pop_front();
-            inner.dropped += 1;
-        }
+        self.0.inner.lock().unwrap().ring.set_capacity(capacity);
     }
 
     /// The current ring bound.
     pub fn capacity(&self) -> usize {
-        self.0.inner.lock().unwrap().capacity
+        self.0.inner.lock().unwrap().ring.capacity
     }
 
     /// Nanoseconds since this context's epoch (the timeline origin of
@@ -322,7 +313,7 @@ impl SpanContext {
         };
         while inner.stack.len() > pos {
             let s = inner.stack.pop().unwrap();
-            let rec = SpanRecord {
+            inner.ring.push(SpanRecord {
                 trace: s.trace,
                 id: s.id,
                 parent: s.parent,
@@ -331,12 +322,7 @@ impl SpanContext {
                 detail: s.detail,
                 start_ns: s.start_ns,
                 dur_ns: now.saturating_sub(s.start_ns),
-            };
-            if inner.ring.len() >= inner.capacity {
-                inner.ring.pop_front();
-                inner.dropped += 1;
-            }
-            inner.ring.push_back(rec);
+            });
         }
         let top = inner.stack.last().map_or(0, |s| s.id);
         self.0.current.store(top, Ordering::Relaxed);
@@ -378,12 +364,7 @@ impl SpanContext {
             start_ns,
             dur_ns,
         };
-        let mut inner = self.0.inner.lock().unwrap();
-        if inner.ring.len() >= inner.capacity {
-            inner.ring.pop_front();
-            inner.dropped += 1;
-        }
-        inner.ring.push_back(rec);
+        self.0.inner.lock().unwrap().ring.push(rec);
         id
     }
 
@@ -394,7 +375,7 @@ impl SpanContext {
         let now = self.now_ns();
         let inner = self.0.inner.lock().unwrap();
         SpanSnapshot {
-            spans: inner.ring.iter().cloned().collect(),
+            spans: inner.ring.items.iter().cloned().collect(),
             open: inner
                 .stack
                 .iter()
@@ -409,7 +390,7 @@ impl SpanContext {
                     dur_ns: now.saturating_sub(s.start_ns),
                 })
                 .collect(),
-            dropped: inner.dropped,
+            dropped: inner.ring.dropped,
         }
     }
 }
@@ -522,21 +503,6 @@ pub struct SpanAgg {
     pub self_ns: u64,
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn us(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1000.0)
 }
@@ -557,24 +523,24 @@ pub fn chrome_trace_json(snap: &SpanSnapshot, events: &[TraceEvent]) -> String {
     );
     for s in snap.spans.iter().chain(&snap.open) {
         out.push_str(&format!(
-            ",\n{{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"{}\",\"cat\":\"{}\",\
+            ",\n{{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":{},\"cat\":\"{}\",\
              \"ts\":{},\"dur\":{},\"args\":{{\"span\":{},\"parent\":{},\"trace\":{},\
-             \"detail\":\"{}\"}}}}",
-            esc(s.name),
+             \"detail\":{}}}}}",
+            quote(s.name),
             s.kind.name(),
             us(s.start_ns),
             us(s.dur_ns),
             s.id,
             s.parent,
             s.trace,
-            esc(&s.detail),
+            quote(&s.detail),
         ));
     }
     for e in events {
         out.push_str(&format!(
             ",\n{{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"{}\",\"cat\":\"wire-event\",\
              \"ts\":{},\"dur\":{},\"args\":{{\"seq\":{},\"span\":{},\"trace\":{},\
-             \"outcome\":\"{}\",\"detail\":\"{}\"}}}}",
+             \"outcome\":\"{}\",\"detail\":{}}}}}",
             e.op.name(),
             us(e.ts_ns),
             us(e.nanos),
@@ -582,7 +548,7 @@ pub fn chrome_trace_json(snap: &SpanSnapshot, events: &[TraceEvent]) -> String {
             e.span,
             e.trace,
             e.outcome.name(),
-            esc(&e.detail),
+            quote(&e.detail),
         ));
     }
     out.push_str("\n]}");
@@ -658,15 +624,10 @@ pub fn attribution_coverage(snap: &SpanSnapshot, events: &[TraceEvent]) -> (usiz
     (ok, events.len())
 }
 
-#[allow(unused)]
-fn _outcome_is_reexported(o: TraceOutcome) -> &'static str {
-    o.name()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceOp;
+    use crate::trace::{TraceOp, TraceOutcome};
 
     fn ctx() -> SpanContext {
         let c = SpanContext::new(64);

@@ -24,13 +24,14 @@
 //! until `.trace on` (or transiently during `.profile`), and the E11
 //! bench asserts the disabled overhead is negligible.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::error::TargetError;
 use crate::iface::{PrefetchCompletion, Target};
+use crate::json::quote;
+use crate::metrics::{log2_bucket, log2_quantile, Ring};
 use crate::op::{Op, Reply};
 use crate::span::{SpanContext, SpanKind};
 
@@ -220,12 +221,6 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-struct Ring {
-    events: VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
 struct TraceShared {
     enabled: AtomicBool,
     seq: AtomicU64,
@@ -239,7 +234,7 @@ struct TraceShared {
     multi_ranges: AtomicU64,
     /// log₂ ranges-per-call histogram for vectored reads.
     multi_hist: Vec<AtomicU64>,
-    ring: Mutex<Ring>,
+    ring: Mutex<Ring<TraceEvent>>,
 }
 
 /// Counter snapshot for one operation kind.
@@ -266,19 +261,7 @@ impl OpStats {
     /// Approximate latency quantile from the histogram: the upper bound
     /// of the bucket containing the `q`-quantile call (`q` in `[0,1]`).
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        let total: u64 = self.hist.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, n) in self.hist.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        u64::MAX
+        log2_quantile(&self.hist, q)
     }
 }
 
@@ -345,11 +328,7 @@ impl TraceHandle {
             hist: zeros(OP_COUNT * HIST_BUCKETS),
             multi_ranges: AtomicU64::new(0),
             multi_hist: zeros(RANGE_BUCKETS),
-            ring: Mutex::new(Ring {
-                events: VecDeque::new(),
-                capacity: capacity.max(1),
-                dropped: 0,
-            }),
+            ring: Mutex::new(Ring::new(capacity)),
         }))
     }
 
@@ -369,12 +348,7 @@ impl TraceHandle {
     /// roughly 100 bytes (five words plus its detail string), so the
     /// default 4096-event ring is ~400 KiB at worst.
     pub fn set_capacity(&self, capacity: usize) {
-        let mut ring = self.0.ring.lock().unwrap();
-        ring.capacity = capacity.max(1);
-        while ring.events.len() > ring.capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
-        }
+        self.0.ring.lock().unwrap().set_capacity(capacity);
     }
 
     /// The current event-ring bound.
@@ -397,9 +371,7 @@ impl TraceHandle {
         }
         self.0.multi_ranges.store(0, Ordering::Relaxed);
         self.0.seq.store(0, Ordering::Relaxed);
-        let mut ring = self.0.ring.lock().unwrap();
-        ring.events.clear();
-        ring.dropped = 0;
+        self.0.ring.lock().unwrap().clear();
     }
 
     /// Memory reads recorded so far — the counter the evaluator diffs
@@ -433,7 +405,7 @@ impl TraceHandle {
         let ring = self.0.ring.lock().unwrap();
         TraceStats {
             ops,
-            events_held: ring.events.len(),
+            events_held: ring.items.len(),
             events_dropped: ring.dropped,
             multi_ranges: self.0.multi_ranges.load(Ordering::Relaxed),
             multi_ranges_hist: (0..RANGE_BUCKETS)
@@ -445,8 +417,8 @@ impl TraceHandle {
     /// The most recent `n` events, oldest first.
     pub fn recent_events(&self, n: usize) -> Vec<TraceEvent> {
         let ring = self.0.ring.lock().unwrap();
-        let skip = ring.events.len().saturating_sub(n);
-        ring.events.iter().skip(skip).cloned().collect()
+        let skip = ring.items.len().saturating_sub(n);
+        ring.items.iter().skip(skip).cloned().collect()
     }
 
     /// Serializes counters, histograms, and buffered events as a JSON
@@ -478,11 +450,11 @@ impl TraceHandle {
             .iter()
             .map(|e| {
                 format!(
-                    "{{\"seq\":{},\"op\":\"{}\",\"detail\":\"{}\",\"outcome\":\"{}\",\"ns\":{},\
+                    "{{\"seq\":{},\"op\":\"{}\",\"detail\":{},\"outcome\":\"{}\",\"ns\":{},\
                      \"ts_ns\":{},\"trace\":{},\"span\":{}}}",
                     e.seq,
                     e.op.name(),
-                    e.detail.replace('\\', "\\\\").replace('"', "\\\""),
+                    quote(&e.detail),
                     e.outcome.name(),
                     e.nanos,
                     e.ts_ns,
@@ -492,9 +464,9 @@ impl TraceHandle {
             })
             .collect();
         format!(
-            "{{\"label\":\"{}\",\"enabled\":{},\"events_dropped\":{},\
+            "{{\"label\":{},\"enabled\":{},\"events_dropped\":{},\
              \"ops\":[{}],\"events\":[{}]}}",
-            label,
+            quote(label),
             self.is_enabled(),
             stats.events_dropped,
             ops.join(","),
@@ -526,8 +498,8 @@ impl TraceHandle {
         nanos: u64,
         at: Attribution,
     ) {
-        let bucket = (usize::BITS - 1 - nranges.max(1).leading_zeros()) as usize;
-        self.0.multi_hist[bucket.min(RANGE_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        let bucket = log2_bucket(nranges as u64, RANGE_BUCKETS);
+        self.0.multi_hist[bucket].fetch_add(1, Ordering::Relaxed);
         self.0
             .multi_ranges
             .fetch_add(nranges as u64, Ordering::Relaxed);
@@ -555,15 +527,10 @@ impl TraceHandle {
             self.0.errors[i].fetch_add(1, Ordering::Relaxed);
         }
         self.0.nanos[i].fetch_add(nanos, Ordering::Relaxed);
-        let bucket = (64 - nanos.max(1).leading_zeros() as usize - 1).min(HIST_BUCKETS - 1);
+        let bucket = log2_bucket(nanos, HIST_BUCKETS);
         self.0.hist[i * HIST_BUCKETS + bucket].fetch_add(1, Ordering::Relaxed);
         let seq = self.0.seq.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.0.ring.lock().unwrap();
-        if ring.events.len() >= ring.capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
-        }
-        ring.events.push_back(TraceEvent {
+        self.0.ring.lock().unwrap().push(TraceEvent {
             seq,
             op,
             detail,
@@ -840,7 +807,7 @@ mod tests {
     fn ring_buffer_is_bounded_and_keeps_newest() {
         let mut t = TraceTarget::new(scenario::scan_array());
         // Shrink the ring via a fresh handle-backed target.
-        t.handle.0.ring.lock().unwrap().capacity = 4;
+        t.handle().set_capacity(4);
         t.handle().set_enabled(true);
         let x = t.get_variable("x").unwrap();
         let mut buf = [0u8; 4];

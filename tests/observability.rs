@@ -395,3 +395,42 @@ fn meta_queries_agree_with_the_top_table() {
     let agg: u64 = snap.spans.aggregate().iter().map(|a| a.self_ns).sum();
     assert_eq!(q, agg, "exclusive-time attribution diverged");
 }
+
+/// Every JSON export escapes every string it emits: a capture whose
+/// header names a scenario with a newline and a control character
+/// replays into `.stats json`, `--trace-json` and Perfetto documents
+/// that the strict parser (raw control characters rejected) accepts,
+/// with the label intact.
+#[test]
+fn json_exports_escape_control_characters_in_labels() {
+    use duel_target::json::Json;
+    use duel_target::{RecordTarget, SharedSink};
+    let label = "comb\nined\u{1}";
+    let sink = SharedSink::default();
+    let mut rec = RecordTarget::new(scenario::combined());
+    rec.start(Box::new(sink.clone()), "sim", label).unwrap();
+    Session::new(&mut rec).eval_lines("x[..3]").unwrap();
+    rec.stop().unwrap();
+    let path = std::env::temp_dir().join(format!("duel-json-labels-{}.jsonl", std::process::id()));
+    std::fs::write(&path, sink.contents()).unwrap();
+
+    let mut r = duel_cli::Repl::new();
+    for line in [".trace on", ".trace spans on"] {
+        repl_run(&mut r, line);
+    }
+    let replayed = repl_run(&mut r, &format!(".replay {}", path.display()));
+    std::fs::remove_file(&path).ok();
+    assert!(!replayed.contains("cannot"), "{replayed}");
+    assert!(repl_run(&mut r, "x[..3]").contains("x[2] = "));
+    let stats = repl_run(&mut r, ".stats json");
+    for text in [stats.trim_end(), &r.trace_json()] {
+        assert!(
+            !text.contains(char::is_control),
+            "raw control character in {text:?}"
+        );
+        let doc = Json::parse(text).expect("the export parses");
+        let scenario = doc.get("config").and_then(|c| c.get("scenario"));
+        assert_eq!(scenario.and_then(Json::as_str), Some(label));
+    }
+    Json::parse(&r.perfetto_json()).expect("perfetto_json parses");
+}

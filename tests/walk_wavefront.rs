@@ -298,3 +298,36 @@ fn recorded_wavefront_walk_replays_strictly() {
     assert!(r.divergence().is_none(), "{:?}", r.divergence());
     assert_eq!(r.events_consumed(), r.events_total());
 }
+
+/// A wild `next` costs one `is_mapped` probe wherever it is met: the
+/// demand walk probes it before the read, and a wavefront batch whose
+/// page faulted serves that range with a probe and one exact read
+/// instead of bisecting the page.
+#[test]
+fn a_wild_pointer_costs_one_probe_not_a_bisection() {
+    let wild_hash = || {
+        let mut t = scenario::bench_hash(8, 2, 1);
+        let (rid, _) = t.core.types.declare_struct("symbol");
+        let l = t.core.types.record_layout(rid, &t.core.abi).unwrap();
+        let hash = t.get_variable("hash").unwrap().addr;
+        let first = t.core.read_ptr(hash).unwrap();
+        t.core
+            .write_ptr(first + l.fields[2].offset, 0xdead_beef_0000)
+            .unwrap();
+        t
+    };
+    let opts = EvalOptions::default();
+    let mut counts = Vec::new();
+    for expr in ["hash[0]-->next->scope", "hash[0..0]-->next->scope"] {
+        let mut plain = CachedTarget::with_config(wild_hash(), CacheConfig::disabled());
+        let mut cached = CachedTarget::new(wild_hash());
+        let want = outcome(&mut plain, expr, &opts);
+        assert_eq!(outcome(&mut cached, expr, &opts), want, "`{expr}`");
+        let s = cached.stats();
+        counts.push((s.backend_reads, s.mapped_probes));
+    }
+    // (backend reads, is_mapped probes); the batch used to bisect the
+    // wild page, 12 reads in all. Now: the batch, the page's refetch,
+    // the probe and the exact read that confirms the fault.
+    assert_eq!(counts, [(3, 1), (6, 2)]);
+}

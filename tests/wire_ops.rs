@@ -333,7 +333,7 @@ fn cache_counters_after_a_fixed_script_are_pinned() {
         CacheStats {
             page_hits: 8,
             page_misses: 454,
-            backend_reads: 685,
+            backend_reads: 574,
             wire_bytes: 7640,
             lookup_hits: 67,
             lookup_misses: 287,
@@ -343,12 +343,12 @@ fn cache_counters_after_a_fixed_script_are_pinned() {
             multi_ranges: 78,
             pages_prefetched: 538,
             readahead_pages: 0,
-            mapped_probes: 34,
+            mapped_probes: 71,
         },
         CacheStats {
             page_hits: 192,
             page_misses: 77,
-            backend_reads: 345,
+            backend_reads: 197,
             wire_bytes: 6976,
             lookup_hits: 67,
             lookup_misses: 287,
@@ -358,7 +358,7 @@ fn cache_counters_after_a_fixed_script_are_pinned() {
             multi_ranges: 78,
             pages_prefetched: 294,
             readahead_pages: 102,
-            mapped_probes: 34,
+            mapped_probes: 71,
         },
         CacheStats {
             page_hits: 0,
