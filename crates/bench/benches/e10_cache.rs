@@ -189,9 +189,9 @@ fn main() {
         CacheConfig::default().max_pages,
         rows.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cache.json");
-    std::fs::write(path, &json).expect("write BENCH_cache.json");
-    println!("wrote {path}");
+    let path = duel_bench::report_path("BENCH_cache.json");
+    std::fs::write(&path, &json).expect("write BENCH_cache.json");
+    println!("wrote {}", path.display());
     if failed {
         std::process::exit(1);
     }

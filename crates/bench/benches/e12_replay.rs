@@ -205,9 +205,9 @@ fn main() {
         duel_target::capture::CAPTURE_SCHEMA_VERSION,
         rows.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_replay.json");
-    std::fs::write(path, &json).expect("write BENCH_replay.json");
-    println!("wrote {path}");
+    let path = duel_bench::report_path("BENCH_replay.json");
+    std::fs::write(&path, &json).expect("write BENCH_replay.json");
+    println!("wrote {}", path.display());
     if failed {
         std::process::exit(1);
     }

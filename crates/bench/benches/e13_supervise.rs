@@ -285,9 +285,9 @@ fn main() {
         rec.identical,
         rec.closed_again,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_supervise.json");
-    std::fs::write(path, &json).expect("write BENCH_supervise.json");
-    println!("wrote {path}");
+    let path = duel_bench::report_path("BENCH_supervise.json");
+    std::fs::write(&path, &json).expect("write BENCH_supervise.json");
+    println!("wrote {}", path.display());
     if failed {
         std::process::exit(1);
     }

@@ -1,4 +1,5 @@
-//! E14 — what the generator-aware prefetch planner buys on the wire.
+//! E14 — what the generator-aware prefetch planner and the scan window
+//! buy on the wire.
 //!
 //! The workload is the paper's motivating cost case: a contiguous scan
 //! of a 4096-element array (`x[..4096]`), where every element crosses
@@ -8,12 +9,19 @@
 //! `get_bytes` calls plus vectored `multi_read` calls) counts exactly
 //! the round-trips a remote debugger would pay.
 //!
-//! Each run executes twice over identical debuggees: once with the
-//! planner off (the cache demand-fetches one page per miss) and once
-//! with `EvalOptions::prefetch` on (the planner warms the whole span in
-//! one vectored call). The run asserts byte-identical rendered output
-//! and a ≥5× wire-turn reduction, then writes `BENCH_prefetch.json` at
-//! the repository root.
+//! Each run executes three times over identical debuggees:
+//!
+//! * **demand**: one read per element, as a scan without windows reads
+//!   — [`duel_bench::RefuseWide`] above the cache fails every window
+//!   read, so the cache demand-fetches one page per miss;
+//! * **planned**: `EvalOptions::prefetch` on (the planner warms the
+//!   span in windowed vectored calls);
+//! * **windowed**: default options (the scan reads each window of the
+//!   span in one vectored call, which the cache turns into one turn).
+//!
+//! The run asserts byte-identical rendered output and a ≥5× wire-turn
+//! reduction for both the planned and the windowed arm, then writes
+//! `BENCH_prefetch.json` at the repository root.
 //!
 //! Not a criterion bench on purpose: the quantity of interest is the
 //! wire-turn count, which criterion cannot report. Run with
@@ -21,10 +29,11 @@
 
 use std::time::{Duration, Instant};
 
-use duel_bench::try_eval_lines_with_stats;
+use duel_bench::{try_eval_lines_with_stats, RefuseWide};
 use duel_core::EvalOptions;
 use duel_target::{
-    CacheConfig, CachedTarget, ChaosTarget, FaultConfig, SimTarget, TraceHandle, TraceTarget,
+    CacheConfig, CachedTarget, ChaosTarget, FaultConfig, SimTarget, Target, TraceHandle,
+    TraceTarget,
 };
 
 /// Per-operation latency injected below the wire trace. Kept small so
@@ -75,7 +84,15 @@ struct Measurement {
     wall: Duration,
 }
 
-fn run(w: &Workload, prefetch: bool) -> Measurement {
+/// How one arm reads the scan.
+#[derive(Clone, Copy, PartialEq)]
+enum Arm {
+    Demand,
+    Planned,
+    Windowed,
+}
+
+fn run(w: &Workload, arm: Arm) -> Measurement {
     let slow = ChaosTarget::with_faults(
         (w.scenario)(),
         FaultConfig {
@@ -86,19 +103,23 @@ fn run(w: &Workload, prefetch: bool) -> Measurement {
     let wire = TraceTarget::with_label(slow, "wire");
     let handle: TraceHandle = wire.handle();
     handle.set_enabled(true);
-    let mut t = CachedTarget::with_config(
+    let cached = CachedTarget::with_config(
         wire,
         CacheConfig {
             page_size: PAGE_SIZE,
             ..CacheConfig::default()
         },
     );
+    let mut t: Box<dyn Target> = match arm {
+        Arm::Demand => Box::new(RefuseWide(cached)),
+        _ => Box::new(cached),
+    };
     let opts = EvalOptions {
-        prefetch,
+        prefetch: arm == Arm::Planned,
         ..EvalOptions::default()
     };
     let start = Instant::now();
-    let (lines, stats) = match try_eval_lines_with_stats(&mut t, w.expr, &opts) {
+    let (lines, stats) = match try_eval_lines_with_stats(&mut *t, w.expr, &opts) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("workload `{}` failed: {e}", w.name);
@@ -119,31 +140,42 @@ fn main() {
     let mut rows = Vec::new();
     let mut failed = false;
     for w in WORKLOADS {
-        let demand = run(w, false);
-        let planned = run(w, true);
-        let identical = demand.lines == planned.lines && !demand.lines.is_empty();
-        let reduction = demand.wire_turns as f64 / planned.wire_turns.max(1) as f64;
+        let demand = run(w, Arm::Demand);
+        let planned = run(w, Arm::Planned);
+        let windowed = run(w, Arm::Windowed);
+        let identical = demand.lines == planned.lines
+            && demand.lines == windowed.lines
+            && !demand.lines.is_empty();
+        let reduction = |m: &Measurement| demand.wire_turns as f64 / m.wire_turns.max(1) as f64;
         println!(
-            "{:<13} wire turns {:>5} -> {:>3}  ({reduction:>6.1}x), {} vectored, \
-             {} planner warm-ups, wall {:>8.2?} -> {:>8.2?}, identical output: {identical}",
+            "{:<13} wire turns {:>5} -> {:>3} planned ({:>6.1}x), {:>3} windowed ({:>6.1}x), \
+             {} vectored, {} planner warm-ups, wall {:>8.2?} -> {:>8.2?} / {:>8.2?}, \
+             identical output: {identical}",
             w.name,
             demand.wire_turns,
             planned.wire_turns,
+            reduction(&planned),
+            windowed.wire_turns,
+            reduction(&windowed),
             planned.multi_reads,
             planned.prefetch_calls,
             demand.wall,
             planned.wall,
+            windowed.wall,
         );
         if !identical {
-            eprintln!("FAIL: `{}` output differs under prefetch", w.name);
+            eprintln!("FAIL: `{}` output differs across the arms", w.name);
             failed = true;
         }
-        if reduction < 5.0 {
-            eprintln!(
-                "FAIL: `{}` wire-turn reduction {reduction:.1}x is below the 5x target",
-                w.name
-            );
-            failed = true;
+        for (arm, m) in [("planned", &planned), ("windowed", &windowed)] {
+            if reduction(m) < 5.0 {
+                eprintln!(
+                    "FAIL: `{}` {arm} wire-turn reduction {:.1}x is below the 5x target",
+                    w.name,
+                    reduction(m)
+                );
+                failed = true;
+            }
         }
         if planned.prefetch_calls == 0 {
             eprintln!("FAIL: `{}` planner never fired", w.name);
@@ -152,19 +184,24 @@ fn main() {
         rows.push(format!(
             "    {{\n      \"name\": \"{}\",\n      \"expr\": {},\n      \"values\": {},\n      \
              \"demand_wire_turns\": {},\n      \"planned_wire_turns\": {},\n      \
-             \"turn_reduction\": {:.2},\n      \"vectored_calls\": {},\n      \
+             \"turn_reduction\": {:.2},\n      \"windowed_wire_turns\": {},\n      \
+             \"windowed_turn_reduction\": {:.2},\n      \"vectored_calls\": {},\n      \
              \"prefetch_calls\": {},\n      \"demand_wall_us\": {},\n      \
-             \"planned_wall_us\": {},\n      \"identical_output\": {}\n    }}",
+             \"planned_wall_us\": {},\n      \"windowed_wall_us\": {},\n      \
+             \"identical_output\": {}\n    }}",
             w.name,
             duel_target::json::quote(w.expr),
             planned.lines.len(),
             demand.wire_turns,
             planned.wire_turns,
-            reduction,
+            reduction(&planned),
+            windowed.wire_turns,
+            reduction(&windowed),
             planned.multi_reads,
             planned.prefetch_calls,
             demand.wall.as_micros(),
             planned.wall.as_micros(),
+            windowed.wall.as_micros(),
             identical,
         ));
     }
@@ -179,9 +216,9 @@ fn main() {
         ELEMENTS,
         rows.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_prefetch.json");
-    std::fs::write(path, &json).expect("write BENCH_prefetch.json");
-    println!("wrote {path}");
+    let path = duel_bench::report_path("BENCH_prefetch.json");
+    std::fs::write(&path, &json).expect("write BENCH_prefetch.json");
+    println!("wrote {}", path.display());
     if failed {
         std::process::exit(1);
     }

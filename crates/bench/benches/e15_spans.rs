@@ -269,9 +269,9 @@ fn main() {
          {MAX_OVERHEAD_PCT}\n  }},\n  \"metrics\": {{\n  \"workloads\": [\n{}\n  ]\n  }}\n}}\n",
         row_json.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_spans.json");
-    std::fs::write(path, &json).expect("write BENCH_spans.json");
-    println!("wrote {path}");
+    let path = duel_bench::report_path("BENCH_spans.json");
+    std::fs::write(&path, &json).expect("write BENCH_spans.json");
+    println!("wrote {}", path.display());
     if failed {
         std::process::exit(1);
     }

@@ -275,9 +275,9 @@ fn main() {
         !failed,
         ring_best.as_micros()
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_meta.json");
-    std::fs::write(path, &json).expect("write BENCH_meta.json");
-    println!("wrote {path}");
+    let path = duel_bench::report_path("BENCH_meta.json");
+    std::fs::write(&path, &json).expect("write BENCH_meta.json");
+    println!("wrote {}", path.display());
     if failed {
         std::process::exit(1);
     }

@@ -379,9 +379,9 @@ fn run_main(wire: Duration, window: usize, tried: Vec<usize>) {
         identical,
         replay_identical,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-    std::fs::write(path, &json).expect("write BENCH_pipeline.json");
-    println!("wrote {path}");
+    let path = duel_bench::report_path("BENCH_pipeline.json");
+    std::fs::write(&path, &json).expect("write BENCH_pipeline.json");
+    println!("wrote {}", path.display());
     if failed {
         std::process::exit(1);
     }

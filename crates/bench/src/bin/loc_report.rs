@@ -15,15 +15,7 @@
 //! cargo run -p duel-bench --bin loc_report
 //! ```
 
-use std::path::{Path, PathBuf};
-
-fn repo_root() -> PathBuf {
-    // crates/bench → repo root.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("repo root")
-}
+use std::path::Path;
 
 /// Counts code lines: non-blank, non-comment lines above the line
 /// that opens the test module (`#[cfg(test)]` on a line of its own).
@@ -76,7 +68,7 @@ fn crate_totals(root: &Path) -> Vec<(String, usize)> {
 }
 
 fn main() {
-    let root = repo_root();
+    let root = duel_bench::workspace_root();
     let rows: Vec<(&str, usize, &str)> = vec![
         (
             "duel_eval (resumable generators)",

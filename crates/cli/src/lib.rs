@@ -2171,7 +2171,8 @@ mod tests {
         out.clear();
         r.handle(".trace", &mut out);
         assert!(out.contains("tracing on"), "{out}");
-        assert!(out.contains("get_bytes"), "{out}");
+        // The hinted scan reads its elements in one window.
+        assert!(out.contains("multi_read"), "{out}");
         out.clear();
         r.handle(".trace dump 3", &mut out);
         assert!(out.contains("ok"), "{out}");
@@ -2198,7 +2199,7 @@ mod tests {
         r.handle("x[..5]", &mut out);
         out.clear();
         r.handle(".trace", &mut out);
-        assert!(out.contains("get_bytes"), "{out}");
+        assert!(out.contains("multi_read"), "{out}");
     }
 
     #[test]
@@ -2259,7 +2260,7 @@ mod tests {
         );
         assert!(json.contains("\"metrics\":{\"layers\":["), "{json}");
         assert!(json.contains("\"label\":\"session\""), "{json}");
-        assert!(json.contains("\"op\":\"get_bytes\""), "{json}");
+        assert!(json.contains("\"op\":\"multi_read\""), "{json}");
     }
 
     #[test]
@@ -2610,7 +2611,7 @@ mod tests {
             "hottest nodes include the index: {out}"
         );
         assert!(out.contains("wire ops by total latency"), "{out}");
-        assert!(out.contains("get_bytes"), "{out}");
+        assert!(out.contains("multi_read"), "{out}");
         assert!(out.contains("busiest counters"), "{out}");
         assert!(out.contains("eval.values"), "{out}");
     }

@@ -2,6 +2,7 @@
 //! generator-lifted C operators.
 
 use duel_ctype::Prim;
+use duel_target::Target;
 
 use crate::{
     apply,
@@ -16,10 +17,15 @@ use super::{Gen, GenT};
 
 // ----- constants --------------------------------------------------------
 
+/// A literal. Its value does not depend on anything around it, so it is
+/// built on the first `next` of the command and cloned after that (one
+/// `Rc` bump): `x[..n] >? c` and `(1..1000)+i` resume it once per left
+/// value.
 struct ConstGen {
     make: fn(&mut Ctx<'_>, i64, f64) -> Value,
     i: i64,
     f: f64,
+    value: Option<Value>,
     done: bool,
 }
 
@@ -31,7 +37,11 @@ impl GenT for ConstGen {
             return Ok(None);
         }
         self.done = true;
-        Ok(Some((self.make)(ctx, self.i, self.f)))
+        let v = match &self.value {
+            Some(v) => v.clone(),
+            None => self.value.insert((self.make)(ctx, self.i, self.f)).clone(),
+        };
+        Ok(Some(v))
     }
 
     fn reset(&mut self) {
@@ -39,23 +49,32 @@ impl GenT for ConstGen {
     }
 }
 
-/// An integer literal.
-pub fn constant_int(v: i64) -> Gen {
+fn literal(make: fn(&mut Ctx<'_>, i64, f64) -> Value, i: i64, f: f64) -> Gen {
     Box::new(ConstGen {
-        make: |ctx, i, _| {
-            let ty = ctx.target.types_mut().prim(Prim::Int);
-            Value::rval(ty, Scalar::Int(i), ctx.sym_leaf(i.to_string()))
-        },
-        i: v,
-        f: 0.0,
+        make,
+        i,
+        f,
+        value: None,
         done: false,
     })
 }
 
+/// An integer literal.
+pub fn constant_int(v: i64) -> Gen {
+    literal(
+        |ctx, i, _| {
+            let ty = ctx.target.types_mut().prim(Prim::Int);
+            Value::rval(ty, Scalar::Int(i), ctx.sym_leaf(i.to_string()))
+        },
+        v,
+        0.0,
+    )
+}
+
 /// A floating literal.
 pub fn constant_float(v: f64) -> Gen {
-    Box::new(ConstGen {
-        make: |ctx, _, f| {
+    literal(
+        |ctx, _, f| {
             let ty = ctx.target.types_mut().prim(Prim::Double);
             // Keep the symbolic value a *float* literal (`4.0`, not
             // `4`), so it stays a legal DUEL expression of the same
@@ -66,16 +85,15 @@ pub fn constant_float(v: f64) -> Gen {
             }
             Value::rval(ty, Scalar::Float(f), ctx.sym_leaf(text))
         },
-        i: 0,
-        f: v,
-        done: false,
-    })
+        0,
+        v,
+    )
 }
 
 /// A character literal.
 pub fn constant_char(c: u8) -> Gen {
-    Box::new(ConstGen {
-        make: |ctx, i, _| {
+    literal(
+        |ctx, i, _| {
             let ty = ctx.target.types_mut().prim(Prim::Char);
             let printable = i as u8;
             let text = match printable {
@@ -89,10 +107,9 @@ pub fn constant_char(c: u8) -> Gen {
             };
             Value::rval(ty, Scalar::Int(i), ctx.sym_leaf(text))
         },
-        i: c as i64,
-        f: 0.0,
-        done: false,
-    })
+        c as i64,
+        0.0,
+    )
 }
 
 // ----- names ------------------------------------------------------------
@@ -130,7 +147,7 @@ pub fn name(n: String) -> Gen {
 
 /// The integer value of a (single) operand value.
 pub(crate) fn int_of(ctx: &mut Ctx<'_>, v: &Value) -> DuelResult<i64> {
-    match apply::load(ctx.target, v)? {
+    match apply::load(&mut ctx.target, v)? {
         Scalar::Int(i) => Ok(i),
         Scalar::Ptr(p) => Ok(p as i64),
         Scalar::Float(_) => Err(DuelError::Type {
@@ -359,7 +376,7 @@ impl GenT for UnaryGen {
         match self.e.next(ctx)? {
             Some(u) => {
                 let eager = ctx.eager_sym();
-                apply::unary(ctx.target, self.op, &u, eager).map(Some)
+                apply::unary(&mut ctx.target, self.op, &u, eager).map(Some)
             }
             None => Ok(None),
         }
@@ -403,7 +420,7 @@ impl GenT for BinGen {
                 Some(v) => {
                     let eager = ctx.eager_sym();
                     let l = self.cur.as_ref().unwrap();
-                    return apply::binary(ctx.target, self.op, l, &v, eager).map(Some);
+                    return apply::binary(&mut ctx.target, self.op, l, &v, eager).map(Some);
                 }
                 None => self.cur = None,
             }
@@ -455,8 +472,8 @@ impl GenT for FilterGen {
             match self.r.next(ctx)? {
                 Some(v) => {
                     let l = self.cur.as_ref().unwrap();
-                    let cmp = apply::binary(ctx.target, self.op.as_cmp(), l, &v, false)?;
-                    if apply::truthy(ctx.target, &cmp)? {
+                    let cmp = apply::binary(&mut ctx.target, self.op.as_cmp(), l, &v, false)?;
+                    if apply::truthy(&mut ctx.target, &cmp)? {
                         // The filter yields the *left* operand, with its
                         // own symbolic value. Cloned only on a hit; a
                         // failed comparison costs no allocation.

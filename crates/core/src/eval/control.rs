@@ -26,7 +26,7 @@ impl GenT for AndAndGen {
             if !self.active {
                 match self.l.next(ctx)? {
                     Some(u) => {
-                        if apply::truthy(ctx.target, &u)? {
+                        if apply::truthy(&mut ctx.target, &u)? {
                             self.active = true;
                         }
                     }
@@ -72,7 +72,7 @@ impl GenT for OrOrGen {
             if !self.active {
                 match self.l.next(ctx)? {
                     Some(u) => {
-                        if apply::truthy(ctx.target, &u)? {
+                        if apply::truthy(&mut ctx.target, &u)? {
                             return Ok(Some(u));
                         }
                         self.active = true;
@@ -128,7 +128,7 @@ impl GenT for IfGen {
             match self.branch {
                 None => match self.c.next(ctx)? {
                     Some(u) => {
-                        let b = apply::truthy(ctx.target, &u)?;
+                        let b = apply::truthy(&mut ctx.target, &u)?;
                         if b || self.f.is_some() {
                             self.branch = Some(b);
                         }
@@ -192,7 +192,7 @@ impl GenT for WhileGen {
             if !self.in_body {
                 // Drain the condition; any zero value ends the loop.
                 while let Some(u) = self.c.next(ctx)? {
-                    if !apply::truthy(ctx.target, &u)? {
+                    if !apply::truthy(&mut ctx.target, &u)? {
                         // Rewind for the next evaluation.
                         self.c.reset();
                         return Ok(None);
@@ -257,7 +257,7 @@ impl GenT for ForGen {
                     if let Some(cond) = self.cond.as_mut() {
                         // As with `while`: every value must be non-zero.
                         while let Some(u) = cond.next(ctx)? {
-                            if !apply::truthy(ctx.target, &u)? {
+                            if !apply::truthy(&mut ctx.target, &u)? {
                                 go = false;
                                 cond.reset();
                                 break;

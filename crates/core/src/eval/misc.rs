@@ -2,6 +2,7 @@
 //! assignment, casts, `sizeof`, string literals, and `{e}`.
 
 use duel_ctype::{Prim, TypeId};
+use duel_target::Target;
 
 use crate::{
     apply,
@@ -258,13 +259,13 @@ impl GenT for AssignGen {
                     let eager = ctx.eager_sym();
                     let stored = match self.op {
                         None => {
-                            let s = apply::load(ctx.target, &v)?;
-                            apply::store(ctx.target, lhs, s)?
+                            let s = apply::load(&mut ctx.target, &v)?;
+                            apply::store(&mut ctx.target, lhs, s)?
                         }
                         Some(op) => {
-                            let combined = apply::binary(ctx.target, op, lhs, &v, false)?;
-                            let s = apply::load(ctx.target, &combined)?;
-                            apply::store(ctx.target, lhs, s)?
+                            let combined = apply::binary(&mut ctx.target, op, lhs, &v, false)?;
+                            let s = apply::load(&mut ctx.target, &combined)?;
+                            apply::store(&mut ctx.target, lhs, s)?
                         }
                     };
                     let sym = if eager {
@@ -314,13 +315,13 @@ impl GenT for IncDecGen {
             None => Ok(None),
             Some(u) => {
                 let eager = ctx.eager_sym();
-                let old = apply::load(ctx.target, &u)?;
+                let old = apply::load(&mut ctx.target, &u)?;
                 let int_ty = ctx.target.types_mut().prim(Prim::Int);
                 let one = Value::rval(int_ty, Scalar::Int(1), Sym::leaf("1"));
                 let op = if self.inc { BinOp::Add } else { BinOp::Sub };
-                let newv = apply::binary(ctx.target, op, &u, &one, false)?;
-                let news = apply::load(ctx.target, &newv)?;
-                let stored = apply::store(ctx.target, &u, news)?;
+                let newv = apply::binary(&mut ctx.target, op, &u, &one, false)?;
+                let news = apply::load(&mut ctx.target, &newv)?;
+                let stored = apply::store(&mut ctx.target, &u, news)?;
                 let opname = if self.inc { "++" } else { "--" };
                 let sym = if eager {
                     if self.pre {
@@ -374,7 +375,7 @@ impl GenT for CastGen {
                     }
                 };
                 let eager = ctx.eager_sym();
-                apply::cast(ctx.target, ty, &u, eager).map(Some)
+                apply::cast(&mut ctx.target, ty, &u, eager).map(Some)
             }
         }
     }
@@ -481,7 +482,7 @@ impl CallGen {
         }
         let mut call_args = Vec::with_capacity(self.cur.len());
         for v in &self.cur {
-            call_args.push(apply::to_call_value(ctx.target, v)?);
+            call_args.push(apply::to_call_value(&mut ctx.target, v)?);
         }
         ctx.ran_target_code = true;
         let ret = ctx.target.call_func(&self.name, &call_args)?;
@@ -490,7 +491,7 @@ impl CallGen {
         } else {
             Sym::None
         };
-        apply::from_call_value(ctx.target, &ret, sym)
+        apply::from_call_value(&mut ctx.target, &ret, sym)
     }
 }
 
@@ -606,7 +607,7 @@ impl GenT for ReduceGen {
                 let mut fsum: f64 = 0.0;
                 let mut any_float = false;
                 while let Some(v) = self.e.next(ctx)? {
-                    match apply::load(ctx.target, &v)? {
+                    match apply::load(&mut ctx.target, &v)? {
                         Scalar::Int(i) => {
                             isum = isum.wrapping_add(i);
                             fsum += i as f64;
@@ -630,7 +631,7 @@ impl GenT for ReduceGen {
             ReduceOp::All => {
                 let mut all = true;
                 while let Some(v) = self.e.next(ctx)? {
-                    if !apply::truthy(ctx.target, &v)? {
+                    if !apply::truthy(&mut ctx.target, &v)? {
                         all = false;
                         self.e.reset();
                         break;
@@ -645,7 +646,7 @@ impl GenT for ReduceGen {
             ReduceOp::Any => {
                 let mut any = false;
                 while let Some(v) = self.e.next(ctx)? {
-                    if apply::truthy(ctx.target, &v)? {
+                    if apply::truthy(&mut ctx.target, &v)? {
                         any = true;
                         self.e.reset();
                         break;
@@ -662,7 +663,7 @@ impl GenT for ReduceGen {
                 let mut best: Option<Value> = None;
                 let mut best_key: f64 = 0.0;
                 while let Some(v) = self.e.next(ctx)? {
-                    let key = match apply::load(ctx.target, &v)? {
+                    let key = match apply::load(&mut ctx.target, &v)? {
                         Scalar::Int(i) => i as f64,
                         Scalar::Float(f) => f,
                         Scalar::Ptr(p) => p as f64,
@@ -724,8 +725,8 @@ impl GenT for SeqEqualGen {
             match (av, bv) {
                 (None, None) => break,
                 (Some(x), Some(y)) => {
-                    let xs = apply::load(ctx.target, &x)?;
-                    let ys = apply::load(ctx.target, &y)?;
+                    let xs = apply::load(&mut ctx.target, &x)?;
+                    let ys = apply::load(&mut ctx.target, &y)?;
                     let same = match (xs, ys) {
                         (Scalar::Int(i), Scalar::Int(j)) => i == j,
                         (Scalar::Float(i), Scalar::Float(j)) => i == j,
@@ -819,7 +820,7 @@ impl GenT for LocalGen {
             match self.k.next(ctx)? {
                 None => return Ok(None),
                 Some(kv) => {
-                    let k = apply::load(ctx.target, &kv)?;
+                    let k = apply::load(&mut ctx.target, &kv)?;
                     let k = match k {
                         Scalar::Int(i) if i >= 0 => i as usize,
                         _ => continue,
@@ -860,7 +861,7 @@ impl GenT for BracedGen {
         match self.e.next(ctx)? {
             None => Ok(None),
             Some(v) => {
-                let text = printer::format_value(ctx.target, &v, ctx.opts.compress_threshold)?;
+                let text = printer::format_value(&mut ctx.target, &v, ctx.opts.compress_threshold)?;
                 let sym = ctx.sym_leaf(text);
                 Ok(Some(v.with_sym(sym)))
             }

@@ -4,7 +4,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use duel_target::ReadRange;
+use duel_target::{value_io, ReadRange, Target};
 
 use crate::{
     apply::{self, Class},
@@ -12,6 +12,7 @@ use crate::{
     error::{DuelError, DuelResult},
     scope::{Ctx, WithEntry},
     value::{Scalar, Value},
+    window::Span,
 };
 
 use super::{basic::int_of, compile, first_value, Gen, GenT};
@@ -22,15 +23,21 @@ use super::{basic::int_of, compile, first_value, Gen, GenT};
 /// and the index may generate).
 ///
 /// When the index expression is a compile-time contiguous range
-/// (`x[a..b]`, `x[..n]` — see `range_hint` in the parent module) and
-/// [`crate::EvalOptions::prefetch`] is on, each fresh base value first
-/// lays out a **windowed** warm plan over the span: windows of at most
-/// [`crate::EvalOptions::prefetch_window`] cache pages, so a huge scan
-/// costs bounded memory per warm call. When the tower has an I/O actor
-/// below the cache, the windows are double-buffered — window *k+1* is
-/// submitted the moment the scan enters window *k*, so the wire works
-/// while the evaluator chews — and otherwise each window is read
-/// synchronously at its boundary (same wire sequence, no overlap).
+/// (`x[a..b]`, `x[..n]` — see `range_hint` in the parent module), each
+/// fresh base value sets up two read plans over the span, both laid out
+/// in windows of [`crate::EvalOptions::prefetch_window`] cache pages:
+///
+/// * over an array of integers or floats, and while the tower has an
+///   enabled page cache, the span becomes the context's scan window
+///   (see [`crate::window`]): each window is read in one tower call and
+///   the element loads inside it are served from the buffer;
+/// * when [`crate::EvalOptions::prefetch`] is on, a **windowed** warm
+///   plan warms the cache, so a huge scan costs bounded memory per warm
+///   call. When the tower has an I/O actor below the cache, the windows
+///   are double-buffered — window *k+1* is submitted the moment the
+///   scan enters window *k*, so the wire works while the evaluator
+///   chews — and otherwise each window is read synchronously at its
+///   boundary (same wire sequence, no overlap).
 struct IndexGen {
     base: Gen,
     idx: Gen,
@@ -41,6 +48,17 @@ struct IndexGen {
     warmed: Option<u64>,
     /// The windowed warm plan for the current base, if any.
     plan: Option<WindowPlan>,
+}
+
+/// The bytes a hinted scan covers over one base value.
+struct HintedBytes {
+    /// Element size.
+    esize: u64,
+    /// The span, in windows of `prefetch_window` cache pages.
+    span: Span,
+    /// Whether a scan window serves it: elements of integer or float
+    /// class, over a tower with an enabled page cache.
+    windowed: bool,
 }
 
 /// The double-buffered window schedule of one hinted scan.
@@ -110,56 +128,98 @@ impl WindowPlan {
 }
 
 impl IndexGen {
-    /// Lays out the planner's warm schedule for base value `b`, if it
-    /// applies. Advisory by construction: any shape we cannot cheaply
-    /// resolve (no address, unsized elements) is skipped, and read
-    /// errors are left for the demand path to surface.
-    fn warm(&mut self, ctx: &mut Ctx<'_>, b: &Value) {
+    /// The span the hint covers over base value `b`, if a scan window
+    /// or the prefetch planner would use it. Any shape we cannot
+    /// cheaply resolve (no address, unsized elements) gets none, and
+    /// read errors are left for the element loads to surface.
+    fn hinted_bytes(&self, ctx: &mut Ctx<'_>, b: &Value) -> Option<HintedBytes> {
+        let (lo, hi) = self.hint?;
+        let class = apply::classify(&ctx.target, b.ty);
+        let elem = match class {
+            Class::Array { elem, .. } => elem,
+            Class::Ptr { pointee } => pointee,
+            _ => return None,
+        };
+        let page = ctx.target.cache_page_size();
+        let windowed = page.is_some()
+            && matches!(
+                apply::classify(&ctx.target, elem),
+                Class::Int { .. } | Class::Float { .. }
+            );
+        if !windowed && !ctx.opts.prefetch {
+            return None;
+        }
+        let base_addr = match class {
+            Class::Ptr { .. } => match apply::load(&mut ctx.target, b) {
+                Ok(Scalar::Ptr(p)) if p != 0 => p,
+                Ok(Scalar::Int(p)) if p != 0 => p as u64,
+                _ => return None,
+            },
+            _ => b.lval_addr()?,
+        };
+        let esize = ctx.target.types().size_of(elem, ctx.target.abi()).ok()?;
+        let start = u64::try_from(base_addr as i128 + lo as i128 * esize as i128).ok()?;
+        let total = u64::try_from((hi as i128 - lo as i128 + 1) * esize as i128).ok()?;
+        start.checked_add(total)?;
+        // `prefetch_window` cache pages (64-byte pages assumed when the
+        // tower has no cache to ask), never more than a planner read.
+        let window = (ctx.opts.prefetch_window.max(1) as u64)
+            .saturating_mul(page.unwrap_or(64))
+            .clamp(1, apply::PREFETCH_MAX_BYTES);
+        (esize > 0).then_some(HintedBytes {
+            esize,
+            span: Span {
+                start,
+                total,
+                window,
+            },
+            windowed,
+        })
+    }
+
+    /// Sets up the read plans for a fresh base value `b`: the scan
+    /// window (a span of one element gains nothing from it) and, when
+    /// prefetch is on, the planner's warm schedule. A scan without a
+    /// window leaves the current one registered: its bytes stay valid
+    /// until a store, and an enclosing scan may still be reading it.
+    fn plan_base(&mut self, ctx: &mut Ctx<'_>, b: &Value) {
         self.plan = None;
-        let (lo, hi) = match self.hint {
-            Some(h) if ctx.opts.prefetch => h,
-            _ => return,
-        };
-        let (elem, base_addr) = match apply::classify(ctx.target, b.ty) {
-            Class::Array { elem, .. } => match b.lval_addr() {
-                Some(a) => (elem, a),
-                None => return,
-            },
-            Class::Ptr { pointee } => match apply::load(ctx.target, b) {
-                Ok(Scalar::Ptr(p)) if p != 0 => (pointee, p),
-                Ok(Scalar::Int(p)) if p != 0 => (pointee, p as u64),
-                _ => return,
-            },
-            _ => return,
-        };
-        if self.warmed == Some(base_addr) {
+        let hinted = self.hinted_bytes(ctx, b);
+        if let Some(h) = hinted
+            .as_ref()
+            .filter(|h| h.windowed && h.span.total > h.esize)
+        {
+            ctx.target.scan(h.span);
+        }
+        if let Some(h) = hinted.filter(|_| ctx.opts.prefetch) {
+            self.warm(ctx, &h);
+        }
+    }
+
+    /// Lays out the planner's warm schedule over `h`. Advisory by
+    /// construction: read errors are left for the demand path.
+    fn warm(&mut self, ctx: &mut Ctx<'_>, h: &HintedBytes) {
+        let HintedBytes { esize, span, .. } = *h;
+        if self.warmed == Some(span.start) {
             return;
         }
-        self.warmed = Some(base_addr);
-        let esize = match ctx.target.types().size_of(elem, ctx.target.abi()) {
-            Ok(s) if s > 0 => s,
-            _ => return,
-        };
-        let start = (base_addr as i64 + lo * esize as i64) as u64;
-        let total = (hi - lo + 1) as u64 * esize;
-        // Window size: `prefetch_window` cache pages (64-byte pages
-        // assumed when the tower has no cache to ask).
-        let page = ctx.target.cache_page_size().unwrap_or(64);
-        let window = (ctx.opts.prefetch_window.max(1) as u64).saturating_mul(page);
+        self.warmed = Some(span.start);
         let mut windows = Vec::new();
         let mut boundaries = Vec::new();
-        let mut off = 0u64;
-        while off < total {
-            let len = window.min(total - off);
-            windows.push((start + off, len));
+        for (off, w) in span.windows() {
+            windows.push(w);
             // The element containing byte `off` is the first to touch
             // this window (it may straddle the previous one).
             boundaries.push(off / esize);
-            off += len;
         }
         ctx.windows_planned += windows.len() as u64;
-        let span = ctx.span_enter(duel_target::SpanKind::Prefetch, "prefetch", || {
-            format!("warm 0x{start:x}+{total} ({} windows)", windows.len())
+        let span_id = ctx.span_enter(duel_target::SpanKind::Prefetch, "prefetch", || {
+            format!(
+                "warm 0x{:x}+{} ({} windows)",
+                span.start,
+                span.total,
+                windows.len()
+            )
         });
         let plan = WindowPlan {
             windows,
@@ -185,14 +245,14 @@ impl IndexGen {
         } else {
             // No cache in the tower: warm every window eagerly through
             // the legacy vectored read, one bounded call per window.
-            ctx.prefetch_ranges += apply::prefetch(ctx.target, &[plan.windows[0]]) as u64;
+            ctx.prefetch_ranges += apply::prefetch(&mut ctx.target, &[plan.windows[0]]) as u64;
             for w in &plan.windows[1..] {
                 ctx.prefetch_calls += 1;
-                ctx.prefetch_ranges += apply::prefetch(ctx.target, &[*w]) as u64;
+                ctx.prefetch_ranges += apply::prefetch(&mut ctx.target, &[*w]) as u64;
             }
             plan
         };
-        ctx.span_exit(span);
+        ctx.span_exit(span_id);
         self.plan = Some(plan);
     }
 }
@@ -203,7 +263,7 @@ impl GenT for IndexGen {
             if self.cur.is_none() {
                 match self.base.next(ctx)? {
                     Some(b) => {
-                        self.warm(ctx, &b);
+                        self.plan_base(ctx, &b);
                         self.cur = Some(b);
                     }
                     None => return Ok(None),
@@ -216,7 +276,7 @@ impl GenT for IndexGen {
                     }
                     let eager = ctx.eager_sym();
                     let b = self.cur.as_ref().unwrap();
-                    return apply::index(ctx.target, b, &i, eager).map(Some);
+                    return apply::index(&mut ctx.target, b, &i, eager).map(Some);
                 }
                 None => self.cur = None,
             }
@@ -427,7 +487,7 @@ struct ExpandGen {
 impl ExpandGen {
     /// Is `v` a pointer to mapped memory? Returns the address.
     fn pointer_target(&self, ctx: &mut Ctx<'_>, v: &Value) -> DuelResult<Option<u64>> {
-        let pointee = match apply::classify(ctx.target, v.ty) {
+        let pointee = match apply::classify(&ctx.target, v.ty) {
             Class::Ptr { pointee } => pointee,
             _ => {
                 return Err(DuelError::Type {
@@ -436,7 +496,7 @@ impl ExpandGen {
                 })
             }
         };
-        let p = match apply::load(ctx.target, v)? {
+        let p = match apply::load(&mut ctx.target, v)? {
             Scalar::Ptr(p) => p,
             Scalar::Int(i) => i as u64,
             Scalar::Float(_) => 0,
@@ -615,7 +675,7 @@ struct NodeShape {
     link: usize,
     /// Pointer width and byte order.
     ptr: usize,
-    big_endian: bool,
+    endian: duel_ctype::Endian,
     /// Cache page size, and `prefetch_window` in pages.
     page: u64,
     window: u64,
@@ -627,13 +687,13 @@ impl NodeShape {
     /// enabled page cache. `None` means the wavefront does not apply.
     fn of(ctx: &Ctx<'_>, u: &Value, field: &str) -> Option<NodeShape> {
         let page = ctx.target.cache_page_size()?;
-        let Class::Ptr { pointee } = apply::classify(ctx.target, u.ty) else {
+        let Class::Ptr { pointee } = apply::classify(&ctx.target, u.ty) else {
             return None;
         };
         let (types, abi) = (ctx.target.types(), ctx.target.abi());
         let (rid, _) = types.as_record(pointee)?;
         let (idx, f) = types.find_field(pointee, field).ok()?;
-        if apply::classify(ctx.target, f.ty) != (Class::Ptr { pointee }) {
+        if apply::classify(&ctx.target, f.ty) != (Class::Ptr { pointee }) {
             return None;
         }
         let link = types.field_layout(rid, idx, abi).ok()?;
@@ -650,7 +710,7 @@ impl NodeShape {
             node,
             link: link.offset as usize,
             ptr: ptr as usize,
-            big_endian: abi.endian == duel_ctype::Endian::Big,
+            endian: abi.endian,
             page,
             window: ctx.opts.prefetch_window.max(1) as u64,
         })
@@ -658,12 +718,7 @@ impl NodeShape {
 
     /// The pointer at `off` of `bytes`, in target byte order.
     fn ptr_at(&self, bytes: &[u8], off: usize) -> u64 {
-        let b = &bytes[off..off + self.ptr];
-        if self.big_endian {
-            b.iter().fold(0, |acc, &x| acc << 8 | x as u64)
-        } else {
-            b.iter().rev().fold(0, |acc, &x| acc << 8 | x as u64)
-        }
+        value_io::decode_uint(&bytes[off..off + self.ptr], self.endian)
     }
 
     /// The base of every page `[addr, addr+len)` touches; `None` when
@@ -875,7 +930,7 @@ impl GenT for UntilGen {
             Some(v) => {
                 let stop_now = match &mut self.stop {
                     Stop::Literal(lit) => {
-                        let cur = match apply::load(ctx.target, &v)? {
+                        let cur = match apply::load(&mut ctx.target, &v)? {
                             Scalar::Int(i) => i,
                             Scalar::Ptr(p) => p as i64,
                             Scalar::Float(f) => f as i64,
@@ -890,7 +945,7 @@ impl GenT for UntilGen {
                         let r = first_value(ctx, cond);
                         ctx.with_stack.pop();
                         match r? {
-                            Some(c) => apply::truthy(ctx.target, &c)?,
+                            Some(c) => apply::truthy(&mut ctx.target, &c)?,
                             None => false,
                         }
                     }

@@ -40,6 +40,7 @@
 //! * [`sym`] — symbolic-value construction and the display algorithm
 //!   (including the `->a->a` → `-->a[[2]]` compression);
 //! * [`apply`] — DUEL's own implementation of the C operators;
+//! * [`window`] — hinted scans read one window per tower call;
 //! * [`session`] — the `duel` command: drives an expression and renders
 //!   every value as `symbolic = value`.
 
@@ -57,6 +58,7 @@ pub mod sexpr;
 pub mod sym;
 pub mod token;
 pub mod value;
+pub mod window;
 
 pub use error::{DuelError, DuelResult};
 pub use eval::EvalOptions;

@@ -196,7 +196,7 @@ pub struct ProfileCollector {
 
 impl ProfileCollector {
     /// Creates a collector; `reads` is the trace handle whose
-    /// `get_bytes` counter is diffed across spans (reads stay 0 without
+    /// read counters are diffed across spans (reads stay 0 without
     /// one).
     pub fn new(reads: Option<TraceHandle>) -> ProfileCollector {
         ProfileCollector {
@@ -207,9 +207,10 @@ impl ProfileCollector {
         }
     }
 
-    /// The current wire-read counter.
+    /// The current wire-read counter: scalar and vectored reads (a
+    /// scan window is one vectored read).
     pub fn reads_now(&self) -> u64 {
-        self.reads.as_ref().map_or(0, |h| h.reads())
+        self.reads.as_ref().map_or(0, |h| h.wire_turns())
     }
 
     /// Opens a span for node `id`.

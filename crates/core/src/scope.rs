@@ -22,6 +22,7 @@ use crate::{
     eval::EvalOptions,
     sym::Sym,
     value::{Scalar, Value},
+    window::ScanTarget,
 };
 
 /// One entry of the `with` scope stack.
@@ -35,8 +36,9 @@ pub struct WithEntry {
 
 /// The evaluation context threaded through every generator.
 pub struct Ctx<'a> {
-    /// The debugger backend.
-    pub target: &'a mut dyn Target,
+    /// The debugger backend, seen through the current scan window
+    /// (see [`crate::window`]).
+    pub target: ScanTarget<'a>,
     /// Session-persistent aliases (`:=`, declarations).
     pub aliases: &'a mut HashMap<String, Value>,
     /// The `with` name-resolution stack.
@@ -102,7 +104,7 @@ impl<'a> Ctx<'a> {
         };
         let spans = target.span_context();
         Ctx {
-            target,
+            target: ScanTarget::new(target),
             aliases,
             with_stack: Vec::new(),
             opts,
@@ -191,24 +193,24 @@ impl<'a> Ctx<'a> {
         // NULL bucket.
         for i in (0..self.with_stack.len()).rev() {
             let entry = self.with_stack[i].clone();
-            let (rec_ty, via_ptr) = match apply::classify(self.target, entry.value.ty) {
+            let (rec_ty, via_ptr) = match apply::classify(&self.target, entry.value.ty) {
                 apply::Class::Record => (entry.value.ty, false),
                 apply::Class::Ptr { pointee }
-                    if matches!(apply::classify(self.target, pointee), apply::Class::Record) =>
+                    if matches!(apply::classify(&self.target, pointee), apply::Class::Record) =>
                 {
                     (pointee, true)
                 }
                 _ => continue,
             };
-            if apply::has_field(&*self.target, rec_ty, name) {
+            if apply::has_field(&self.target, rec_ty, name) {
                 let eager = self.eager_sym();
                 let base = if via_ptr {
-                    apply::deref_for_with(self.target, &entry.value)?
+                    apply::deref_for_with(&mut self.target, &entry.value)?
                 } else {
                     entry.value.clone()
                 };
                 let arrow = via_ptr || entry.arrow;
-                return apply::field_of(self.target, &base, name, arrow, eager);
+                return apply::field_of(&mut self.target, &base, name, arrow, eager);
             }
         }
         // 3. aliases, displayed under their own name.
@@ -331,15 +333,15 @@ mod tests {
             let hash = ctx.fetch("hash").unwrap();
             let int_ty = ctx.target.types_mut().prim(duel_ctype::Prim::Int);
             let zero = Value::rval(int_ty, Scalar::Int(0), Sym::int(0));
-            let head = apply::index(ctx.target, &hash, &zero, true).unwrap();
-            let node = apply::deref_for_with(ctx.target, &head).unwrap();
+            let head = apply::index(&mut ctx.target, &hash, &zero, true).unwrap();
+            let node = apply::deref_for_with(&mut ctx.target, &head).unwrap();
             ctx.with_stack.push(WithEntry {
                 value: node,
                 arrow: true,
             });
             let scope = ctx.fetch("scope").unwrap();
             assert_eq!(scope.sym.render(4), "hash[0]->scope");
-            let loaded = apply::load(ctx.target, &scope).unwrap();
+            let loaded = apply::load(&mut ctx.target, &scope).unwrap();
             assert_eq!(loaded, Scalar::Int(4));
             ctx.with_stack.pop();
         });

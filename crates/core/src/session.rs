@@ -228,7 +228,7 @@ impl<'t> Session<'t> {
             h.set_enabled(true);
             was
         });
-        let reads_before = trace_handle.as_ref().map_or(0, |h| h.reads());
+        let reads_before = trace_handle.as_ref().map_or(0, |h| h.wire_turns());
         // A SupervisedTarget in degraded mode serves reads from cache
         // and bumps its staleness counter; diffing the counter around
         // each produced value tags exactly the values built on stale
@@ -273,7 +273,7 @@ impl<'t> Session<'t> {
             let dspan = ctx.span_enter(duel_target::SpanKind::Display, "display", || {
                 v.sym.render(thr)
             });
-            let rendered_value = printer::format_value(ctx.target, &v, thr);
+            let rendered_value = printer::format_value(&mut ctx.target, &v, thr);
             ctx.span_exit(dspan);
             ctx.profile_exit(crate::profile::DISPLAY_NODE, "display", "(display)", false);
             let value = match rendered_value {
@@ -352,7 +352,7 @@ impl<'t> Session<'t> {
             lines.push(OutputLine::Stdout(out));
         }
         let report = collector.map(|c| {
-            let total_reads = trace_handle.as_ref().map_or(0, |h| h.reads()) - reads_before;
+            let total_reads = trace_handle.as_ref().map_or(0, |h| h.wire_turns()) - reads_before;
             c.finish(self.last_stats, total_reads)
         });
         if let (Some(h), Some(was)) = (&trace_handle, trace_was_enabled) {
@@ -545,8 +545,9 @@ mod tests {
         };
         let (base_lines, base_stats, base_turns) = run(false);
         let (pf_lines, pf_stats, pf_turns) = run(true);
-        // Identical output, fewer wire turns: 240 bytes / 16-byte pages
-        // is 15 demand fetches versus one vectored warm-up.
+        // Identical output. 240 bytes / 16-byte pages is 15 pages: the
+        // planner warms them in one vectored call, and without it the
+        // scan window reads them in one vectored call too.
         assert_eq!(base_lines, pf_lines);
         assert_eq!(base_stats.prefetch_calls, 0);
         assert_eq!(pf_stats.prefetch_calls, 1);
@@ -555,7 +556,7 @@ mod tests {
         // the 15 missing pages.
         assert_eq!(pf_stats.windows_planned, 1);
         assert_eq!(pf_stats.prefetch_ranges, 15);
-        assert_eq!(base_turns, 15);
+        assert_eq!(base_turns, 1);
         assert_eq!(pf_turns, 1);
     }
 

@@ -39,6 +39,9 @@ pub enum Prim {
 }
 
 impl Prim {
+    /// How many primitives there are (`Prim as usize` is below this).
+    pub const COUNT: usize = Prim::Double as usize + 1;
+
     /// Returns the size of the type in bytes under `abi`.
     pub fn size(self, abi: &Abi) -> u64 {
         match self {

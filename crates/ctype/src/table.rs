@@ -170,6 +170,10 @@ pub struct TypeTable {
     struct_tags: HashMap<String, RecordId>,
     union_tags: HashMap<String, RecordId>,
     enum_tags: HashMap<String, EnumId>,
+    /// The interned id of each primitive, indexed by `Prim as usize`:
+    /// the evaluator asks for `int` once per produced value, and an
+    /// array slot is cheaper than hashing a `TypeKind`.
+    prims: [Option<TypeId>; Prim::COUNT],
 }
 
 impl TypeTable {
@@ -183,6 +187,9 @@ impl TypeTable {
             return id;
         }
         let id = TypeId(self.kinds.len() as u32);
+        if let TypeKind::Prim(p) = kind {
+            self.prims[p as usize] = Some(id);
+        }
         self.kinds.push(kind.clone());
         self.interned.insert(kind, id);
         id
@@ -195,7 +202,10 @@ impl TypeTable {
 
     /// Returns the id for a primitive type.
     pub fn prim(&mut self, p: Prim) -> TypeId {
-        self.intern(TypeKind::Prim(p))
+        match self.prims[p as usize] {
+            Some(id) => id,
+            None => self.intern(TypeKind::Prim(p)),
+        }
     }
 
     /// Returns the id for a pointer to `to`.
@@ -475,8 +485,12 @@ impl TypeTable {
     /// not steal the canonical id from an earlier identical entry.
     pub fn from_snapshot(snap: &TableSnapshot) -> TypeTable {
         let mut interned = HashMap::new();
+        let mut prims = [None; Prim::COUNT];
         for (i, kind) in snap.kinds.iter().enumerate() {
-            interned.entry(kind.clone()).or_insert(TypeId(i as u32));
+            let id = *interned.entry(kind.clone()).or_insert(TypeId(i as u32));
+            if let TypeKind::Prim(p) = kind {
+                prims[*p as usize] = Some(id);
+            }
         }
         TypeTable {
             kinds: snap.kinds.clone(),
@@ -487,6 +501,7 @@ impl TypeTable {
             struct_tags: snap.struct_tags.iter().cloned().collect(),
             union_tags: snap.union_tags.iter().cloned().collect(),
             enum_tags: snap.enum_tags.iter().cloned().collect(),
+            prims,
         }
     }
 }
@@ -583,6 +598,57 @@ mod tests {
 
         // Snapshotting the restored table is byte-for-byte stable.
         assert_eq!(back.snapshot(), snap);
+    }
+
+    #[test]
+    fn prim_array_ids_equal_interned_ids() {
+        const ALL: [Prim; Prim::COUNT] = [
+            Prim::Char,
+            Prim::SChar,
+            Prim::UChar,
+            Prim::Short,
+            Prim::UShort,
+            Prim::Int,
+            Prim::UInt,
+            Prim::Long,
+            Prim::ULong,
+            Prim::LongLong,
+            Prim::ULongLong,
+            Prim::Float,
+            Prim::Double,
+        ];
+        let mut tt = TypeTable::new();
+        // Interleave primitives with derived types so ids are not
+        // simply the primitives' ordinals.
+        for (k, &p) in ALL.iter().enumerate().rev() {
+            let id = tt.prim(p);
+            if k % 3 == 0 {
+                tt.pointer(id);
+            }
+        }
+        let check = |tt: &mut TypeTable| {
+            for &p in &ALL {
+                let id = tt.prim(p);
+                assert_eq!(tt.interned.get(&TypeKind::Prim(p)), Some(&id), "{p:?}");
+                assert_eq!(tt.kind(id), &TypeKind::Prim(p));
+            }
+        };
+        check(&mut tt);
+        let n = tt.len();
+        let mut back = TypeTable::from_snapshot(&tt.snapshot());
+        check(&mut back);
+        assert_eq!(
+            back.len(),
+            n,
+            "restored primitives are found, not re-minted"
+        );
+        // A table that has not interned a primitive yet interns it on
+        // first request, and the array answers the same id after that.
+        let mut fresh = TypeTable::new();
+        fresh.void();
+        let d = fresh.prim(Prim::Double);
+        assert_eq!(fresh.prim(Prim::Double), d);
+        check(&mut fresh);
     }
 
     #[test]

@@ -755,6 +755,15 @@ impl<T: Target> CachedTarget<T> {
             return r;
         }
         let ps = self.cfg.page_size;
+        // A window read before this write must not be applied over it:
+        // discard every unpolled window if one owns a page it touches.
+        let last = addr.saturating_add(bytes.len().max(1) as u64 - 1) & !(ps - 1);
+        if (addr & !(ps - 1)..=last)
+            .step_by(ps as usize)
+            .any(|base| self.pending_pages.contains(&base))
+        {
+            self.page_gen += 1;
+        }
         match r {
             Ok(()) => {
                 self.stats.write_throughs += 1;
@@ -1547,6 +1556,31 @@ mod tests {
         assert_eq!(c.clean, 1, "the wire read itself succeeded");
         assert!(t.resident_pages().is_empty(), "but nothing was applied");
         assert_eq!(t.stats().pages_prefetched, 0);
+    }
+
+    #[test]
+    fn a_write_discards_the_windows_read_before_it() {
+        let mut t = CachedTarget::with_config(
+            scenario::scan_array(),
+            CacheConfig {
+                page_size: 64,
+                ..CacheConfig::default()
+            },
+        );
+        let x = t.get_variable("x").unwrap();
+        assert!(t.prefetch_submit(&[(x.addr, 128)]));
+        // A store lands between the window's read and its poll: the
+        // window's bytes predate it and must not be applied over it.
+        crate::value_io::write_uint(&mut t, x.addr + 4, 77, 4).unwrap();
+        t.prefetch_poll().unwrap();
+        assert!(t.resident_pages().is_empty(), "nothing was applied");
+        assert_eq!(crate::value_io::read_uint(&mut t, x.addr + 4, 4), Ok(77));
+        // A store outside every pending window leaves them alone.
+        let before = t.resident_page_count();
+        assert!(t.prefetch_submit(&[(x.addr + 160, 64)]));
+        crate::value_io::write_uint(&mut t, x.addr, 5, 4).unwrap();
+        t.prefetch_poll().unwrap();
+        assert!(t.resident_page_count() > before);
     }
 
     #[test]

@@ -76,25 +76,15 @@ impl CallValue {
     /// Reassembles the bytes into a zero-extended `u64` (the low 8
     /// bytes if the value is wider).
     pub fn to_u64(&self, abi: &Abi) -> u64 {
-        let mut raw = 0u64;
-        match abi.endian {
-            Endian::Little => {
-                // Low-order bytes come first.
-                for (i, b) in self.bytes.iter().take(8).enumerate() {
-                    raw |= (*b as u64) << (8 * i);
-                }
-            }
-            Endian::Big => {
-                // Low-order bytes come last: for a value wider than 8
-                // bytes the *trailing* 8 are the low 8, so skip the
-                // high-order head instead of truncating the tail.
-                let skip = self.bytes.len().saturating_sub(8);
-                for b in self.bytes.iter().skip(skip) {
-                    raw = (raw << 8) | *b as u64;
-                }
-            }
-        }
-        raw
+        let low = match abi.endian {
+            // Low-order bytes come first.
+            Endian::Little => &self.bytes[..self.bytes.len().min(8)],
+            // Low-order bytes come last: for a value wider than 8
+            // bytes the *trailing* 8 are the low 8, so skip the
+            // high-order head instead of truncating the tail.
+            Endian::Big => &self.bytes[self.bytes.len().saturating_sub(8)..],
+        };
+        crate::value_io::decode_uint(low, abi.endian)
     }
 }
 

@@ -240,23 +240,6 @@ impl SimCore {
         }
     }
 
-    fn decode(&self, bytes: &[u8]) -> u64 {
-        let mut raw = 0u64;
-        match self.abi.endian {
-            Endian::Little => {
-                for (i, b) in bytes.iter().take(8).enumerate() {
-                    raw |= (*b as u64) << (8 * i);
-                }
-            }
-            Endian::Big => {
-                for b in bytes.iter().take(8) {
-                    raw = (raw << 8) | *b as u64;
-                }
-            }
-        }
-        raw
-    }
-
     /// Writes a `size`-byte unsigned integer at `addr`.
     pub fn write_uint(&mut self, addr: u64, v: u64, size: usize) -> TargetResult<()> {
         let bytes = self.encode(v, size);
@@ -265,9 +248,10 @@ impl SimCore {
 
     /// Reads a `size`-byte unsigned integer at `addr`.
     pub fn read_uint(&self, addr: u64, size: usize) -> TargetResult<u64> {
-        let mut buf = vec![0u8; size.min(8)];
-        self.mem.read(addr, &mut buf)?;
-        Ok(self.decode(&buf))
+        let mut buf = [0u8; 8];
+        let buf = &mut buf[..size.min(8)];
+        self.mem.read(addr, buf)?;
+        Ok(crate::value_io::decode_uint(buf, self.abi.endian))
     }
 
     /// Writes a 4-byte `int` at `addr`.

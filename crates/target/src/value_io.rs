@@ -23,6 +23,25 @@ pub fn sign_extend(raw: u64, size: usize) -> i64 {
     ((raw << shift) as i64) >> shift
 }
 
+/// Decodes `bytes` (at most 8 of them; any further ones are ignored)
+/// as an unsigned integer in byte order `endian`, zero-extended. The
+/// one decoder for scalars: [`read_uint`] uses it on what the target
+/// returns, and callers holding bytes read in bulk use it directly.
+pub fn decode_uint(bytes: &[u8], endian: Endian) -> u64 {
+    let n = bytes.len().min(8);
+    let mut b = [0u8; 8];
+    match endian {
+        Endian::Little => {
+            b[..n].copy_from_slice(&bytes[..n]);
+            u64::from_le_bytes(b)
+        }
+        Endian::Big => {
+            b[8 - n..].copy_from_slice(&bytes[..n]);
+            u64::from_be_bytes(b)
+        }
+    }
+}
+
 /// Reads a `size`-byte unsigned integer at `addr`.
 ///
 /// Scalars wider than 8 bytes cannot fit a `u64` and fail with
@@ -33,23 +52,9 @@ pub fn read_uint(t: &mut (impl Target + ?Sized), addr: u64, size: usize) -> Targ
     if size > 8 {
         return Err(TargetError::UnsupportedWidth { bytes: size as u64 });
     }
-    let endian = t.abi().endian;
-    let mut buf = vec![0u8; size];
-    t.get_bytes(addr, &mut buf)?;
-    let mut raw = 0u64;
-    match endian {
-        Endian::Little => {
-            for (i, b) in buf.iter().enumerate() {
-                raw |= (*b as u64) << (8 * i);
-            }
-        }
-        Endian::Big => {
-            for b in buf.iter() {
-                raw = (raw << 8) | *b as u64;
-            }
-        }
-    }
-    Ok(raw)
+    let mut buf = [0u8; 8];
+    t.get_bytes(addr, &mut buf[..size])?;
+    Ok(decode_uint(&buf[..size], t.abi().endian))
 }
 
 /// Reads a `size`-byte signed integer at `addr`.
@@ -89,12 +94,15 @@ pub fn write_uint(
     if size > 8 {
         return Err(TargetError::UnsupportedWidth { bytes: size as u64 });
     }
-    let endian = t.abi().endian;
-    let bytes = match endian {
-        Endian::Little => v.to_le_bytes()[..size].to_vec(),
-        Endian::Big => v.to_be_bytes()[8 - size..].to_vec(),
+    let bytes = match t.abi().endian {
+        Endian::Little => v.to_le_bytes(),
+        Endian::Big => v.to_be_bytes(),
     };
-    t.put_bytes(addr, &bytes)
+    let low = match t.abi().endian {
+        Endian::Little => &bytes[..size],
+        Endian::Big => &bytes[8 - size..],
+    };
+    t.put_bytes(addr, low)
 }
 
 /// Writes `v` as a 4- or 8-byte IEEE float at `addr`.
@@ -203,6 +211,17 @@ mod tests {
         assert!(read_uint(&mut t, x.addr, 8).is_ok());
         assert!(write_uint(&mut t, x.addr, 0x0102_0304_0506_0708, 8).is_ok());
         assert_eq!(read_uint(&mut t, x.addr, 8).unwrap(), 0x0102_0304_0506_0708);
+    }
+
+    #[test]
+    fn decode_uint_honours_byte_order_and_width() {
+        let b = [0x01, 0x02, 0x03, 0x04];
+        assert_eq!(decode_uint(&b, Endian::Little), 0x0403_0201);
+        assert_eq!(decode_uint(&b, Endian::Big), 0x0102_0304);
+        assert_eq!(decode_uint(&b[..1], Endian::Big), 0x01);
+        assert_eq!(decode_uint(&[], Endian::Little), 0);
+        let wide = [0xffu8; 8];
+        assert_eq!(decode_uint(&wide, Endian::Big), u64::MAX);
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn reference_eval(
         if suppress_values {
             return Ok(());
         }
-        let value = match printer::format_value(ctx.target, &v, thr) {
+        let value = match printer::format_value(&mut ctx.target, &v, thr) {
             Ok(s) => s,
             Err(e) if ctx.opts.error_values && e.is_fault() => format!("<error: {e}>"),
             Err(e) => return Err(e),
