@@ -597,6 +597,7 @@ impl Repl {
             format!("\"eval_pipeline_overlap_ns\":{}", s.pipeline_overlap_ns),
             format!("\"cache_page_hits\":{}", c.page_hits),
             format!("\"cache_page_misses\":{}", c.page_misses),
+            format!("\"cache_pages_prefetched\":{}", c.pages_prefetched),
             format!("\"cache_backend_reads\":{}", c.backend_reads),
             format!("\"cache_wire_bytes\":{}", c.wire_bytes),
             format!("\"retry_operations\":{}", r.operations),
@@ -906,10 +907,11 @@ impl Repl {
                 let c = self.cache().stats();
                 let _ = writeln!(
                     out,
-                    "cache: {} ({} page hits, {} misses, {} backend reads, {} bytes over the wire)",
+                    "cache: {} ({} page hits, {} misses, {} prefetched, {} backend reads, {} bytes over the wire)",
                     if self.cache_enabled { "on" } else { "off" },
                     c.page_hits,
                     c.page_misses,
+                    c.pages_prefetched,
                     c.backend_reads,
                     c.wire_bytes
                 );

@@ -161,13 +161,14 @@ pub fn has_field(t: &dyn Target, ty: TypeId, name: &str) -> bool {
 }
 
 /// Resolves field `name` of a struct/union lvalue, producing the member
-/// lvalue with sym `base.name` / `base->name`.
+/// lvalue with sym `base.name` / `base->name`. `name_sym` is the name as
+/// a leaf sym; [`Sym::none`] skips symbolic construction.
 pub fn field_of(
     t: &mut dyn Target,
     v: &Value,
     name: &str,
     arrow: bool,
-    eager_sym: bool,
+    name_sym: &Sym,
 ) -> DuelResult<Value> {
     let (idx, field) = t
         .types()
@@ -183,11 +184,7 @@ pub fn field_of(
         sym: v.sym.render(4),
         message: "field access needs an addressable structure".into(),
     })?;
-    let sym = if eager_sym {
-        Sym::field(arrow, &v.sym, name)
-    } else {
-        Sym::None
-    };
+    let sym = Sym::field(arrow, &v.sym, name_sym);
     if let (Some(bo), Some(bw)) = (fl.bit_offset, fl.bit_width) {
         return Ok(Value {
             ty: fty,
@@ -288,7 +285,7 @@ pub fn index(t: &mut dyn Target, base: &Value, idx: &Value, eager_sym: bool) -> 
     let sym = if eager_sym {
         Sym::index(&base.sym, &idx.sym)
     } else {
-        Sym::None
+        Sym::none()
     };
     Ok(Value::lval(elem, addr, sym))
 }
@@ -391,7 +388,7 @@ pub fn binary(
     let sym = if eager_sym {
         Sym::bin(op.spelling(), bin_prec(op), &a.sym, &b.sym)
     } else {
-        Sym::None
+        Sym::none()
     };
     let int_ty = t.types_mut().prim(Prim::Int);
     let ca = effective_class(t, a);
@@ -584,7 +581,7 @@ fn normalize_cmp(v: i128, size: u8, signed: bool) -> i128 {
 }
 
 fn sym_or(sym: &Sym, a: &Value, b: &Value) -> String {
-    if matches!(sym, Sym::None) {
+    if sym.is_none() {
         format!("{} … {}", a.sym.render(4), b.sym.render(4))
     } else {
         sym.render(4)
@@ -644,7 +641,7 @@ pub fn unary(t: &mut dyn Target, op: UnOp, v: &Value, eager_sym: bool) -> DuelRe
         };
         Sym::un(spelling, &v.sym)
     } else {
-        Sym::None
+        Sym::none()
     };
     let int_ty = t.types_mut().prim(Prim::Int);
     match op {
@@ -814,7 +811,7 @@ pub fn cast(t: &mut dyn Target, ty: TypeId, v: &Value, eager_sym: bool) -> DuelR
     let sym = if eager_sym {
         Sym::cast(&t.types().display(ty), &v.sym)
     } else {
-        Sym::None
+        Sym::none()
     };
     if matches!(classify(t, ty), Class::Void) {
         // A cast to void discards the value; keep a zero int.
@@ -1080,10 +1077,10 @@ mod tests {
         let v = Value::lval(sty, addr, Sym::leaf("f"));
         assert!(has_field(&t, sty, "a"));
         assert!(!has_field(&t, sty, "z"));
-        let a = field_of(&mut t, &v, "a", false, true).unwrap();
+        let a = field_of(&mut t, &v, "a", false, &Sym::leaf("a")).unwrap();
         assert_eq!(load(&mut t, &a).unwrap(), Scalar::Int(0b101));
         assert_eq!(a.sym.render(4), "f.a");
-        let b = field_of(&mut t, &v, "b", false, true).unwrap();
+        let b = field_of(&mut t, &v, "b", false, &Sym::leaf("b")).unwrap();
         assert_eq!(load(&mut t, &b).unwrap(), Scalar::Int(0b11111));
         store(&mut t, &b, Scalar::Int(0)).unwrap();
         assert_eq!(t.core.read_uint(addr, 4).unwrap(), 0b101);

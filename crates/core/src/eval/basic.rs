@@ -64,7 +64,7 @@ pub fn constant_int(v: i64) -> Gen {
     literal(
         |ctx, i, _| {
             let ty = ctx.target.types_mut().prim(Prim::Int);
-            Value::rval(ty, Scalar::Int(i), ctx.sym_leaf(i.to_string()))
+            Value::rval(ty, Scalar::Int(i), ctx.sym_int(i))
         },
         v,
         0.0,
@@ -116,6 +116,9 @@ pub fn constant_char(c: u8) -> Gen {
 
 struct NameGen {
     name: String,
+    /// The name's leaf sym, built on the first `next` of the command and
+    /// shared by every value fetched after that.
+    leaf: Option<Sym>,
     done: bool,
 }
 
@@ -127,7 +130,8 @@ impl GenT for NameGen {
             return Ok(None);
         }
         self.done = true;
-        ctx.fetch(&self.name).map(Some)
+        let leaf = self.leaf.get_or_insert_with(|| ctx.sym_leaf(&self.name));
+        ctx.fetch(&self.name, leaf).map(Some)
     }
 
     fn reset(&mut self) {
@@ -139,6 +143,7 @@ impl GenT for NameGen {
 pub fn name(n: String) -> Gen {
     Box::new(NameGen {
         name: n,
+        leaf: None,
         done: false,
     })
 }
@@ -161,12 +166,7 @@ fn int_value(ctx: &mut Ctx<'_>, i: i64) -> Value {
     let ty = ctx.target.types_mut().prim(Prim::Int);
     // Generator substitution: the symbolic value of `a..b` is "the
     // current iteration value" (paper, *Implementation*).
-    let sym = if ctx.eager_sym() {
-        Sym::int(i)
-    } else {
-        Sym::None
-    };
-    Value::rval(ty, Scalar::Int(i), sym)
+    Value::rval(ty, Scalar::Int(i), ctx.sym_int(i))
 }
 
 /// `e1..e2` — the paper's `to`:
@@ -360,6 +360,38 @@ pub fn alternate(l: Gen, r: Gen) -> Gen {
 
 // ----- lifted C operators -----------------------------------------------
 
+/// The kept result of an operator whose operands are all constants
+/// (literals, or such operators): nothing in the command can change it,
+/// so the first successful result is cloned after that (one `Rc` bump)
+/// instead of being rebuilt for every left value of `x[..n] >? -2`. The
+/// operator still activates its operands first, so ticks, trace lines
+/// and the order of errors are those of the plain path.
+pub(super) struct Memo {
+    constant: bool,
+    value: Option<Value>,
+}
+
+impl Memo {
+    pub(super) fn new(constant: bool) -> Memo {
+        Memo {
+            constant,
+            value: None,
+        }
+    }
+
+    /// The kept value, or `f`'s (kept when the operator is constant).
+    pub(super) fn get(&mut self, f: impl FnOnce() -> DuelResult<Value>) -> DuelResult<Value> {
+        if let Some(v) = &self.value {
+            return Ok(v.clone());
+        }
+        let v = f()?;
+        if self.constant {
+            self.value = Some(v.clone());
+        }
+        Ok(v)
+    }
+}
+
 /// Unary operators stream their operand:
 ///
 /// ```text
@@ -369,6 +401,7 @@ pub fn alternate(l: Gen, r: Gen) -> Gen {
 struct UnaryGen {
     op: UnOp,
     e: Gen,
+    memo: Memo,
 }
 
 impl GenT for UnaryGen {
@@ -376,7 +409,10 @@ impl GenT for UnaryGen {
         match self.e.next(ctx)? {
             Some(u) => {
                 let eager = ctx.eager_sym();
-                apply::unary(&mut ctx.target, self.op, &u, eager).map(Some)
+                let op = self.op;
+                self.memo
+                    .get(|| apply::unary(&mut ctx.target, op, &u, eager))
+                    .map(Some)
             }
             None => Ok(None),
         }
@@ -387,9 +423,14 @@ impl GenT for UnaryGen {
     }
 }
 
-/// A unary C operator.
-pub fn unary(op: UnOp, e: Gen) -> Gen {
-    Box::new(UnaryGen { op, e })
+/// A unary C operator; `constant` when it is built from literals alone
+/// (see [`Memo`]).
+pub fn unary(op: UnOp, e: Gen, constant: bool) -> Gen {
+    Box::new(UnaryGen {
+        op,
+        e,
+        memo: Memo::new(constant),
+    })
 }
 
 /// Binary operators produce all combinations:
@@ -405,6 +446,7 @@ struct BinGen {
     l: Gen,
     r: Gen,
     cur: Option<Value>,
+    memo: Memo,
 }
 
 impl GenT for BinGen {
@@ -419,8 +461,11 @@ impl GenT for BinGen {
             match self.r.next(ctx)? {
                 Some(v) => {
                     let eager = ctx.eager_sym();
-                    let l = self.cur.as_ref().unwrap();
-                    return apply::binary(&mut ctx.target, self.op, l, &v, eager).map(Some);
+                    let (op, l) = (self.op, self.cur.as_ref().unwrap());
+                    return self
+                        .memo
+                        .get(|| apply::binary(&mut ctx.target, op, l, &v, eager))
+                        .map(Some);
                 }
                 None => self.cur = None,
             }
@@ -434,13 +479,15 @@ impl GenT for BinGen {
     }
 }
 
-/// A binary C operator.
-pub fn binary(op: BinOp, l: Gen, r: Gen) -> Gen {
+/// A binary C operator; `constant` when it is built from literals alone
+/// (see [`Memo`]).
+pub fn binary(op: BinOp, l: Gen, r: Gen, constant: bool) -> Gen {
     Box::new(BinGen {
         op,
         l,
         r,
         cur: None,
+        memo: Memo::new(constant),
     })
 }
 

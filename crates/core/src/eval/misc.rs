@@ -14,7 +14,7 @@ use crate::{
     value::{Scalar, Value},
 };
 
-use super::{first_value, Gen, GenT};
+use super::{basic::Memo, first_value, Gen, GenT};
 
 /// Resolves a parsed type name against the target's type table —
 /// evaluation-time type checking, per the paper.
@@ -276,7 +276,7 @@ impl GenT for AssignGen {
                             &v.sym,
                         )
                     } else {
-                        Sym::None
+                        Sym::none()
                     };
                     return Ok(Some(Value::rval(lhs.ty, stored, sym)));
                 }
@@ -334,7 +334,7 @@ impl GenT for IncDecGen {
                         ))
                     }
                 } else {
-                    Sym::None
+                    Sym::none()
                 };
                 let result = if self.pre { stored } else { old };
                 Ok(Some(Value::rval(u.ty, result, sym)))
@@ -359,6 +359,7 @@ struct CastGen {
     te: TypeExpr,
     e: Gen,
     resolved: Option<TypeId>,
+    memo: Memo,
 }
 
 impl GenT for CastGen {
@@ -375,7 +376,9 @@ impl GenT for CastGen {
                     }
                 };
                 let eager = ctx.eager_sym();
-                apply::cast(&mut ctx.target, ty, &u, eager).map(Some)
+                self.memo
+                    .get(|| apply::cast(&mut ctx.target, ty, &u, eager))
+                    .map(Some)
             }
         }
     }
@@ -385,12 +388,14 @@ impl GenT for CastGen {
     }
 }
 
-/// `(type)e`.
-pub fn cast(te: TypeExpr, e: Gen) -> Gen {
+/// `(type)e`; `constant` when it is built from literals alone (see
+/// [`Memo`]).
+pub fn cast(te: TypeExpr, e: Gen, constant: bool) -> Gen {
     Box::new(CastGen {
         te,
         e,
         resolved: None,
+        memo: Memo::new(constant),
     })
 }
 
@@ -489,7 +494,7 @@ impl CallGen {
         let sym = if ctx.eager_sym() {
             Sym::call(&self.name, self.cur.iter().map(|v| v.sym.clone()).collect())
         } else {
-            Sym::None
+            Sym::none()
         };
         apply::from_call_value(&mut ctx.target, &ret, sym)
     }
@@ -600,7 +605,7 @@ impl GenT for ReduceGen {
                 while self.e.next(ctx)?.is_some() {
                     n += 1;
                 }
-                Ok(Some(Value::rval(long_ty, Scalar::Int(n), Sym::None)))
+                Ok(Some(Value::rval(long_ty, Scalar::Int(n), Sym::none())))
             }
             ReduceOp::Sum => {
                 let mut isum: i64 = 0;
@@ -623,9 +628,9 @@ impl GenT for ReduceGen {
                     }
                 }
                 Ok(Some(if any_float {
-                    Value::rval(dbl_ty, Scalar::Float(fsum), Sym::None)
+                    Value::rval(dbl_ty, Scalar::Float(fsum), Sym::none())
                 } else {
-                    Value::rval(long_ty, Scalar::Int(isum), Sym::None)
+                    Value::rval(long_ty, Scalar::Int(isum), Sym::none())
                 }))
             }
             ReduceOp::All => {
@@ -640,7 +645,7 @@ impl GenT for ReduceGen {
                 Ok(Some(Value::rval(
                     long_ty,
                     Scalar::Int(all as i64),
-                    Sym::None,
+                    Sym::none(),
                 )))
             }
             ReduceOp::Any => {
@@ -655,7 +660,7 @@ impl GenT for ReduceGen {
                 Ok(Some(Value::rval(
                     long_ty,
                     Scalar::Int(any as i64),
-                    Sym::None,
+                    Sym::none(),
                 )))
             }
             ReduceOp::Max | ReduceOp::Min => {
@@ -757,7 +762,7 @@ impl GenT for SeqEqualGen {
             }
         }
         let ty = ctx.target.types_mut().prim(Prim::Int);
-        Ok(Some(Value::rval(ty, Scalar::Int(eq as i64), Sym::None)))
+        Ok(Some(Value::rval(ty, Scalar::Int(eq as i64), Sym::none())))
     }
 
     fn reset(&mut self) {
@@ -793,7 +798,7 @@ impl GenT for FramesGen {
         }
         self.i = Some(i + 1);
         let ty = ctx.target.types_mut().prim(Prim::Int);
-        let sym = ctx.sym_leaf(i.to_string());
+        let sym = ctx.sym_int(i as i64);
         Ok(Some(Value::rval(ty, Scalar::Int(i as i64), sym)))
     }
 

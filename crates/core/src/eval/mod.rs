@@ -282,13 +282,13 @@ fn compile_inner(e: &Expr) -> Gen {
         ToPrefix(a) => basic::to_prefix(compile(a)),
         ToInf(a) => basic::to_inf(compile(a)),
         Alt(a, b) => basic::alternate(compile(a), compile(b)),
-        Unary(op, a) => basic::unary(*op, compile(a)),
+        Unary(op, a) => basic::unary(*op, compile(a), is_constant(e)),
         PreIncDec { inc, expr } => misc::incdec(true, *inc, compile(expr)),
         PostIncDec { inc, expr } => misc::incdec(false, *inc, compile(expr)),
         SizeofExpr(a) => misc::sizeof_expr(compile(a)),
         SizeofType(t) => misc::sizeof_type(t.clone()),
-        Cast(t, a) => misc::cast(t.clone(), compile(a)),
-        Bin(op, a, b) => basic::binary(*op, compile(a), compile(b)),
+        Cast(t, a) => misc::cast(t.clone(), compile(a), is_constant(e)),
+        Bin(op, a, b) => basic::binary(*op, compile(a), compile(b), is_constant(e)),
         AndAnd(a, b) => control::andand(compile(a), compile(b)),
         OrOr(a, b) => control::oror(compile(a), compile(b)),
         Cond(c, a, b) => control::if_gen(compile(c), compile(a), Some(compile(b))),
@@ -343,6 +343,22 @@ fn compile_inner(e: &Expr) -> Gen {
         IndexAlias(a, name) => structure::index_alias(compile(a), name.clone()),
         Until(a, stop) => structure::until(compile(a), stop),
         Braced(a) => misc::braced(compile(a)),
+    }
+}
+
+/// Does `e` yield one value that nothing in the command can change?
+/// True for numeric and character literals, and for arithmetic, casts
+/// and value-producing unary operators over such operands; `*` and `&`
+/// name memory, so they are never constant. Such an operator keeps its
+/// first result (see `basic::Memo`).
+fn is_constant(e: &Expr) -> bool {
+    use crate::ast::UnOp::{Addr, Deref};
+    match e {
+        Expr::Int(_) | Expr::Float(_) | Expr::Char(_) => true,
+        Expr::Unary(op, a) => !matches!(op, Deref | Addr) && is_constant(a),
+        Expr::Bin(_, a, b) => is_constant(a) && is_constant(b),
+        Expr::Cast(_, a) => is_constant(a),
+        _ => false,
     }
 }
 

@@ -876,7 +876,7 @@ impl GenT for IndexAliasGen {
         match self.e.next(ctx)? {
             Some(v) => {
                 let ty = ctx.target.types_mut().prim(duel_ctype::Prim::Int);
-                let sym = ctx.sym_leaf(self.i.to_string());
+                let sym = ctx.sym_int(self.i);
                 ctx.set_alias(&self.name, Value::rval(ty, Scalar::Int(self.i), sym));
                 self.i += 1;
                 Ok(Some(v))

@@ -126,7 +126,7 @@ fn format_record(t: &mut dyn Target, v: &Value, thr: u32, depth: u32) -> DuelRes
         if f.name.is_empty() {
             continue;
         }
-        let fv = apply::field_of(t, v, &f.name, false, false)?;
+        let fv = apply::field_of(t, v, &f.name, false, &crate::sym::Sym::none())?;
         let text = match format_depth(t, &fv, thr, depth + 1) {
             Ok(s) => s,
             Err(_) => "<unreadable>".to_string(),
@@ -162,7 +162,7 @@ fn format_array(
     let n = len.unwrap_or(0).min(10);
     let mut parts = Vec::new();
     for i in 0..n {
-        let ev = Value::lval(elem, addr + i * esize, crate::sym::Sym::None);
+        let ev = Value::lval(elem, addr + i * esize, crate::sym::Sym::none());
         parts.push(format_depth(t, &ev, thr, depth + 1)?);
     }
     let ell = if len.unwrap_or(0) > n { ", …" } else { "" };
@@ -198,17 +198,17 @@ mod tests {
     fn chars_and_enums() {
         let mut t = SimTarget::new(Abi::lp64());
         let c = t.core.types.prim(Prim::Char);
-        let v = Value::rval(c, Scalar::Int(b'h' as i64), Sym::None);
+        let v = Value::rval(c, Scalar::Int(b'h' as i64), Sym::none());
         assert_eq!(format_value(&mut t, &v, 4).unwrap(), "'h'");
-        let v0 = Value::rval(c, Scalar::Int(0), Sym::None);
+        let v0 = Value::rval(c, Scalar::Int(0), Sym::none());
         assert_eq!(format_value(&mut t, &v0, 4).unwrap(), "'\\0'");
         let (_, ety) = t
             .core
             .types
             .define_enum(Some("color"), vec![("RED".into(), 7)]);
-        let ev = Value::rval(ety, Scalar::Int(7), Sym::None);
+        let ev = Value::rval(ety, Scalar::Int(7), Sym::none());
         assert_eq!(format_value(&mut t, &ev, 4).unwrap(), "RED");
-        let ev2 = Value::rval(ety, Scalar::Int(9), Sym::None);
+        let ev2 = Value::rval(ety, Scalar::Int(9), Sym::none());
         assert_eq!(format_value(&mut t, &ev2, 4).unwrap(), "9");
     }
 
@@ -218,10 +218,10 @@ mod tests {
         let c = t.core.types.prim(Prim::Char);
         let pc = t.core.types.pointer(c);
         let addr = t.core.intern_cstring("hi").unwrap();
-        let v = Value::rval(pc, Scalar::Ptr(addr), Sym::None);
+        let v = Value::rval(pc, Scalar::Ptr(addr), Sym::none());
         let s = format_value(&mut t, &v, 4).unwrap();
         assert!(s.ends_with("\"hi\""), "{s}");
-        let null = Value::rval(pc, Scalar::Ptr(0), Sym::None);
+        let null = Value::rval(pc, Scalar::Ptr(0), Sym::none());
         assert_eq!(format_value(&mut t, &null, 4).unwrap(), "0x0");
     }
 
@@ -236,14 +236,14 @@ mod tests {
         let addr = t.core.define_global("p", sty).unwrap();
         t.core.write_int(addr, 3).unwrap();
         t.core.write_int(addr + 4, -4).unwrap();
-        let v = Value::lval(sty, addr, Sym::None);
+        let v = Value::lval(sty, addr, Sym::none());
         assert_eq!(format_value(&mut t, &v, 4).unwrap(), "{x = 3, y = -4}");
         let arr = t.core.types.array(int, Some(3));
         let aaddr = t.core.define_global("a", arr).unwrap();
         for i in 0..3 {
             t.core.write_int(aaddr + i * 4, i as i32 + 1).unwrap();
         }
-        let av = Value::lval(arr, aaddr, Sym::None);
+        let av = Value::lval(arr, aaddr, Sym::none());
         assert_eq!(format_value(&mut t, &av, 4).unwrap(), "{1, 2, 3}");
     }
 
@@ -254,7 +254,7 @@ mod tests {
         let arr = t.core.types.array(c, Some(8));
         let addr = t.core.define_global("s", arr).unwrap();
         t.core.mem.write(addr, b"abc\0").unwrap();
-        let v = Value::lval(arr, addr, Sym::None);
+        let v = Value::lval(arr, addr, Sym::none());
         assert_eq!(format_value(&mut t, &v, 4).unwrap(), "\"abc\"");
     }
 }

@@ -175,12 +175,24 @@ impl<'a> Ctx<'a> {
         if self.eager_sym() {
             Sym::leaf(text)
         } else {
-            Sym::None
+            Sym::none()
         }
     }
 
-    /// Resolves `name` per the order documented at module level.
-    pub fn fetch(&mut self, name: &str) -> DuelResult<Value> {
+    /// Builds a substituted-integer sym (or nothing in lazy mode).
+    pub fn sym_int(&self, i: i64) -> Sym {
+        if self.eager_sym() {
+            Sym::int(i)
+        } else {
+            Sym::none()
+        }
+    }
+
+    /// Resolves `name` per the order documented at module level. `leaf`
+    /// is the name's own symbolic value: an alias, a variable or an
+    /// enumerator displays under it, and a with-scope field's sym
+    /// (`base->name`) shares it.
+    pub fn fetch(&mut self, name: &str, leaf: &Sym) -> DuelResult<Value> {
         if name == "_" {
             return match self.with_stack.last() {
                 Some(e) => Ok(e.value.clone()),
@@ -203,25 +215,24 @@ impl<'a> Ctx<'a> {
                 _ => continue,
             };
             if apply::has_field(&self.target, rec_ty, name) {
-                let eager = self.eager_sym();
                 let base = if via_ptr {
                     apply::deref_for_with(&mut self.target, &entry.value)?
                 } else {
                     entry.value.clone()
                 };
                 let arrow = via_ptr || entry.arrow;
-                return apply::field_of(&mut self.target, &base, name, arrow, eager);
+                return apply::field_of(&mut self.target, &base, name, arrow, leaf);
             }
         }
         // 3. aliases, displayed under their own name.
         if let Some(v) = self.aliases.get(name) {
             let mut v = v.clone();
-            v.sym = self.sym_leaf(name);
+            v.sym = leaf.clone();
             return Ok(v);
         }
         // 4. target variables.
         if let Some(info) = self.target.get_variable(name) {
-            return Ok(Value::lval(info.ty, info.addr, self.sym_leaf(name)));
+            return Ok(Value::lval(info.ty, info.addr, leaf.clone()));
         }
         // 5. enumerators.
         if let Some((eid, v)) = self.target.types().enumerator(name) {
@@ -230,7 +241,7 @@ impl<'a> Ctx<'a> {
                 // Enumeration constants have type int in C.
                 self.target.types_mut().prim(duel_ctype::Prim::Int)
             };
-            return Ok(Value::rval(ty, Scalar::Int(v), self.sym_leaf(name)));
+            return Ok(Value::rval(ty, Scalar::Int(v), leaf.clone()));
         }
         Err(DuelError::Undefined {
             name: name.to_string(),
@@ -295,10 +306,14 @@ mod tests {
         f(&mut ctx)
     }
 
+    fn fetch(ctx: &mut Ctx<'_>, name: &str) -> DuelResult<Value> {
+        ctx.fetch(name, &Sym::leaf(name))
+    }
+
     #[test]
     fn fetch_target_global() {
         with_ctx(|ctx| {
-            let v = ctx.fetch("hash").unwrap();
+            let v = fetch(ctx, "hash").unwrap();
             assert!(v.is_lval());
             assert_eq!(v.sym.render(4), "hash");
         });
@@ -308,20 +323,20 @@ mod tests {
     fn fetch_undefined() {
         with_ctx(|ctx| {
             assert!(matches!(
-                ctx.fetch("nonesuch"),
+                fetch(ctx, "nonesuch"),
                 Err(DuelError::Undefined { .. })
             ));
-            assert!(matches!(ctx.fetch("_"), Err(DuelError::Undefined { .. })));
+            assert!(matches!(fetch(ctx, "_"), Err(DuelError::Undefined { .. })));
         });
     }
 
     #[test]
     fn alias_shadows_nothing_but_displays_name() {
         with_ctx(|ctx| {
-            let mut v = ctx.fetch("hash").unwrap();
+            let mut v = fetch(ctx, "hash").unwrap();
             v.sym = Sym::leaf("something-else");
             ctx.set_alias("h", v);
-            let got = ctx.fetch("h").unwrap();
+            let got = fetch(ctx, "h").unwrap();
             assert_eq!(got.sym.render(4), "h");
         });
     }
@@ -330,7 +345,7 @@ mod tests {
     fn with_scope_resolves_fields() {
         with_ctx(|ctx| {
             // Push the first symbol of bucket 0 as a with scope.
-            let hash = ctx.fetch("hash").unwrap();
+            let hash = fetch(ctx, "hash").unwrap();
             let int_ty = ctx.target.types_mut().prim(duel_ctype::Prim::Int);
             let zero = Value::rval(int_ty, Scalar::Int(0), Sym::int(0));
             let head = apply::index(&mut ctx.target, &hash, &zero, true).unwrap();
@@ -339,7 +354,7 @@ mod tests {
                 value: node,
                 arrow: true,
             });
-            let scope = ctx.fetch("scope").unwrap();
+            let scope = fetch(ctx, "scope").unwrap();
             assert_eq!(scope.sym.render(4), "hash[0]->scope");
             let loaded = apply::load(&mut ctx.target, &scope).unwrap();
             assert_eq!(loaded, Scalar::Int(4));

@@ -17,7 +17,6 @@ use crate::{
     parser, printer,
     profile::{ProfileCollector, ProfileReport},
     scope::Ctx,
-    sym::Sym,
     value::Value,
 };
 
@@ -291,7 +290,7 @@ impl<'t> Session<'t> {
                 }
                 _ => value,
             };
-            let sym = if matches!(v.sym, Sym::None) {
+            let sym = if v.sym.is_none() {
                 None
             } else {
                 let rendered = v.sym.render(thr);

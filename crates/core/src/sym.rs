@@ -11,17 +11,34 @@
 //!   names, `{e}` forces value substitution;
 //! * **compression** — "The symbolic display algorithm automatically
 //!   prints occurrences of `->a->a` as `-->a[[2]]`, etc." Repeated
-//!   field steps collapse into a [`Sym::Chain`]; rendering expands the
-//!   chain when it is shorter than the compression threshold. The
-//!   paper's own transcripts disagree on the threshold (`hash[0]` walks
-//!   print three expanded `->next` steps, the sortedness check prints
-//!   `-->next[[8]]`), so the threshold is configurable and defaults to 4.
+//!   field steps collapse into a chain; rendering expands the chain when
+//!   it is shorter than the compression threshold. The paper's own
+//!   transcripts disagree on the threshold (`hash[0]` walks print three
+//!   expanded `->next` steps, the sortedness check prints
+//!   `-->next[[8]]`), so the threshold is configurable and defaults
+//!   to 4.
 //!
 //! The paper also notes the cost: "In most cases, the computation of the
-//! symbolic value is more expensive than computing the result."
-//! [`SymMode::Lazy`] disables construction entirely; experiment E4
+//! symbolic value is more expensive than computing the result." A [`Sym`]
+//! is therefore a small handle (24 bytes) whose common shapes cost no
+//! heap allocation:
+//!
+//! * a generator-substituted integer is stored inline as an `i64`;
+//! * every other node is reference-counted once, and a node holds its
+//!   operands as handles, so using a value's sym as an operand is a
+//!   refcount bump, not a copy;
+//! * the subscript a scan yields (`x[i]`: a shared base plus an inline
+//!   index) and a run of `->name` steps (a shared first step plus an
+//!   inline count) are handles too, so scanning an array or walking a
+//!   list builds no node per element or per step.
+//!
+//! Text is produced only by [`Sym::render`]. The evaluator adds one more
+//! saving: an operator whose operands are all literals keeps its first
+//! value for the command (see `eval`), so `x[..n] >? -2` builds `-2`
+//! once. [`SymMode::Lazy`] disables construction entirely; experiment E4
 //! measures the difference.
 
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// Whether symbolic values are built during evaluation.
@@ -50,190 +67,174 @@ mod prec {
     pub const ATOM: u8 = 19;
 }
 
-/// A symbolic value.
+/// A symbolic value: a cheap, clonable handle (see the module docs).
 #[derive(Clone, Debug, PartialEq)]
-pub enum Sym {
+pub struct Sym(Repr);
+
+#[derive(Clone, Debug, PartialEq)]
+enum Repr {
     /// No symbolic information (lazy mode).
     None,
+    /// A substituted integer.
+    Int(i64),
+    /// Any other expression.
+    Node(Rc<Node>),
+    /// `base[idx]` with a substituted integer index.
+    Sub(Rc<Node>, i64),
+    /// A run of `count` (≥ 2) identical `->name` steps, displayed as
+    /// `base-->name[[count]]` when long enough. The node is the first
+    /// step, a [`Node::Field`] with `arrow` set.
+    Chain(Rc<Node>, u32),
+}
+
+#[derive(Debug, PartialEq)]
+enum Node {
     /// An atom: a name, a literal, or a substituted value.
-    Leaf(Rc<str>),
+    Leaf(Box<str>),
     /// A prefix unary operator.
-    Un {
-        /// Operator spelling.
-        op: &'static str,
-        /// Operand.
-        e: Rc<Sym>,
-    },
-    /// A binary operator.
+    Un { op: &'static str, e: Sym },
+    /// A binary operator with its rendering precedence.
     Bin {
-        /// Operator spelling.
         op: &'static str,
-        /// Rendering precedence.
         prec: u8,
-        /// Left operand.
-        l: Rc<Sym>,
-        /// Right operand.
-        r: Rc<Sym>,
+        l: Sym,
+        r: Sym,
     },
-    /// `base[idx]`.
-    Index {
-        /// The indexed expression.
-        base: Rc<Sym>,
-        /// The (substituted) index.
-        idx: Rc<Sym>,
-    },
-    /// `base.name` or `base->name`.
-    Field {
-        /// `true` for `->`.
-        arrow: bool,
-        /// The structure (or pointer) expression.
-        base: Rc<Sym>,
-        /// The field name.
-        name: Rc<str>,
-    },
-    /// A run of `count` identical `->name` steps, displayed as
-    /// `base-->name[[count]]` when long enough.
-    Chain {
-        /// The start of the chain.
-        base: Rc<Sym>,
-        /// The repeated field name.
-        name: Rc<str>,
-        /// Number of steps (≥ 2).
-        count: u32,
-    },
+    /// `base[idx]` for an index that is not a substituted integer.
+    Index { base: Sym, idx: Sym },
+    /// `base.name` (or `base->name` when `arrow`); the name is a leaf.
+    Field { arrow: bool, base: Sym, name: Sym },
     /// `f(a, b, …)`.
-    Call {
-        /// Function name.
-        name: Rc<str>,
-        /// Argument syms.
-        args: Rc<[Sym]>,
-    },
+    Call { name: Box<str>, args: Box<[Sym]> },
     /// `(type)e`.
-    Cast {
-        /// Rendered type name.
-        ty: Rc<str>,
-        /// Operand.
-        e: Rc<Sym>,
-    },
+    Cast { ty: Box<str>, e: Sym },
 }
 
 impl Sym {
     /// The empty symbolic value.
     pub fn none() -> Sym {
-        Sym::None
+        Sym(Repr::None)
+    }
+
+    /// Is this the empty symbolic value (lazy mode)?
+    pub fn is_none(&self) -> bool {
+        matches!(self.0, Repr::None)
     }
 
     /// An atom from text.
     pub fn leaf(s: impl AsRef<str>) -> Sym {
-        Sym::Leaf(Rc::from(s.as_ref()))
+        Node::Leaf(s.as_ref().into()).sym()
     }
 
     /// An atom holding a produced integer (generator substitution).
     pub fn int(v: i64) -> Sym {
-        Sym::leaf(v.to_string())
+        Sym(Repr::Int(v))
     }
 
-    /// A unary node (no-op when the operand is [`Sym::None`]).
+    /// A unary node (no-op when the operand is empty).
     pub fn un(op: &'static str, e: &Sym) -> Sym {
-        if matches!(e, Sym::None) {
-            return Sym::None;
+        if e.is_none() {
+            return Sym::none();
         }
-        Sym::Un {
-            op,
-            e: Rc::new(e.clone()),
-        }
+        Node::Un { op, e: e.clone() }.sym()
     }
 
-    /// A binary node (no-op when either operand is [`Sym::None`]).
+    /// A binary node (no-op when either operand is empty).
     pub fn bin(op: &'static str, prec: u8, l: &Sym, r: &Sym) -> Sym {
-        if matches!(l, Sym::None) || matches!(r, Sym::None) {
-            return Sym::None;
+        if l.is_none() || r.is_none() {
+            return Sym::none();
         }
-        Sym::Bin {
+        Node::Bin {
             op,
             prec,
-            l: Rc::new(l.clone()),
-            r: Rc::new(r.clone()),
+            l: l.clone(),
+            r: r.clone(),
         }
+        .sym()
     }
 
     /// `base[idx]`.
     pub fn index(base: &Sym, idx: &Sym) -> Sym {
-        if matches!(base, Sym::None) || matches!(idx, Sym::None) {
-            return Sym::None;
-        }
-        Sym::Index {
-            base: Rc::new(base.clone()),
-            idx: Rc::new(idx.clone()),
+        match (&base.0, &idx.0) {
+            (Repr::None, _) | (_, Repr::None) => Sym::none(),
+            (Repr::Node(b), Repr::Int(i)) => Sym(Repr::Sub(b.clone(), *i)),
+            _ => Node::Index {
+                base: base.clone(),
+                idx: idx.clone(),
+            }
+            .sym(),
         }
     }
 
     /// A field step, collapsing repeated `->name` runs into a chain.
-    pub fn field(arrow: bool, base: &Sym, name: &str) -> Sym {
-        if matches!(base, Sym::None) {
-            return Sym::None;
+    /// `name` is the field's name as a [`Sym::leaf`], shared by every
+    /// step that names it (no-op when either handle is empty).
+    pub fn field(arrow: bool, base: &Sym, name: &Sym) -> Sym {
+        if base.is_none() || name.is_none() {
+            return Sym::none();
         }
-        if arrow {
-            match base {
-                Sym::Field {
-                    arrow: true,
-                    base: inner,
-                    name: n2,
-                } if n2.as_ref() == name => {
-                    return Sym::Chain {
-                        base: inner.clone(),
-                        name: n2.clone(),
-                        count: 2,
-                    };
-                }
-                Sym::Chain {
-                    base: inner,
-                    name: n2,
-                    count,
-                } if n2.as_ref() == name => {
-                    return Sym::Chain {
-                        base: inner.clone(),
-                        name: n2.clone(),
-                        count: count + 1,
-                    };
-                }
-                _ => {}
+        let repeats = |step: &Node| match step {
+            Node::Field {
+                arrow: true,
+                name: n,
+                ..
+            } => n.leaf_text() == name.leaf_text(),
+            _ => false,
+        };
+        match &base.0 {
+            Repr::Node(step) if arrow && repeats(step) => {
+                return Sym(Repr::Chain(step.clone(), 2));
             }
+            Repr::Chain(step, count) if arrow && repeats(step) => {
+                return Sym(Repr::Chain(step.clone(), count + 1));
+            }
+            _ => {}
         }
-        Sym::Field {
+        Node::Field {
             arrow,
-            base: Rc::new(base.clone()),
-            name: Rc::from(name),
+            base: base.clone(),
+            name: name.clone(),
+        }
+        .sym()
+    }
+
+    /// The text of a leaf.
+    fn leaf_text(&self) -> Option<&str> {
+        match &self.0 {
+            Repr::Node(n) => match &**n {
+                Node::Leaf(s) => Some(s),
+                _ => None,
+            },
+            _ => None,
         }
     }
 
     /// `f(args…)`.
     pub fn call(name: &str, args: Vec<Sym>) -> Sym {
-        Sym::Call {
-            name: Rc::from(name),
-            args: Rc::from(args),
+        Node::Call {
+            name: name.into(),
+            args: args.into(),
         }
+        .sym()
     }
 
     /// `(ty)e`.
     pub fn cast(ty: &str, e: &Sym) -> Sym {
-        if matches!(e, Sym::None) {
-            return Sym::None;
+        if e.is_none() {
+            return Sym::none();
         }
-        Sym::Cast {
-            ty: Rc::from(ty),
-            e: Rc::new(e.clone()),
+        Node::Cast {
+            ty: ty.into(),
+            e: e.clone(),
         }
+        .sym()
     }
 
     fn prec(&self) -> u8 {
-        match self {
-            Sym::None | Sym::Leaf(_) => prec::ATOM,
-            Sym::Un { .. } | Sym::Cast { .. } => prec::UNARY,
-            Sym::Bin { prec, .. } => *prec,
-            Sym::Index { .. } | Sym::Field { .. } | Sym::Chain { .. } | Sym::Call { .. } => {
-                prec::POSTFIX
-            }
+        match &self.0 {
+            Repr::None | Repr::Int(_) => prec::ATOM,
+            Repr::Sub(..) | Repr::Chain(..) => prec::POSTFIX,
+            Repr::Node(n) => n.prec(),
         }
     }
 
@@ -256,45 +257,86 @@ impl Sym {
     }
 
     fn render_into(&self, out: &mut String, threshold: u32) {
+        match &self.0 {
+            Repr::None => out.push_str("<no symbolic value>"),
+            Repr::Int(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Repr::Sub(base, i) => {
+                base.postfix_base(out, threshold);
+                let _ = write!(out, "[{i}]");
+            }
+            Repr::Chain(step, count) => {
+                let Node::Field { base, name, .. } = &**step else {
+                    unreachable!("a chain starts at an arrow field step")
+                };
+                base.child(out, base.prec() < prec::POSTFIX, threshold);
+                if *count >= threshold {
+                    out.push_str("-->");
+                    name.render_into(out, threshold);
+                    let _ = write!(out, "[[{count}]]");
+                } else {
+                    for _ in 0..*count {
+                        out.push_str("->");
+                        name.render_into(out, threshold);
+                    }
+                }
+            }
+            Repr::Node(n) => n.render_into(out, threshold),
+        }
+    }
+}
+
+impl Node {
+    /// Wraps the node in its one reference count.
+    fn sym(self) -> Sym {
+        Sym(Repr::Node(Rc::new(self)))
+    }
+
+    fn prec(&self) -> u8 {
         match self {
-            Sym::None => out.push_str("<no symbolic value>"),
-            Sym::Leaf(s) => out.push_str(s),
-            Sym::Un { op, e } => {
+            Node::Leaf(_) => prec::ATOM,
+            Node::Un { .. } | Node::Cast { .. } => prec::UNARY,
+            Node::Bin { prec, .. } => *prec,
+            Node::Index { .. } | Node::Field { .. } | Node::Call { .. } => prec::POSTFIX,
+        }
+    }
+
+    /// Renders the node as the base of a postfix operator.
+    fn postfix_base(&self, out: &mut String, threshold: u32) {
+        if self.prec() < prec::POSTFIX {
+            out.push('(');
+            self.render_into(out, threshold);
+            out.push(')');
+        } else {
+            self.render_into(out, threshold);
+        }
+    }
+
+    fn render_into(&self, out: &mut String, threshold: u32) {
+        match self {
+            Node::Leaf(s) => out.push_str(s),
+            Node::Un { op, e } => {
                 out.push_str(op);
                 e.child(out, e.prec() < prec::UNARY, threshold);
             }
-            Sym::Bin { op, prec: p, l, r } => {
+            Node::Bin { op, prec: p, l, r } => {
                 l.child(out, l.prec() < *p, threshold);
                 out.push_str(op);
                 r.child(out, r.prec() <= *p, threshold);
             }
-            Sym::Index { base, idx } => {
+            Node::Index { base, idx } => {
                 base.child(out, base.prec() < prec::POSTFIX, threshold);
                 out.push('[');
                 idx.render_into(out, threshold);
                 out.push(']');
             }
-            Sym::Field { arrow, base, name } => {
+            Node::Field { arrow, base, name } => {
                 base.child(out, base.prec() < prec::POSTFIX, threshold);
                 out.push_str(if *arrow { "->" } else { "." });
-                out.push_str(name);
+                name.render_into(out, threshold);
             }
-            Sym::Chain { base, name, count } => {
-                base.child(out, base.prec() < prec::POSTFIX, threshold);
-                if *count >= threshold {
-                    out.push_str("-->");
-                    out.push_str(name);
-                    out.push_str("[[");
-                    out.push_str(&count.to_string());
-                    out.push_str("]]");
-                } else {
-                    for _ in 0..*count {
-                        out.push_str("->");
-                        out.push_str(name);
-                    }
-                }
-            }
-            Sym::Call { name, args } => {
+            Node::Call { name, args } => {
                 out.push_str(name);
                 out.push('(');
                 for (i, a) in args.iter().enumerate() {
@@ -305,7 +347,7 @@ impl Sym {
                 }
                 out.push(')');
             }
-            Sym::Cast { ty, e } => {
+            Node::Cast { ty, e } => {
                 out.push('(');
                 out.push_str(ty);
                 out.push(')');
@@ -372,9 +414,9 @@ mod tests {
     fn field_chain_compression() {
         let mut s = Sym::index(&Sym::leaf("hash"), &Sym::leaf("287"));
         for _ in 0..8 {
-            s = Sym::field(true, &s, "next");
+            s = Sym::field(true, &s, &Sym::leaf("next"));
         }
-        let s = Sym::field(true, &s, "scope");
+        let s = Sym::field(true, &s, &Sym::leaf("scope"));
         // Below threshold 9 the chain compresses at 8.
         assert_eq!(s.render(4), "hash[287]-->next[[8]]->scope");
         // A very high threshold expands everything.
@@ -388,9 +430,9 @@ mod tests {
     fn short_chains_stay_expanded() {
         let mut s = Sym::index(&Sym::leaf("hash"), &Sym::leaf("0"));
         for _ in 0..3 {
-            s = Sym::field(true, &s, "next");
+            s = Sym::field(true, &s, &Sym::leaf("next"));
         }
-        let s = Sym::field(true, &s, "scope");
+        let s = Sym::field(true, &s, &Sym::leaf("scope"));
         // Three steps < default threshold 4: expanded, as in the paper's
         // hash[0] walk.
         assert_eq!(s.render(4), "hash[0]->next->next->next->scope");
@@ -398,16 +440,16 @@ mod tests {
 
     #[test]
     fn mixed_fields_break_chains() {
-        let s = Sym::field(true, &Sym::leaf("p"), "next");
-        let s = Sym::field(true, &s, "prev");
-        let s = Sym::field(true, &s, "next");
+        let s = Sym::field(true, &Sym::leaf("p"), &Sym::leaf("next"));
+        let s = Sym::field(true, &s, &Sym::leaf("prev"));
+        let s = Sym::field(true, &s, &Sym::leaf("next"));
         assert_eq!(s.render(2), "p->next->prev->next");
     }
 
     #[test]
     fn dot_fields_do_not_chain() {
-        let s = Sym::field(false, &Sym::leaf("a"), "b");
-        let s = Sym::field(false, &s, "b");
+        let s = Sym::field(false, &Sym::leaf("a"), &Sym::leaf("b"));
+        let s = Sym::field(false, &s, &Sym::leaf("b"));
         assert_eq!(s.render(2), "a.b.b");
     }
 
@@ -429,10 +471,46 @@ mod tests {
     }
 
     #[test]
+    fn a_sym_is_a_small_handle() {
+        assert_eq!(std::mem::size_of::<Sym>(), 24);
+    }
+
+    #[test]
+    fn inline_subscripts_render_like_nodes() {
+        let x = Sym::leaf("x");
+        assert_eq!(Sym::index(&x, &Sym::int(3)).render(4), "x[3]");
+        assert_eq!(Sym::index(&x, &Sym::int(-1)).render(4), "x[-1]");
+        // A base below postfix precedence keeps its parentheses.
+        let p1 = Sym::bin("+", precedence::ADD, &Sym::leaf("p"), &Sym::int(1));
+        assert_eq!(Sym::index(&p1, &Sym::int(2)).render(4), "(p+1)[2]");
+        // Nested subscripts and non-integer indices fall back to nodes.
+        let x3 = Sym::index(&x, &Sym::int(3));
+        assert_eq!(Sym::index(&x3, &Sym::int(4)).render(4), "x[3][4]");
+        assert_eq!(Sym::index(&x, &Sym::leaf("i")).render(4), "x[i]");
+        // Substituted integers are atoms: never parenthesized.
+        let neg = Sym::bin("-", precedence::ADD, &Sym::int(1), &Sym::int(-2));
+        assert_eq!(neg.render(4), "1--2");
+    }
+
+    #[test]
+    fn chains_grow_from_an_inline_subscript() {
+        let mut s = Sym::index(&Sym::leaf("hash"), &Sym::int(7));
+        let next = Sym::leaf("next");
+        for _ in 0..5 {
+            s = Sym::field(true, &s, &next);
+        }
+        assert_eq!(s.render(4), "hash[7]-->next[[5]]");
+        assert_eq!(s.render(6), "hash[7]->next->next->next->next->next");
+        // The chain is itself a postfix base.
+        let idx = Sym::index(&s, &Sym::int(0));
+        assert_eq!(idx.render(2), "hash[7]-->next[[5]][0]");
+    }
+
+    #[test]
     fn none_propagates() {
-        let n = Sym::bin("+", precedence::ADD, &Sym::None, &Sym::leaf("1"));
-        assert_eq!(n, Sym::None);
-        assert_eq!(Sym::field(true, &Sym::None, "f"), Sym::None);
-        assert_eq!(Sym::un("-", &Sym::None), Sym::None);
+        let n = Sym::bin("+", precedence::ADD, &Sym::none(), &Sym::leaf("1"));
+        assert_eq!(n, Sym::none());
+        assert_eq!(Sym::field(true, &Sym::none(), &Sym::leaf("f")), Sym::none());
+        assert_eq!(Sym::un("-", &Sym::none()), Sym::none());
     }
 }

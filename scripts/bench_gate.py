@@ -37,6 +37,10 @@ THRESHOLD = 0.20
 # entries by their `name` field; `workloads[foo]` selects one entry by
 # name. Direction `higher` means bigger is better.
 HEADLINES = {
+    "e4_symbolic": [
+        ("workloads[].allocs_per_element", "lower", 0.25),
+        ("workloads[].lazy_allocs_per_element", "lower", 0.25),
+    ],
     "e10_cache": [("workloads[].read_reduction", "higher", 0.5)],
     "e11_trace": [("workloads[].overhead_pct", "lower", 2.0)],
     "e12_replay": [("workloads[].capture_bytes", "lower", 256)],

@@ -18,8 +18,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use duel::core::{
-    ast::Expr, eval, parser, printer, scope::Ctx, sym::Sym, DuelError, DuelResult, EvalOptions,
-    OutputLine, Session, Value,
+    ast::Expr, eval, parser, printer, scope::Ctx, DuelError, DuelResult, EvalOptions, OutputLine,
+    Session, Value,
 };
 use duel::gdbmi::{connect_supervised, MockGdb};
 use duel::minic::{Debugger, StopReason};
@@ -61,7 +61,7 @@ fn reference_eval(
             Err(e) if ctx.opts.error_values && e.is_fault() => format!("<error: {e}>"),
             Err(e) => return Err(e),
         };
-        let sym = if matches!(v.sym, Sym::None) {
+        let sym = if v.sym.is_none() {
             None
         } else {
             let rendered = v.sym.render(thr);
