@@ -1,5 +1,4 @@
-//! E14 — what the generator-aware prefetch planner and the scan window
-//! buy on the wire.
+//! E14 — what the scan window buys on the wire.
 //!
 //! The workload is the paper's motivating cost case: a contiguous scan
 //! of a 4096-element array (`x[..4096]`), where every element crosses
@@ -9,19 +8,18 @@
 //! `get_bytes` calls plus vectored `multi_read` calls) counts exactly
 //! the round-trips a remote debugger would pay.
 //!
-//! Each run executes three times over identical debuggees:
+//! Each run executes twice over identical debuggees:
 //!
 //! * **demand**: one read per element, as a scan without windows reads
 //!   — [`duel_bench::RefuseWide`] above the cache fails every window
 //!   read, so the cache demand-fetches one page per miss;
-//! * **planned**: `EvalOptions::prefetch` on (the planner warms the
-//!   span in windowed vectored calls);
-//! * **windowed**: default options (the scan reads each window of the
-//!   span in one vectored call, which the cache turns into one turn).
+//! * **windowed**: default options (`EvalOptions::prefetch` on: the
+//!   scan reads each window of the span in one vectored call, which
+//!   the cache turns into one turn).
 //!
 //! The run asserts byte-identical rendered output and a ≥5× wire-turn
-//! reduction for both the planned and the windowed arm, then writes
-//! `BENCH_prefetch.json` at the repository root.
+//! reduction for the windowed arm, then writes `BENCH_prefetch.json`
+//! at the repository root.
 //!
 //! Not a criterion bench on purpose: the quantity of interest is the
 //! wire-turn count, which criterion cannot report. Run with
@@ -29,7 +27,7 @@
 
 use std::time::{Duration, Instant};
 
-use duel_bench::{try_eval_lines_with_stats, RefuseWide};
+use duel_bench::{try_eval_lines, RefuseWide};
 use duel_core::EvalOptions;
 use duel_target::{
     CacheConfig, CachedTarget, ChaosTarget, FaultConfig, SimTarget, Target, TraceHandle,
@@ -45,8 +43,8 @@ const LATENCY: Duration = Duration::from_micros(20);
 const ELEMENTS: u64 = 4096;
 
 /// Cache page size: small enough that a demand-paged scan of
-/// `ELEMENTS * 4` bytes costs hundreds of turns, so the planner's
-/// single vectored warm-up is visible.
+/// `ELEMENTS * 4` bytes costs hundreds of turns, so the windows'
+/// vectored reads are visible.
 const PAGE_SIZE: u64 = 64;
 
 struct Workload {
@@ -80,19 +78,12 @@ struct Measurement {
     lines: Vec<String>,
     wire_turns: u64,
     multi_reads: u64,
-    prefetch_calls: u64,
     wall: Duration,
 }
 
-/// How one arm reads the scan.
-#[derive(Clone, Copy, PartialEq)]
-enum Arm {
-    Demand,
-    Planned,
-    Windowed,
-}
-
-fn run(w: &Workload, arm: Arm) -> Measurement {
+/// Runs `w` with every window read refused (`demand`) or with default
+/// options.
+fn run(w: &Workload, demand: bool) -> Measurement {
     let slow = ChaosTarget::with_faults(
         (w.scenario)(),
         FaultConfig {
@@ -110,28 +101,21 @@ fn run(w: &Workload, arm: Arm) -> Measurement {
             ..CacheConfig::default()
         },
     );
-    let mut t: Box<dyn Target> = match arm {
-        Arm::Demand => Box::new(RefuseWide(cached)),
-        _ => Box::new(cached),
-    };
-    let opts = EvalOptions {
-        prefetch: arm == Arm::Planned,
-        ..EvalOptions::default()
+    let mut t: Box<dyn Target> = if demand {
+        Box::new(RefuseWide(cached))
+    } else {
+        Box::new(cached)
     };
     let start = Instant::now();
-    let (lines, stats) = match try_eval_lines_with_stats(&mut *t, w.expr, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("workload `{}` failed: {e}", w.name);
-            (Vec::new(), Default::default())
-        }
-    };
+    let lines = try_eval_lines(&mut *t, w.expr, &EvalOptions::default()).unwrap_or_else(|e| {
+        eprintln!("workload `{}` failed: {e}", w.name);
+        Vec::new()
+    });
     let wall = start.elapsed();
     Measurement {
         lines,
         wire_turns: handle.wire_turns(),
         multi_reads: handle.calls(duel_target::TraceOp::MultiRead),
-        prefetch_calls: stats.prefetch_calls,
         wall,
     }
 }
@@ -140,67 +124,50 @@ fn main() {
     let mut rows = Vec::new();
     let mut failed = false;
     for w in WORKLOADS {
-        let demand = run(w, Arm::Demand);
-        let planned = run(w, Arm::Planned);
-        let windowed = run(w, Arm::Windowed);
-        let identical = demand.lines == planned.lines
-            && demand.lines == windowed.lines
-            && !demand.lines.is_empty();
-        let reduction = |m: &Measurement| demand.wire_turns as f64 / m.wire_turns.max(1) as f64;
+        let demand = run(w, true);
+        let windowed = run(w, false);
+        let identical = demand.lines == windowed.lines && !demand.lines.is_empty();
+        let reduction = demand.wire_turns as f64 / windowed.wire_turns.max(1) as f64;
         println!(
-            "{:<13} wire turns {:>5} -> {:>3} planned ({:>6.1}x), {:>3} windowed ({:>6.1}x), \
-             {} vectored, {} planner warm-ups, wall {:>8.2?} -> {:>8.2?} / {:>8.2?}, \
-             identical output: {identical}",
+            "{:<13} wire turns {:>5} -> {:>3} windowed ({:>6.1}x), {} vectored, \
+             wall {:>8.2?} -> {:>8.2?}, identical output: {identical}",
             w.name,
             demand.wire_turns,
-            planned.wire_turns,
-            reduction(&planned),
             windowed.wire_turns,
-            reduction(&windowed),
-            planned.multi_reads,
-            planned.prefetch_calls,
+            reduction,
+            windowed.multi_reads,
             demand.wall,
-            planned.wall,
             windowed.wall,
         );
         if !identical {
             eprintln!("FAIL: `{}` output differs across the arms", w.name);
             failed = true;
         }
-        for (arm, m) in [("planned", &planned), ("windowed", &windowed)] {
-            if reduction(m) < 5.0 {
-                eprintln!(
-                    "FAIL: `{}` {arm} wire-turn reduction {:.1}x is below the 5x target",
-                    w.name,
-                    reduction(m)
-                );
-                failed = true;
-            }
+        if reduction < 5.0 {
+            eprintln!(
+                "FAIL: `{}` wire-turn reduction {reduction:.1}x is below the 5x target",
+                w.name
+            );
+            failed = true;
         }
-        if planned.prefetch_calls == 0 {
-            eprintln!("FAIL: `{}` planner never fired", w.name);
+        if windowed.multi_reads == 0 {
+            eprintln!("FAIL: `{}` read no window", w.name);
             failed = true;
         }
         rows.push(format!(
             "    {{\n      \"name\": \"{}\",\n      \"expr\": {},\n      \"values\": {},\n      \
-             \"demand_wire_turns\": {},\n      \"planned_wire_turns\": {},\n      \
-             \"turn_reduction\": {:.2},\n      \"windowed_wire_turns\": {},\n      \
-             \"windowed_turn_reduction\": {:.2},\n      \"vectored_calls\": {},\n      \
-             \"prefetch_calls\": {},\n      \"demand_wall_us\": {},\n      \
-             \"planned_wall_us\": {},\n      \"windowed_wall_us\": {},\n      \
+             \"demand_wire_turns\": {},\n      \"windowed_wire_turns\": {},\n      \
+             \"turn_reduction\": {:.2},\n      \"vectored_calls\": {},\n      \
+             \"demand_wall_us\": {},\n      \"windowed_wall_us\": {},\n      \
              \"identical_output\": {}\n    }}",
             w.name,
             duel_target::json::quote(w.expr),
-            planned.lines.len(),
+            windowed.lines.len(),
             demand.wire_turns,
-            planned.wire_turns,
-            reduction(&planned),
             windowed.wire_turns,
-            reduction(&windowed),
-            planned.multi_reads,
-            planned.prefetch_calls,
+            reduction,
+            windowed.multi_reads,
             demand.wall.as_micros(),
-            planned.wall.as_micros(),
             windowed.wall.as_micros(),
             identical,
         ));

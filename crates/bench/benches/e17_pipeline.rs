@@ -1,13 +1,14 @@
-//! E17 — what the I/O-actor pipeline buys over synchronous prefetch.
+//! E17 — what the I/O-actor pipeline buys over synchronous windows.
 //!
 //! The workload is the same motivating cost case as E14 — a contiguous
 //! scan of a 4096-element array — but the wire now carries a 200µs
-//! per-turn latency, so even the planner's windowed vectored reads
+//! per-turn latency, so even the scan's windowed vectored reads
 //! leave the evaluator idle while a window is in flight. The tower is
-//! `Cached<Async<Fault<Sim>>>`: with the actor off the windows are
-//! fetched inline (synchronous prefetch, the E14 behavior); with the
-//! actor on, window *k+1* streams on the worker thread while the
-//! evaluator consumes window *k* from cache, and wall-clock tends
+//! `Cached<Async<Fault<Sim>>>`: with the actor off each window is
+//! read when the scan reaches it (the E14 behavior); with the actor
+//! on, the scan submits window *k+1* once window *k* is read, it
+//! streams on the worker thread while the evaluator consumes window
+//! *k*, and wall-clock tends
 //! toward `max(wire, eval)` per window instead of their sum. Wire
 //! turns are counted by the cache itself (`backend_reads`) rather
 //! than a `TraceTarget`: enabled tracing formats a detail string per
@@ -22,9 +23,10 @@
 //! * an identical wire-turn count below the actor (the pipeline
 //!   reorders *waiting*, never the wire);
 //! * ≥1.7× wall-clock speedup;
-//! * a record→strict-replay round trip of the pipelined run that
-//!   renders the same bytes with zero divergence — completions are
-//!   applied in submission order, so the capture is deterministic;
+//! * a record→strict-replay round trip of a run on the pipelined
+//!   tower that renders the same bytes with zero divergence — the
+//!   recorder takes no window ahead, so the capture holds each window
+//!   read where the scan reached it, as the replay reads it;
 //! * a bounded allocation count per produced value (the hot-path
 //!   `Arc<str>`/borrow work keeps the evaluator from re-allocating
 //!   per resumed node).

@@ -9,7 +9,9 @@
 //! recorded in EXPERIMENTS.md, then the same count for every crate of
 //! the workspace (every `.rs` file under `crates/*/src`, so a new file
 //! is counted without editing this binary), then per file for the
-//! target, CLI and gdb/MI crates.
+//! target, CLI and gdb/MI crates. It writes the per-crate counts and
+//! a few subsystem rows to `BENCH_loc.json`, which
+//! `scripts/bench_gate.py` gates (lower is better).
 //!
 //! ```sh
 //! cargo run -p duel-bench --bin loc_report
@@ -65,6 +67,63 @@ fn crate_totals(root: &Path) -> Vec<(String, usize)> {
         .collect();
     crates.sort();
     crates
+}
+
+/// Subsystems whose size is gated, as `(name, files)`: each is a
+/// mechanism that should stay small next to the narrow interface it
+/// serves.
+const SUBSYSTEMS: &[(&str, &[&str])] = &[
+    (
+        "read-ahead",
+        &[
+            "crates/core/src/window.rs",
+            "crates/core/src/eval/structure.rs",
+        ],
+    ),
+    ("cache", &["crates/target/src/cache.rs"]),
+    (
+        "telemetry",
+        &[
+            "crates/target/src/trace.rs",
+            "crates/target/src/span.rs",
+            "crates/target/src/metrics.rs",
+        ],
+    ),
+    (
+        "capture",
+        &[
+            "crates/target/src/capture.rs",
+            "crates/target/src/record.rs",
+            "crates/target/src/replay.rs",
+        ],
+    ),
+    ("pipeline", &["crates/target/src/pipeline.rs"]),
+];
+
+/// Writes `BENCH_loc.json`: one row per crate (`crate/NAME`) and per
+/// subsystem, each with its code lines.
+fn write_report(root: &Path, crates: &[(String, usize)]) {
+    let mut rows: Vec<String> = crates
+        .iter()
+        .map(|(name, n)| format!("      {{\"name\": \"crate/{name}\", \"code_lines\": {n}}}"))
+        .collect();
+    for (name, files) in SUBSYSTEMS {
+        let list: Vec<String> = files.iter().map(|f| format!("\"{f}\"")).collect();
+        rows.push(format!(
+            "      {{\"name\": \"{name}\", \"files\": [{}], \"code_lines\": {}}}",
+            list.join(", "),
+            sum(root, files)
+        ));
+    }
+    let json = format!(
+        "{{\n  \"schema_version\": 1,\n  \"name\": \"e5_loc\",\n  \"config\": {{\n    \
+         \"count\": \"code lines, tests excluded\"\n  }},\n  \"metrics\": {{\n    \
+         \"workloads\": [\n{}\n    ]\n  }}\n}}\n",
+        rows.join(",\n")
+    );
+    let path = duel_bench::report_path("BENCH_loc.json");
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("\nwrote {}", path.display());
 }
 
 fn main() {
@@ -168,6 +227,7 @@ fn main() {
             println!("{file:<46} {n:>8}");
         }
     }
+    write_report(&root, &crates);
 }
 
 /// `(path relative to dir, code lines)` for every `.rs` file under

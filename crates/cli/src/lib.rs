@@ -244,16 +244,18 @@ DUEL commands:
                      while the circuit is open, serve reads from cache
                      tagged <stale> instead of failing (default: on)
   .set prefetch on|off
-                     generator-aware prefetch: warm the cache in
-                     windowed vectored reads before contiguous scans
-                     (`x[a..b]`) (default: off; `-->` over a ranged
-                     root reads ahead whenever the cache is on)
+                     read-ahead over the page cache: a contiguous scan
+                     (`x[a..b]`) reads one window of pages per call,
+                     a `-->` over a ranged root reads level by level,
+                     and with the pipeline on the next window is
+                     submitted ahead; off issues every read as written
+                     (default: on)
   .set pipeline on|off
                      asynchronous wire pipeline: run the backend on an
-                     I/O actor thread and double-buffer prefetch
-                     windows, so window k+1 is on the wire while the
-                     evaluator consumes window k (sim backend only;
-                     default: off, sticky across `.scenario`)
+                     I/O actor thread, so while prefetch is on window
+                     k+1 of a scan is on the wire while the evaluator
+                     consumes window k (sim backend only; default:
+                     off, sticky across `.scenario`)
   .set trace_buf N   capacity of the trace-event and span rings
                      (default 4096 events / 8192 spans; one entry
                      costs ~100-140 bytes, so 8192 spans ≈ 1 MiB)
@@ -1811,15 +1813,16 @@ mod tests {
         let mut r = Repl::new();
         let mut out = String::new();
         r.handle(".set pipeline on", &mut out);
-        r.handle(".set prefetch on", &mut out);
         out.clear();
-        r.handle("x[..64]", &mut out);
-        assert!(out.contains("x[63]"), "{out}");
+        // 8 KiB of pointers: two windows of 64 pages.
+        r.handle("hash[..1024]", &mut out);
+        assert!(out.contains("hash[1023]"), "{out}");
         out.clear();
         r.handle(".stats json", &mut out);
         assert!(out.contains("\"pipeline\":true"), "{out}");
         assert!(out.contains("\"pipeline_async\":true"), "{out}");
-        // At least the first window went through the actor.
+        assert!(out.contains("\"eval_windows_inflight\":1"), "{out}");
+        // The second window was submitted ahead to the actor.
         let submits = out
             .split("\"pipeline_submits\":")
             .nth(1)
@@ -2594,6 +2597,42 @@ mod tests {
         let weight: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
         assert!(weight >= 1);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn pipelined_windows_attribute_to_the_eval_span() {
+        let dir = std::env::temp_dir().join("duel-cli-span-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("flame-piped-{}.txt", std::process::id()));
+        let path = path.display().to_string();
+        let mut r = Repl::new();
+        let mut out = String::new();
+        r.handle(".set pipeline on", &mut out);
+        r.handle(".trace on", &mut out);
+        r.handle(".trace spans on", &mut out);
+        // Two windows: the second is submitted ahead to the actor and
+        // its wire read recorded when the scan polls it.
+        r.handle("hash[..1024] ==? 0", &mut out);
+        out.clear();
+        r.handle(&format!(".trace flame {path} reads"), &mut out);
+        assert!(out.contains("folded stacks written"), "{out}");
+        let folded = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(folded.contains("pipelined"), "{folded}");
+        for line in folded.lines() {
+            assert!(line.starts_with("eval "), "detached stack: {line}");
+        }
+        // The export holds the same events: every one chains to the
+        // eval root.
+        let json_path = path.replace(".txt", ".json");
+        r.handle(&format!(".trace export {json_path}"), &mut out);
+        assert!(out.contains("trace exported"), "{out}");
+        std::fs::remove_file(&json_path).ok();
+        let snap = r.span_context().snapshot();
+        let events = r.trace_handle().recent_events(usize::MAX);
+        let (ok, total) = duel_target::attribution_coverage(&snap, &events);
+        assert!(total > 0);
+        assert_eq!(ok, total, "all wire events must have a rooted ancestry");
     }
 
     #[test]

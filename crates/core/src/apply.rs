@@ -9,7 +9,7 @@
 //! evaluation time*, as the paper requires of a very high-level language.
 
 use duel_ctype::{convert, Prim, TypeId, TypeKind};
-use duel_target::{value_io, CallValue, ReadRange, Target, TargetError};
+use duel_target::{value_io, CallValue, Target, TargetError};
 
 use crate::{
     ast::{BinOp, UnOp},
@@ -281,7 +281,8 @@ pub fn index(t: &mut dyn Target, base: &Value, idx: &Value, eager_sym: bool) -> 
         }
     };
     let esize = t.types().size_of(elem, t.abi())? as i64;
-    let addr = (base_addr as i64 + i * esize) as u64;
+    // Address arithmetic wraps, as the target's address space does.
+    let addr = (base_addr as i64).wrapping_add(i.wrapping_mul(esize)) as u64;
     let sym = if eager_sym {
         Sym::index(&base.sym, &idx.sym)
     } else {
@@ -290,36 +291,9 @@ pub fn index(t: &mut dyn Target, base: &Value, idx: &Value, eager_sym: bool) -> 
     Ok(Value::lval(elem, addr, sym))
 }
 
-/// Upper bound on bytes one prefetch hint may pull over the wire — a
-/// planner hint must never cost more than the scan it accelerates.
+/// Upper bound on bytes one read-ahead call (a scan window, a
+/// wavefront batch) may pull over the wire.
 pub const PREFETCH_MAX_BYTES: u64 = 1 << 20;
-
-/// Warms the target's cache with one vectored read over `ranges`
-/// (address, length) — the prefetch planner's only primitive. Purely
-/// advisory: a range that faults or flakes is simply not warmed (the
-/// demand read will re-drive it), so errors are swallowed. Oversized
-/// ranges are clamped to [`PREFETCH_MAX_BYTES`]; empty ones dropped.
-/// Returns the number of ranges that read cleanly.
-pub fn prefetch(t: &mut dyn Target, ranges: &[(u64, u64)]) -> usize {
-    let mut bufs: Vec<Vec<u8>> = ranges
-        .iter()
-        .filter(|&&(_, len)| len > 0)
-        .map(|&(_, len)| vec![0u8; len.min(PREFETCH_MAX_BYTES) as usize])
-        .collect();
-    if bufs.is_empty() {
-        return 0;
-    }
-    let mut reads: Vec<ReadRange<'_>> = ranges
-        .iter()
-        .filter(|&&(_, len)| len > 0)
-        .zip(bufs.iter_mut())
-        .map(|(&(addr, _), buf)| ReadRange::new(addr, buf))
-        .collect();
-    t.get_bytes_multi(&mut reads)
-        .iter()
-        .filter(|r| r.is_ok())
-        .count()
-}
 
 /// Normalizes an integer to `size` bytes with the given signedness.
 pub fn normalize_int(v: i128, size: u8, signed: bool) -> i64 {

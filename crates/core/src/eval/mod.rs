@@ -75,23 +75,21 @@ pub struct EvalOptions {
     /// the session's trace buffer — the Semantics section's evaluation
     /// walkthroughs, made observable.
     pub trace: bool,
-    /// Generator-aware prefetch: when a generator is about to expand a
-    /// compile-time-known contiguous range (`x[a..b]`, `x[..n]`), warm
-    /// the cache in windowed vectored reads first, so the
-    /// element-by-element scan that follows is served locally instead
-    /// of one wire turn per element. Purely advisory (values and errors
-    /// are identical either way); off by default so read-count-sensitive
-    /// experiments are undisturbed. Structure walks do not depend on
-    /// it: a `-->` over a ranged root reads its chains level by level
-    /// whenever the tower's page cache is enabled.
+    /// Read-ahead, the one switch for it (on by default). A hinted scan
+    /// (`x[a..b]`, `x[..n]`) reads its span one window per tower call
+    /// and serves the element loads from that buffer (see
+    /// [`crate::window`]); a `-->`/`-->>` over a ranged root reads its
+    /// chains level by level in vectored batches; and when the tower has
+    /// an I/O actor below its cache, a scan submits its next window
+    /// ahead so it is on the wire while the evaluator consumes the
+    /// current one. All of it needs an enabled page cache, and none of
+    /// it changes values or errors. Off, every load is issued exactly
+    /// as written.
     pub prefetch: bool,
-    /// Prefetch window size in cache pages: a planner warm-up never
-    /// reads more than this many pages in one call, so warming
-    /// `x[..100000]` costs bounded memory instead of one giant buffer.
-    /// When the tower has an I/O actor below the cache, windows are
-    /// double-buffered: window *k+1* is on the wire while the evaluator
-    /// consumes window *k*. A `-->` over a ranged root reads at most
-    /// one window per batch and two per group of chains.
+    /// Read-ahead window size in cache pages: a scan window never
+    /// covers more than this many pages, so `x[..100000]` costs bounded
+    /// memory instead of one giant buffer. A `-->` over a ranged root
+    /// reads at most one window per batch and two per group of chains.
     pub prefetch_window: usize,
 }
 
@@ -108,7 +106,7 @@ impl Default for EvalOptions {
             timeout_ms: 0,
             error_values: false,
             trace: false,
-            prefetch: false,
+            prefetch: true,
             prefetch_window: 64,
         }
     }
@@ -258,9 +256,13 @@ fn op_label(e: &Expr) -> &'static str {
 
 /// Compiles an expression into its generator tree.
 pub fn compile(e: &Expr) -> Gen {
+    traced(e, compile_inner(e))
+}
+
+/// Wraps the generator compiled for `e` in its tracing node.
+fn traced(e: &Expr, inner: Gen) -> Gen {
     let label = op_label(e);
     let text: Arc<str> = crate::profile::clip(&crate::profile::expr_text(e), 48).into();
-    let inner = compile_inner(e);
     Box::new(TraceGen {
         id: NODE_IDS.fetch_add(1, Ordering::Relaxed),
         label,
@@ -297,8 +299,8 @@ fn compile_inner(e: &Expr) -> Gen {
         Index(a, b) => structure::index(compile(a), compile(b), range_hint(b)),
         Select(a, b) => structure::select(compile(a), compile(b)),
         With(link, a, b) => structure::with(*link, compile(a), compile(b)),
-        Dfs(a, b) => structure::expand(compile(a), b, false, wave_hint(a, b)),
-        Bfs(a, b) => structure::expand(compile(a), b, true, wave_hint(a, b)),
+        Dfs(a, b) => walk(a, b, false),
+        Bfs(a, b) => walk(a, b, true),
         Imply(a, b) => control::imply(compile(a), compile(b)),
         Seq(a, b) => control::seq(compile(a), compile(b)),
         Discard(a) => control::discard(compile(a)),
@@ -374,7 +376,7 @@ fn const_int(e: &Expr) -> Option<i64> {
     }
 }
 
-/// The prefetch planner's compile-time analysis: does this index
+/// The scan window's compile-time analysis: does this index
 /// expression enumerate a known contiguous inclusive range? `x[a..b]`
 /// yields `a..=b`; the prefix form `x[..n]` yields `0..=n-1`. Anything
 /// data-dependent (filters, `a..`, computed bounds) gets no hint — the
@@ -406,6 +408,20 @@ fn wave_hint(root: &Expr, step: &Expr) -> Option<(u64, String)> {
     let (lo, hi) = range_hint(idx)?;
     let total = hi.checked_sub(lo)?.checked_add(1)?;
     (!base.has_duel_ops()).then(|| (total as u64, field.clone()))
+}
+
+/// A `-->`/`-->>` walk. A ranged root feeding a wavefront is compiled
+/// without its range hint, so it registers no scan window: the
+/// wavefront reads its slots.
+fn walk(root: &Expr, step: &Expr, bfs: bool) -> Gen {
+    let wave = wave_hint(root, step);
+    let root = match root {
+        Expr::Index(base, idx) if wave.is_some() => {
+            traced(root, structure::index(compile(base), compile(idx), None))
+        }
+        _ => compile(root),
+    };
+    structure::expand(root, step, bfs, wave)
 }
 
 /// Drives a generator to exhaustion, feeding each value to `f` — the

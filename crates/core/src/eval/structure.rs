@@ -23,130 +23,41 @@ use super::{basic::int_of, compile, first_value, Gen, GenT};
 /// and the index may generate).
 ///
 /// When the index expression is a compile-time contiguous range
-/// (`x[a..b]`, `x[..n]` — see `range_hint` in the parent module), each
-/// fresh base value sets up two read plans over the span, both laid out
-/// in windows of [`crate::EvalOptions::prefetch_window`] cache pages:
-///
-/// * over an array of integers or floats, and while the tower has an
-///   enabled page cache, the span becomes the context's scan window
-///   (see [`crate::window`]): each window is read in one tower call and
-///   the element loads inside it are served from the buffer;
-/// * when [`crate::EvalOptions::prefetch`] is on, a **windowed** warm
-///   plan warms the cache, so a huge scan costs bounded memory per warm
-///   call. When the tower has an I/O actor below the cache, the windows
-///   are double-buffered — window *k+1* is submitted the moment the
-///   scan enters window *k*, so the wire works while the evaluator
-///   chews — and otherwise each window is read synchronously at its
-///   boundary (same wire sequence, no overlap).
+/// (`x[a..b]`, `x[..n]` — see `range_hint` in the parent module) and
+/// [`crate::EvalOptions::prefetch`] is on, each fresh base value
+/// registers the span it covers as the context's scan window (see
+/// [`crate::window`]), laid out in windows of
+/// [`crate::EvalOptions::prefetch_window`] cache pages: each window is
+/// read in one tower call, and the element loads inside it are served
+/// from the buffer.
 struct IndexGen {
     base: Gen,
     idx: Gen,
     cur: Option<Value>,
     /// Inclusive index range the idx generator is known to enumerate.
     hint: Option<(i64, i64)>,
-    /// Base address already warmed (one plan per base value).
-    warmed: Option<u64>,
-    /// The windowed warm plan for the current base, if any.
-    plan: Option<WindowPlan>,
-}
-
-/// The bytes a hinted scan covers over one base value.
-struct HintedBytes {
-    /// Element size.
-    esize: u64,
-    /// The span, in windows of `prefetch_window` cache pages.
-    span: Span,
-    /// Whether a scan window serves it: elements of integer or float
-    /// class, over a tower with an enabled page cache.
-    windowed: bool,
-}
-
-/// The double-buffered window schedule of one hinted scan.
-struct WindowPlan {
-    /// `(start, len)` byte windows, in address order.
-    windows: Vec<(u64, u64)>,
-    /// `boundaries[k]`: 0-based element ordinal (counted from the first
-    /// scanned element) whose bytes first touch window `k` — the moment
-    /// window `k` must be applied and window `k+1` submitted.
-    boundaries: Vec<u64>,
-    /// Next window index to apply: windows `0..next` are resident,
-    /// window `next` (when one exists) is the submitted one in flight.
-    next: usize,
-    /// Elements handed to the evaluator so far for this base.
-    consumed: u64,
-    /// Whether the tower accepted [`duel_target::Target::prefetch_submit`];
-    /// `false` means windows were warmed eagerly via the legacy path
-    /// and no boundary work remains.
-    seam: bool,
-}
-
-impl WindowPlan {
-    /// Submits window `k` and counts its completion when polled.
-    fn submit(&self, ctx: &mut Ctx<'_>, k: usize) -> bool {
-        let (start, len) = self.windows[k];
-        ctx.prefetch_calls += 1;
-        ctx.target.prefetch_submit(&[(start, len)])
-    }
-
-    /// Applies the oldest in-flight window (blocking on the wire if it
-    /// has not landed yet) and books its stats.
-    fn poll(&self, ctx: &mut Ctx<'_>) {
-        if let Some(c) = ctx.target.prefetch_poll() {
-            ctx.prefetch_ranges += c.clean;
-        }
-    }
-
-    /// Called once per element handed to the evaluator: crossing into
-    /// window `k` submits window `k+1`, then applies window `k`
-    /// (double buffering — planning always sees fully applied prior
-    /// windows, which keeps record→replay deterministic).
-    ///
-    /// Submit-before-poll matters: the submission queues behind the
-    /// in-flight window on the actor's FIFO, so the worker rolls
-    /// straight from one wire turn into the next while this thread is
-    /// still blocked in the poll — the wire never idles between
-    /// windows. (Polling first would leave it idle for the length of
-    /// each poll wait.) The capture layer is agnostic: it records
-    /// submissions in submission order either way.
-    fn advance(&mut self, ctx: &mut Ctx<'_>) {
-        if self.seam {
-            while self.next < self.windows.len() && self.consumed >= self.boundaries[self.next] {
-                let k = self.next;
-                let span = ctx.span_enter(duel_target::SpanKind::Prefetch, "prefetch", || {
-                    format!("window {k} boundary")
-                });
-                if k + 1 < self.windows.len() && self.submit(ctx, k + 1) {
-                    ctx.windows_inflight += 1;
-                }
-                self.poll(ctx);
-                ctx.span_exit(span);
-                self.next += 1;
-            }
-        }
-        self.consumed += 1;
-    }
 }
 
 impl IndexGen {
-    /// The span the hint covers over base value `b`, if a scan window
-    /// or the prefetch planner would use it. Any shape we cannot
-    /// cheaply resolve (no address, unsized elements) gets none, and
-    /// read errors are left for the element loads to surface.
-    fn hinted_bytes(&self, ctx: &mut Ctx<'_>, b: &Value) -> Option<HintedBytes> {
-        let (lo, hi) = self.hint?;
+    /// Registers the span the hint covers over a fresh base value `b`
+    /// as the scan window: elements of fixed, nonzero size, over a
+    /// tower with an enabled page cache, and more than one of them. Any
+    /// shape we cannot cheaply resolve (no address, unsized elements)
+    /// registers none, and read errors are left for the element loads
+    /// to surface. A scan without a span leaves the current one
+    /// registered: its bytes stay valid until a store, and an
+    /// enclosing scan may still be reading it.
+    fn plan_base(&self, ctx: &mut Ctx<'_>, b: &Value) -> Option<()> {
+        let (lo, hi) = self.hint.filter(|(lo, hi)| ctx.opts.prefetch && hi > lo)?;
+        let page = ctx.target.cache_page_size()?;
         let class = apply::classify(&ctx.target, b.ty);
         let elem = match class {
             Class::Array { elem, .. } => elem,
             Class::Ptr { pointee } => pointee,
             _ => return None,
         };
-        let page = ctx.target.cache_page_size();
-        let windowed = page.is_some()
-            && matches!(
-                apply::classify(&ctx.target, elem),
-                Class::Int { .. } | Class::Float { .. }
-            );
-        if !windowed && !ctx.opts.prefetch {
+        let esize = ctx.target.types().size_of(elem, ctx.target.abi()).ok()?;
+        if esize == 0 {
             return None;
         }
         let base_addr = match class {
@@ -157,103 +68,19 @@ impl IndexGen {
             },
             _ => b.lval_addr()?,
         };
-        let esize = ctx.target.types().size_of(elem, ctx.target.abi()).ok()?;
         let start = u64::try_from(base_addr as i128 + lo as i128 * esize as i128).ok()?;
         let total = u64::try_from((hi as i128 - lo as i128 + 1) * esize as i128).ok()?;
         start.checked_add(total)?;
-        // `prefetch_window` cache pages (64-byte pages assumed when the
-        // tower has no cache to ask), never more than a planner read.
+        // `prefetch_window` cache pages, never more than any read-ahead.
         let window = (ctx.opts.prefetch_window.max(1) as u64)
-            .saturating_mul(page.unwrap_or(64))
+            .saturating_mul(page)
             .clamp(1, apply::PREFETCH_MAX_BYTES);
-        (esize > 0).then_some(HintedBytes {
-            esize,
-            span: Span {
-                start,
-                total,
-                window,
-            },
-            windowed,
-        })
-    }
-
-    /// Sets up the read plans for a fresh base value `b`: the scan
-    /// window (a span of one element gains nothing from it) and, when
-    /// prefetch is on, the planner's warm schedule. A scan without a
-    /// window leaves the current one registered: its bytes stay valid
-    /// until a store, and an enclosing scan may still be reading it.
-    fn plan_base(&mut self, ctx: &mut Ctx<'_>, b: &Value) {
-        self.plan = None;
-        let hinted = self.hinted_bytes(ctx, b);
-        if let Some(h) = hinted
-            .as_ref()
-            .filter(|h| h.windowed && h.span.total > h.esize)
-        {
-            ctx.target.scan(h.span);
-        }
-        if let Some(h) = hinted.filter(|_| ctx.opts.prefetch) {
-            self.warm(ctx, &h);
-        }
-    }
-
-    /// Lays out the planner's warm schedule over `h`. Advisory by
-    /// construction: read errors are left for the demand path.
-    fn warm(&mut self, ctx: &mut Ctx<'_>, h: &HintedBytes) {
-        let HintedBytes { esize, span, .. } = *h;
-        if self.warmed == Some(span.start) {
-            return;
-        }
-        self.warmed = Some(span.start);
-        let mut windows = Vec::new();
-        let mut boundaries = Vec::new();
-        for (off, w) in span.windows() {
-            windows.push(w);
-            // The element containing byte `off` is the first to touch
-            // this window (it may straddle the previous one).
-            boundaries.push(off / esize);
-        }
-        ctx.windows_planned += windows.len() as u64;
-        let span_id = ctx.span_enter(duel_target::SpanKind::Prefetch, "prefetch", || {
-            format!(
-                "warm 0x{:x}+{} ({} windows)",
-                span.start,
-                span.total,
-                windows.len()
-            )
+        ctx.target.scan(Span {
+            start,
+            total,
+            window,
         });
-        let plan = WindowPlan {
-            windows,
-            boundaries,
-            next: 0,
-            consumed: 0,
-            seam: false,
-        };
-        let seam = plan.submit(ctx, 0);
-        let plan = if seam {
-            // Window 0 must be resident before the first element is
-            // read; window 1 then rides the wire while the evaluator
-            // consumes window 0.
-            plan.poll(ctx);
-            if plan.windows.len() > 1 && plan.submit(ctx, 1) {
-                ctx.windows_inflight += 1;
-            }
-            WindowPlan {
-                next: 1,
-                seam: true,
-                ..plan
-            }
-        } else {
-            // No cache in the tower: warm every window eagerly through
-            // the legacy vectored read, one bounded call per window.
-            ctx.prefetch_ranges += apply::prefetch(&mut ctx.target, &[plan.windows[0]]) as u64;
-            for w in &plan.windows[1..] {
-                ctx.prefetch_calls += 1;
-                ctx.prefetch_ranges += apply::prefetch(&mut ctx.target, &[*w]) as u64;
-            }
-            plan
-        };
-        ctx.span_exit(span_id);
-        self.plan = Some(plan);
+        Some(())
     }
 }
 
@@ -263,7 +90,7 @@ impl GenT for IndexGen {
             if self.cur.is_none() {
                 match self.base.next(ctx)? {
                     Some(b) => {
-                        self.plan_base(ctx, &b);
+                        let _ = self.plan_base(ctx, &b);
                         self.cur = Some(b);
                     }
                     None => return Ok(None),
@@ -271,9 +98,6 @@ impl GenT for IndexGen {
             }
             match self.idx.next(ctx)? {
                 Some(i) => {
-                    if let Some(p) = &mut self.plan {
-                        p.advance(ctx);
-                    }
                     let eager = ctx.eager_sym();
                     let b = self.cur.as_ref().unwrap();
                     return apply::index(&mut ctx.target, b, &i, eager).map(Some);
@@ -287,8 +111,6 @@ impl GenT for IndexGen {
         self.base.reset();
         self.idx.reset();
         self.cur = None;
-        self.warmed = None;
-        self.plan = None;
     }
 }
 
@@ -299,8 +121,6 @@ pub fn index(base: Gen, idx: Gen, hint: Option<(i64, i64)>) -> Gen {
         idx,
         cur: None,
         hint,
-        warmed: None,
-        plan: None,
     })
 }
 
@@ -469,7 +289,7 @@ pub fn with(link: WithLink, base: Gen, inner: Gen) -> Gen {
 ///
 /// When the root is a hinted range and the step a bare field name
 /// (`hash[..1024]-->next`), a [`Wavefront`] warms the cache ahead of
-/// the walk; the walk itself is unchanged.
+/// the walk while prefetch is on; the walk itself is unchanged.
 struct ExpandGen {
     root: Gen,
     expand: Gen,
@@ -646,7 +466,8 @@ pub fn expand(root: Gen, expand_expr: &Expr, bfs: bool, wave: Option<(u64, Strin
 /// batch per `prefetch_window` pages — decoding the next level's
 /// pointers from the batch's own buffers.
 ///
-/// Advisory like every planner read: it only warms the page cache. A
+/// It runs while [`crate::EvalOptions::prefetch`] is on and the tower
+/// has an enabled page cache. Advisory: it only warms the page cache. A
 /// range that fails stays cold, and the demand walk still checks,
 /// loads and counts every node, so values and errors are unchanged. A
 /// group reads at most two windows of pages, so they stay resident
@@ -683,10 +504,11 @@ struct NodeShape {
 
 impl NodeShape {
     /// Resolves the shape for root value `u`: a pointer to a struct
-    /// whose step field points to the same struct, over a tower with an
-    /// enabled page cache. `None` means the wavefront does not apply.
+    /// whose step field points to the same struct, with prefetch on and
+    /// over a tower with an enabled page cache. `None` means the
+    /// wavefront does not apply.
     fn of(ctx: &Ctx<'_>, u: &Value, field: &str) -> Option<NodeShape> {
-        let page = ctx.target.cache_page_size()?;
+        let page = ctx.target.cache_page_size().filter(|_| ctx.opts.prefetch)?;
         let Class::Ptr { pointee } = apply::classify(&ctx.target, u.ty) else {
             return None;
         };
@@ -851,11 +673,11 @@ fn read_batch(ctx: &mut Ctx<'_>, ranges: &[(u64, u64)], mut f: impl FnMut(&[u8])
         reads.push(ReadRange::new(addr, head));
         rest = tail;
     }
-    ctx.prefetch_calls += 1;
+    ctx.target.prefetch_calls += 1;
     let results = ctx.target.get_bytes_multi(&mut reads);
     for (r, res) in reads.iter().zip(&results) {
         if res.is_ok() {
-            ctx.prefetch_ranges += 1;
+            ctx.target.prefetch_ranges += 1;
             f(r.buf);
         }
     }

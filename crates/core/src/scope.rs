@@ -61,18 +61,6 @@ pub struct Ctx<'a> {
     pub yields: u64,
     /// Structure-expansion steps performed by `-->`/`-->>`.
     pub expansions: u64,
-    /// Vectored cache warm-ups issued by the prefetch planner and the
-    /// wavefront reads of structure walks.
-    pub prefetch_calls: u64,
-    /// Ranges those warm-ups read cleanly (a faulted or flaky range is
-    /// simply left cold for the demand path).
-    pub prefetch_ranges: u64,
-    /// Prefetch windows the planner laid out (each at most
-    /// [`crate::EvalOptions::prefetch_window`] pages).
-    pub windows_planned: u64,
-    /// Windows that were in flight on the I/O actor while the evaluator
-    /// kept consuming (double-buffered submissions).
-    pub windows_inflight: u64,
     /// Per-node cost collector; present only while `.profile` runs.
     pub profile: Option<Box<crate::profile::ProfileCollector>>,
     /// Causal span context discovered from the target tower (present
@@ -115,10 +103,6 @@ impl<'a> Ctx<'a> {
             max_depth_seen: 0,
             yields: 0,
             expansions: 0,
-            prefetch_calls: 0,
-            prefetch_ranges: 0,
-            windows_planned: 0,
-            windows_inflight: 0,
             profile: None,
             spans,
             deadline,

@@ -70,18 +70,21 @@ pub struct EvalStats {
     /// the output). Zero unless the tower contains a
     /// `SupervisedTarget` in degraded mode.
     pub stale_values: u64,
-    /// Vectored cache warm-ups the planner issued: windows of hinted
-    /// scans (with [`EvalOptions::prefetch`] on) and the batches of a
-    /// `-->` over a ranged root (with the page cache on).
+    /// Read-ahead calls (with [`EvalOptions::prefetch`] on): scan
+    /// windows submitted ahead to an I/O actor, and the vectored
+    /// batches of a `-->` over a ranged root. Windows a scan reads when
+    /// it reaches them are not counted.
     pub prefetch_calls: u64,
-    /// Ranges those warm-ups read cleanly.
+    /// Ranges those calls read cleanly (cache pages of the windows,
+    /// ranges of the batches).
     pub prefetch_ranges: u64,
-    /// Prefetch windows the planner laid out (each capped at
-    /// [`EvalOptions::prefetch_window`] pages).
+    /// Scan windows submitted ahead (each capped at
+    /// [`EvalOptions::prefetch_window`] pages); zero unless the tower
+    /// has an I/O actor and pipelining is on.
     pub windows_planned: u64,
     /// Windows that were on the wire while the evaluator kept
-    /// consuming (zero unless the tower has an I/O actor and
-    /// pipelining is on).
+    /// consuming: every window submitted ahead, so this equals
+    /// `windows_planned`.
     pub windows_inflight: u64,
     /// Nanoseconds of wire time this evaluation overlapped with
     /// evaluator CPU via the asynchronous pipeline (diffed from the
@@ -310,9 +313,11 @@ impl<'t> Session<'t> {
             lines.push(OutputLine::Value { sym, value });
             Ok(())
         });
-        let windows_planned = ctx.windows_planned;
-        let windows_inflight = ctx.windows_inflight;
-        let (prefetch_calls, prefetch_ranges) = (ctx.prefetch_calls, ctx.prefetch_ranges);
+        let (prefetch_calls, prefetch_ranges, windows_ahead) = (
+            ctx.target.prefetch_calls,
+            ctx.target.prefetch_ranges,
+            ctx.target.windows_ahead,
+        );
         let (produced, ticks, max_depth_seen, expansions, yields) = (
             ctx.produced,
             ctx.ticks,
@@ -323,9 +328,9 @@ impl<'t> Session<'t> {
         let collector = ctx.profile.take();
         self.last_trace = std::mem::take(&mut ctx.trace);
         drop(ctx);
-        // A terminated scan (`@`, an error, `max_values`) can leave its
-        // double-buffered window un-polled; complete every leftover so
-        // the actor queue is empty before the next command.
+        // A terminated scan (`@`, an error, `max_values`) can leave the
+        // window it submitted ahead un-polled; complete every leftover
+        // so the actor queue is empty before the next command.
         while self.target.prefetch_poll().is_some() {}
         self.last_stats = EvalStats {
             values: produced,
@@ -336,8 +341,8 @@ impl<'t> Session<'t> {
             stale_values,
             prefetch_calls,
             prefetch_ranges,
-            windows_planned,
-            windows_inflight,
+            windows_planned: windows_ahead,
+            windows_inflight: windows_ahead,
             pipeline_overlap_ns: pipeline_handle
                 .as_ref()
                 .map_or(0, |h| h.overlap_ns().saturating_sub(overlap_before)),
@@ -521,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_planner_warms_contiguous_scans_in_one_turn() {
+    fn prefetch_reads_contiguous_scans_in_one_turn() {
         use duel_target::{CacheConfig, CachedTarget, TraceTarget};
         // Wire-level trace *inside* the cache: every recorded call is a
         // real backend turn.
@@ -545,42 +550,45 @@ mod tests {
         let (base_lines, base_stats, base_turns) = run(false);
         let (pf_lines, pf_stats, pf_turns) = run(true);
         // Identical output. 240 bytes / 16-byte pages is 15 pages: the
-        // planner warms them in one vectored call, and without it the
-        // scan window reads them in one vectored call too.
+        // scan window reads them in one vectored call, and without it
+        // each page is filled on its first load.
         assert_eq!(base_lines, pf_lines);
-        assert_eq!(base_stats.prefetch_calls, 0);
-        assert_eq!(pf_stats.prefetch_calls, 1);
-        // 240 bytes fit in one `prefetch_window` (64 × 16b pages), so
-        // the planner lays out a single window whose wire read carries
-        // the 15 missing pages.
-        assert_eq!(pf_stats.windows_planned, 1);
-        assert_eq!(pf_stats.prefetch_ranges, 15);
-        assert_eq!(base_turns, 1);
+        assert_eq!(base_turns, 15);
         assert_eq!(pf_turns, 1);
+        // No I/O actor: nothing is submitted ahead.
+        assert_eq!(base_stats.prefetch_calls, 0);
+        assert_eq!(pf_stats.prefetch_calls, 0);
+        assert_eq!(pf_stats.windows_planned, 0);
     }
 
     #[test]
-    fn prefetch_windows_bound_memory_on_huge_scans() {
-        use duel_target::{CacheConfig, CachedTarget};
-        // A 100k-element scan must be warmed in bounded windows, never
-        // one giant vectored call. SimTarget's arena is far smaller, so
-        // most windows fail and stay cold — the point is the *plan*.
+    fn an_actor_keeps_one_window_of_a_huge_scan_in_flight() {
+        use duel_target::{AsyncTarget, CacheConfig, CachedTarget, Target};
+        // A 100k-element scan is read in bounded windows, never one
+        // giant vectored call, with the next window on the wire while
+        // the evaluator consumes the current one.
         let mut t = CachedTarget::with_config(
-            scenario::bench_array(4096, 7),
+            AsyncTarget::spawned(scenario::bench_array(100_000, 7)),
             CacheConfig {
                 page_size: 64,
+                max_pages: 4096,
                 ..CacheConfig::default()
             },
         );
         let mut s = Session::new(&mut t);
-        s.options.prefetch = true;
         s.options.max_values = 200_000;
-        s.options.error_values = true;
-        let _ = s.eval_lines("x[..100000]");
+        let lines = s.eval_lines("#/(x[..100000] >? 0)").unwrap();
+        assert_eq!(lines.len(), 1);
         let stats = s.last_stats();
-        // 100000 × 4 bytes / (64 pages × 64 bytes) = 97.65 → 98 windows.
-        assert_eq!(stats.windows_planned, 98, "{stats:?}");
-        assert!(stats.prefetch_calls >= 98);
+        // 100000 × 4 bytes / (64 pages × 64 bytes) = 97.65 → 98
+        // windows: the first is read when the scan reaches it, every
+        // other one is submitted ahead.
+        assert_eq!(stats.windows_inflight, 97, "{stats:?}");
+        assert_eq!(stats.prefetch_calls, 97);
+        // Window k is polled before window k+1 is submitted.
+        let p = t.pipeline_handle().unwrap().stats();
+        assert_eq!((p.submits, p.completions), (97, 97));
+        assert_eq!(p.max_queue_depth, 1, "{p:?}");
     }
 
     #[test]

@@ -318,7 +318,9 @@ impl Node {
             Node::Leaf(s) => out.push_str(s),
             Node::Un { op, e } => {
                 out.push_str(op);
+                let at = out.len();
                 e.child(out, e.prec() < prec::UNARY, threshold);
+                unmerge(out, op, at);
             }
             Node::Bin { op, prec: p, l, r } => {
                 l.child(out, l.prec() < *p, threshold);
@@ -354,6 +356,18 @@ impl Node {
                 e.child(out, e.prec() < prec::UNARY, threshold);
             }
         }
+    }
+}
+
+/// Parenthesizes the operand of the prefix operator `op`, rendered
+/// into `out[at..]`, when its first character would merge with `op`
+/// into one token: `-(-2)` must not print as `--2`, which reads back
+/// as a decrement.
+fn unmerge(out: &mut String, op: &str, at: usize) {
+    let last = op.as_bytes().last().copied();
+    if matches!(last, Some(b'-' | b'+' | b'&')) && out.as_bytes().get(at).copied() == last {
+        out.insert(at, '(');
+        out.push(')');
     }
 }
 
@@ -462,6 +476,34 @@ mod tests {
         assert_eq!(neg2.render(4), "-(a+b)");
         let c = Sym::cast("double", &Sym::leaf("3"));
         assert_eq!(c.render(4), "(double)3");
+    }
+
+    #[test]
+    fn prefix_operators_never_merge_with_their_operand() {
+        let neg = |e: &Sym| Sym::un("-", e);
+        assert_eq!(neg(&Sym::int(-2)).render(4), "-(-2)");
+        assert_eq!(neg(&neg(&Sym::leaf("7"))).render(4), "-(-7)");
+        assert_eq!(
+            Sym::un("+", &Sym::un("+", &Sym::leaf("a"))).render(4),
+            "+(+a)"
+        );
+        assert_eq!(
+            Sym::un("&", &Sym::un("&", &Sym::leaf("a"))).render(4),
+            "&(&a)"
+        );
+        assert_eq!(
+            Sym::un("--", &Sym::un("-", &Sym::leaf("a"))).render(4),
+            "--(-a)"
+        );
+        // Operators that cannot merge keep the bare form.
+        assert_eq!(neg(&Sym::un("!", &Sym::leaf("a"))).render(4), "-!a");
+        assert_eq!(
+            Sym::un("*", &Sym::un("*", &Sym::leaf("p"))).render(4),
+            "**p"
+        );
+        let x = Sym::index(&Sym::leaf("x"), &neg(&Sym::int(-2)));
+        let cmp = Sym::bin("==", precedence::EQ, &x, &neg(&neg(&Sym::leaf("7"))));
+        assert_eq!(cmp.render(4), "x[-(-2)]==-(-7)");
     }
 
     #[test]

@@ -1,30 +1,40 @@
 //! Scan windows: the element loads of a hinted scan served from bytes
-//! read one window per tower call.
+//! read one window per tower call. The evaluator's only read-ahead
+//! for scans.
 //!
 //! The paper's narrow interface reads memory in bulk
 //! (`duel_get_target_bytes`), yet a scan like `x[..10000] >? 0` loads
 //! each element on its own, and every load is one call down the whole
 //! tower even when the page cache answers it. When an index expression
 //! is a compile-time range (`x[a..b]`, `x[..n]`) over an array of
-//! integers or floats, the indexing generator registers the span with
-//! the context's [`ScanTarget`]. The first load inside a window of the
-//! span reads that whole window in one vectored call (one wire turn
-//! when the cache is cold); every other load inside the window is then
-//! a copy out of the buffer.
+//! elements of fixed, nonzero size (integers, floats, records,
+//! pointers), the indexing generator registers the span with the
+//! context's [`ScanTarget`]. The first load inside a window of the span
+//! reads that whole window in one vectored call (one wire turn when
+//! the cache is cold); every other load inside the window is then a
+//! copy out of the buffer.
+//!
+//! When the tower has a live I/O actor below its cache, a window that
+//! read cleanly submits the next one ([`Target::prefetch_submit`]), so
+//! window *k+1* is on the wire while the evaluator consumes window *k*,
+//! and the first load of window *k+1* polls it before the scan submits
+//! *k+2*: one window in flight. Polling first means the actor reads
+//! only windows a tower without one reads too: a scan that stops in a
+//! window whose read failed has submitted nothing past it.
 //!
 //! The buffer is a snapshot, so anything that could change memory
 //! drops it: a store, a target allocation, a target call. A window
 //! read that fails, or that was served stale by a degraded supervisor,
 //! is discarded and the window's loads go to the target one by one,
 //! so fault text and `<stale>` tags land on the same values as without
-//! windows. Windows apply only while the tower has an enabled page
-//! cache (`.set cache off` issues reads exactly as written).
+//! windows. Windows apply only while [`crate::EvalOptions::prefetch`]
+//! is on and the tower has an enabled page cache, so `.set prefetch
+//! off` and `.set cache off` issue reads exactly as written.
 
 use duel_target::{Layer, Op, ReadRange, Reply, StalenessHandle, Target};
 
 /// A contiguous byte span laid out in windows of at most `window`
-/// bytes, counted from `start`: the layout the prefetch planner warms
-/// and the scan window reads.
+/// bytes, counted from `start`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Span {
     /// First byte.
@@ -40,12 +50,6 @@ impl Span {
     fn window_at(&self, k: u64) -> (u64, u64) {
         let off = k * self.window;
         (self.start + off, self.window.min(self.total - off))
-    }
-
-    /// Every window in address order, with the byte offset (from
-    /// `start`) at which it begins.
-    pub(crate) fn windows(&self) -> impl Iterator<Item = (u64, (u64, u64))> + '_ {
-        (0..self.total.div_ceil(self.window)).map(|k| (k * self.window, self.window_at(k)))
     }
 
     /// The index of the window holding byte `addr`, if the span does.
@@ -70,7 +74,17 @@ pub struct ScanTarget<'a> {
     held: Option<u64>,
     /// The window whose read last failed; its loads go to the target.
     failed: Option<u64>,
+    /// The window submitted ahead to the I/O actor and not yet polled.
+    ahead: Option<u64>,
     bytes: Vec<u8>,
+    /// Read-ahead issued for this command (reported in
+    /// [`crate::EvalStats`]): windows submitted ahead plus wavefront
+    /// batches,
+    pub(crate) prefetch_calls: u64,
+    /// the ranges those read cleanly,
+    pub(crate) prefetch_ranges: u64,
+    /// and the windows submitted ahead.
+    pub(crate) windows_ahead: u64,
 }
 
 impl<'a> ScanTarget<'a> {
@@ -83,14 +97,22 @@ impl<'a> ScanTarget<'a> {
             span: None,
             held: None,
             failed: None,
+            ahead: None,
             bytes: Vec::new(),
+            prefetch_calls: 0,
+            prefetch_ranges: 0,
+            windows_ahead: 0,
         }
     }
 
     /// Registers the scan over `span`. Registering the span already
-    /// held keeps its window; any other drops it.
+    /// held keeps its window; any other drops it, and completes a
+    /// window still in flight for the old span.
     pub(crate) fn scan(&mut self, span: Span) {
         if self.span != Some(span) {
+            if self.ahead.take().is_some() {
+                self.poll();
+            }
             self.span = Some(span);
             self.drop_window();
         }
@@ -122,15 +144,22 @@ impl<'a> ScanTarget<'a> {
             // Straddles the window's end.
             return None;
         }
-        if self.held != Some(k) && (self.failed == Some(k) || !self.fill(start, wlen as usize, k)) {
+        if self.held != Some(k) && (self.failed == Some(k) || !self.fill(span, k)) {
             return None;
         }
         Some(&self.bytes[off..off + len])
     }
 
     /// Reads window `k` in one vectored call: the cache coalesces every
-    /// page a vectored read misses into one backend turn.
-    fn fill(&mut self, start: u64, len: usize, k: u64) -> bool {
+    /// page a vectored read misses into one backend turn, and a window
+    /// submitted ahead is completed first, so its pages are resident.
+    /// With an I/O actor, a clean window submits window `k+1`.
+    fn fill(&mut self, span: Span, k: u64) -> bool {
+        if self.ahead.take().is_some() {
+            self.poll();
+        }
+        let (start, len) = span.window_at(k);
+        let len = len as usize;
         self.held = None;
         self.bytes.resize(len, 0);
         let stale = self.staleness.as_ref().map(|h| h.stale_reads());
@@ -139,10 +168,29 @@ impl<'a> ScanTarget<'a> {
             && stale == self.staleness.as_ref().map(|h| h.stale_reads());
         if ok {
             self.held = Some(k);
+            self.submit(span, k + 1);
         } else {
             self.failed = Some(k);
         }
         ok
+    }
+
+    /// Offers window `k`, if the span has one, to the tower's I/O
+    /// actor; the cache accepts it only when an actor runs and the
+    /// window misses a page.
+    fn submit(&mut self, span: Span, k: u64) {
+        if k * span.window < span.total && self.inner.prefetch_submit(&[span.window_at(k)]) {
+            self.ahead = Some(k);
+            self.prefetch_calls += 1;
+            self.windows_ahead += 1;
+        }
+    }
+
+    /// Completes the oldest window in flight, applying its pages.
+    fn poll(&mut self) {
+        if let Some(c) = self.inner.prefetch_poll() {
+            self.prefetch_ranges += c.clean;
+        }
     }
 }
 

@@ -529,9 +529,126 @@ pub struct TableSnapshot {
     pub enum_tags: Vec<(String, EnumId)>,
 }
 
+impl TableSnapshot {
+    /// Checks that a snapshot read from outside the process is one a
+    /// [`TypeTable`] can serve: every id it holds resolves, and no type
+    /// contains itself by value (an array of itself, a struct with a
+    /// field of its own type), which would make its size infinite.
+    pub fn validate(&self) -> Result<(), String> {
+        let (nk, nr, ne) = (self.kinds.len(), self.records.len(), self.enums.len());
+        let ty = |t: TypeId| {
+            ((t.0 as usize) < nk)
+                .then_some(())
+                .ok_or_else(|| format!("type id {} out of range", t.0))
+        };
+        let rec = |r: RecordId| {
+            ((r.0 as usize) < nr)
+                .then_some(())
+                .ok_or_else(|| format!("record id {} out of range", r.0))
+        };
+        let en = |e: EnumId| {
+            ((e.0 as usize) < ne)
+                .then_some(())
+                .ok_or_else(|| format!("enum id {} out of range", e.0))
+        };
+        for kind in &self.kinds {
+            match kind {
+                TypeKind::Void | TypeKind::Prim(_) => {}
+                TypeKind::Pointer(t) | TypeKind::Array { elem: t, .. } => ty(*t)?,
+                TypeKind::Function { ret, params, .. } => {
+                    ty(*ret)?;
+                    params.iter().try_for_each(|&p| ty(p))?;
+                }
+                TypeKind::Struct(r) | TypeKind::Union(r) => rec(*r)?,
+                TypeKind::Enum(e) => en(*e)?,
+            }
+        }
+        for r in &self.records {
+            r.fields.iter().try_for_each(|f| ty(f.ty))?;
+        }
+        self.typedefs.iter().try_for_each(|(_, t)| ty(*t))?;
+        self.struct_tags
+            .iter()
+            .chain(&self.union_tags)
+            .try_for_each(|(_, r)| rec(*r))?;
+        self.enum_tags.iter().try_for_each(|(_, e)| en(*e))?;
+        // Types held by value, per type: an array's element, a record's
+        // fields. A cycle among these has no finite size.
+        let held = |i: usize| -> Vec<usize> {
+            match &self.kinds[i] {
+                TypeKind::Array { elem, .. } => vec![elem.0 as usize],
+                TypeKind::Struct(r) | TypeKind::Union(r) => self.records[r.0 as usize]
+                    .fields
+                    .iter()
+                    .map(|f| f.ty.0 as usize)
+                    .collect(),
+                _ => Vec::new(),
+            }
+        };
+        // Iterative depth-first search: 1 = on the current path, 2 = done.
+        let mut state = vec![0u8; nk];
+        for root in 0..nk {
+            if state[root] != 0 {
+                continue;
+            }
+            state[root] = 1;
+            let mut stack = vec![(root, held(root), 0usize)];
+            while let Some((node, next, at)) = stack.last_mut() {
+                match next.get(*at).copied() {
+                    Some(c) => {
+                        *at += 1;
+                        match state[c] {
+                            1 => return Err(format!("type id {c} contains itself")),
+                            0 => {
+                                state[c] = 1;
+                                stack.push((c, held(c), 0));
+                            }
+                            _ => {}
+                        }
+                    }
+                    None => {
+                        state[*node] = 2;
+                        stack.pop();
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_rejects_dangling_ids_and_infinite_types() {
+        let mut tt = TypeTable::new();
+        let int = tt.prim(Prim::Int);
+        let (rid, node) = tt.declare_struct("node");
+        let pnode = tt.pointer(node);
+        tt.define_record(rid, vec![Field::new("v", int), Field::new("next", pnode)]);
+        tt.array(node, Some(4));
+        let good = tt.snapshot();
+        assert_eq!(good.validate(), Ok(()));
+        let mut bad = good.clone();
+        bad.kinds.push(TypeKind::Pointer(TypeId(999)));
+        assert_eq!(bad.validate(), Err("type id 999 out of range".into()));
+        let mut bad = good.clone();
+        bad.struct_tags.push(("x".into(), RecordId(7)));
+        assert_eq!(bad.validate(), Err("record id 7 out of range".into()));
+        // A struct holding itself by value, and an array of itself.
+        let mut bad = good.clone();
+        bad.records[rid.0 as usize].fields[1].ty = node;
+        assert!(bad.validate().unwrap_err().contains("contains itself"));
+        let mut bad = good;
+        let n = bad.kinds.len() as u32;
+        bad.kinds.push(TypeKind::Array {
+            elem: TypeId(n),
+            len: Some(2),
+        });
+        assert!(bad.validate().unwrap_err().contains("contains itself"));
+    }
 
     #[test]
     fn interning_dedups_derived_types() {

@@ -62,7 +62,7 @@ fn cold_hash_walk_fills_its_pages_in_tens_of_turns() {
     assert_eq!(lines, ["4096"]);
     let turns = turns.load(Ordering::Relaxed) - before;
     let stats = t.inner().inner().stats().clone();
-    let filled = stats.page_misses + stats.pages_prefetched + stats.readahead_pages;
+    let filled = stats.page_misses + stats.pages_prefetched;
     eprintln!("cold walk: {turns} MI turns, {filled} pages filled, {stats:?}");
     // The node set overflows the default cache, so the walk really
     // fills (and evicts) pages.

@@ -1129,11 +1129,30 @@ impl Capture {
                 CaptureEvent::from_json(&j).map_err(|e| format!("capture line {}: {e}", i + 1))?,
             );
         }
-        Ok(Capture {
+        header.types.validate()?;
+        if let Some(t) = &footer_types {
+            t.validate()?;
+        }
+        let cap = Capture {
             header,
             events,
             footer_types,
-        })
+        };
+        // The replay hands reply type ids to the evaluator, which
+        // indexes the restored table with them.
+        let kinds = cap.types().kinds.len() as u64;
+        for (seq, e) in cap.events.iter().enumerate() {
+            let ty = match &e.reply {
+                CaptureReply::Var(Some(v)) => Some(v.ty.raw()),
+                CaptureReply::Value(v) => Some(v.ty.raw()),
+                CaptureReply::TypeRef(t) => *t,
+                _ => None,
+            };
+            if let Some(t) = ty.filter(|&t| u64::from(t) >= kinds) {
+                return Err(format!("capture event {seq}: type id {t} out of range"));
+            }
+        }
+        Ok(cap)
     }
 
     /// Loads and parses a capture file.

@@ -171,7 +171,7 @@ pub type PipelineTicket = u64;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PrefetchCompletion {
     /// Ranges the cache planned for this window (page-aligned reads
-    /// actually put on the wire; 0 when everything was resident).
+    /// actually put on the wire).
     pub ranges: u64,
     /// Ranges that read cleanly and were inserted into the cache.
     pub clean: u64,
@@ -184,10 +184,6 @@ pub struct PrefetchCompletion {
     /// Nanoseconds the read was in flight while the caller was doing
     /// other work — the overlap the pipeline actually bought.
     pub overlap_ns: u64,
-    /// Whether the window was serviced asynchronously (an I/O actor
-    /// below took it); `false` means the cache read it synchronously
-    /// at submit time.
-    pub was_async: bool,
 }
 
 /// The debugger-target interface.
@@ -344,17 +340,16 @@ pub trait Target {
         None
     }
 
-    /// Asks the page cache to warm `ranges` (address, length), without
-    /// blocking if an I/O actor can take the read.
+    /// Asks the page cache to read `ranges` (address, length) ahead on
+    /// the I/O actor below it, without blocking.
     ///
-    /// `false` (the default) means there is no cache in this tower and
-    /// the caller should fall back to [`Target::get_bytes_multi`]-based
-    /// warming. `true` means the window was accepted: either submitted
-    /// asynchronously or already read synchronously — in both cases a
-    /// matching [`Target::prefetch_poll`] completes it. The planner
-    /// issues at most one unpolled submit at a time (double buffering),
-    /// which is also the backpressure bound: window `k+2` is never on
-    /// the wire before window `k+1` has been applied.
+    /// `false` (the default) means the window was not taken: no cache,
+    /// no live actor, every page already resident, or a recording in
+    /// progress. The caller reads the window itself when it needs it.
+    /// `true` means the window is on the wire; a matching
+    /// [`Target::prefetch_poll`] completes it. A scan submits window
+    /// `k+1` once window `k` has been applied and read cleanly, so one
+    /// window is in flight at a time.
     ///
     /// [`crate::CachedTarget`] implements this; the layers above it
     /// (retry, supervise, trace) forward.

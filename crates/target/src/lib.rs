@@ -51,8 +51,8 @@
 //!   from retry up to the supervision stack.
 //! * [`AsyncTarget`] — the I/O actor: moves the innermost backend onto
 //!   a dedicated worker thread and adds non-blocking submit/poll for
-//!   in-flight vectored reads, enabling double-buffered streaming
-//!   prefetch (evaluate window *k* while window *k+1* is on the wire).
+//!   in-flight vectored reads, so a scan evaluates window *k* while
+//!   window *k+1* is on the wire.
 
 pub mod cache;
 pub mod capture;

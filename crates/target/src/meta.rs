@@ -272,7 +272,6 @@ impl MetaSnapshot {
             "multi_reads",
             "multi_ranges",
             "pages_prefetched",
-            "readahead_pages",
             "resident_pages",
         ]);
 
@@ -394,7 +393,6 @@ impl MetaSnapshot {
                 c.multi_reads,
                 c.multi_ranges,
                 c.pages_prefetched,
-                c.readahead_pages,
                 self.resident_pages,
             ] {
                 w.u64(v);

@@ -413,7 +413,7 @@ pub(crate) fn span_detail(addr: u64, len: u64) -> String {
 /// The detail of a vectored read of ranges `lens` bytes long.
 pub(crate) fn ranges_detail(lens: impl ExactSizeIterator<Item = u64>) -> String {
     let n = lens.len();
-    format!("{n} ranges, {}b", lens.sum::<u64>())
+    format!("{n} ranges, {}b", lens.fold(0u64, u64::saturating_add))
 }
 
 fn error_of(reply: CaptureReply) -> Option<TargetError> {

@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use crate::capture::{footer_to_json, header_to_json, CaptureCall, CaptureEvent, CaptureReply};
 use crate::error::TargetResult;
-use crate::iface::{OwnedRange, PipelineTicket, ReadRange, Target};
+use crate::iface::{OwnedRange, PipelineTicket, Target};
 use crate::op::{Op, Reply};
 use crate::trace::{TraceOp, TRACE_OPS};
 
@@ -33,33 +33,11 @@ struct Recorder {
     op_counts: Vec<(TraceOp, u64)>,
 }
 
-/// A deferred capture event: either complete and waiting behind an
-/// in-flight read, or the placeholder for that read itself.
-enum Deferred {
-    /// An event whose bytes are known, queued behind an earlier hole.
-    Ready(CaptureCall, CaptureReply, u64),
-    /// A pipelined read submitted but not yet polled. Filled in (and
-    /// the queue flushed) when its ticket completes.
-    Hole(PipelineTicket),
-}
-
 /// A [`Target`] decorator that records every call to a capture sink.
 pub struct RecordTarget<T: Target> {
     inner: T,
     recorder: Option<Recorder>,
     last_error: Option<String>,
-    /// Submit instants of in-flight pipeline reads (FIFO — tickets
-    /// complete in submission order).
-    inflight: std::collections::VecDeque<(PipelineTicket, Instant)>,
-    /// Events held back so pipelined reads land in the capture at
-    /// their *submission* position, not their poll position. A strict
-    /// replay drives the same session against a synchronous backend,
-    /// where each window read happens at submit time; recording it
-    /// there keeps the two op streams identical. While a hole is
-    /// outstanding, every later event queues behind it; completing the
-    /// hole flushes the ready prefix. Bounded by the pipeline depth
-    /// (double buffering: one window).
-    deferred: std::collections::VecDeque<Deferred>,
 }
 
 impl<T: Target> std::fmt::Debug for RecordTarget<T> {
@@ -78,8 +56,6 @@ impl<T: Target> RecordTarget<T> {
             inner,
             recorder: None,
             last_error: None,
-            inflight: std::collections::VecDeque::new(),
-            deferred: std::collections::VecDeque::new(),
         }
     }
 
@@ -119,17 +95,6 @@ impl<T: Target> RecordTarget<T> {
     /// authoritative final type snapshot) and flushes. Returns the
     /// number of events recorded, or 0 if recording was off.
     pub fn stop(&mut self) -> std::io::Result<u64> {
-        // Write out anything still queued. Abandoned holes (a read
-        // submitted but never polled — sessions drain theirs, so this
-        // is defensive) are dropped: the capture then contains neither
-        // the submit nor the bytes, exactly as if the read never
-        // happened.
-        let pending = std::mem::take(&mut self.deferred);
-        for ev in pending {
-            if let Deferred::Ready(call, reply, ns) = ev {
-                self.write_event(call, reply, ns);
-            }
-        }
         let Some(mut rec) = self.recorder.take() else {
             return Ok(0);
         };
@@ -175,20 +140,8 @@ impl<T: Target> RecordTarget<T> {
         }
     }
 
-    /// Writes one event, or queues it behind an outstanding hole: an
-    /// event that happened after an in-flight read was submitted must
-    /// land after that read in the capture too.
-    fn queue(&mut self, call: CaptureCall, reply: CaptureReply, ns: u64) {
-        if self.deferred.is_empty() {
-            self.write_event(call, reply, ns);
-        } else {
-            self.deferred.push_back(Deferred::Ready(call, reply, ns));
-        }
-    }
-
-    /// Writes one event line to the sink (unconditionally past the
-    /// deferral queue). A sink error stops the recording and drops
-    /// anything still deferred.
+    /// Writes one event line to the sink. A sink error stops the
+    /// recording.
     fn write_event(&mut self, call: CaptureCall, reply: CaptureReply, ns: u64) {
         let Some(rec) = self.recorder.as_mut() else {
             return;
@@ -209,18 +162,6 @@ impl<T: Target> RecordTarget<T> {
         if let Err(e) = line_ok.and(flush_ok) {
             self.last_error = Some(format!("capture sink error, recording stopped: {e}"));
             self.recorder = None;
-            self.deferred.clear();
-        }
-    }
-
-    /// Writes the ready prefix of the deferral queue: everything up to
-    /// the next still-open hole.
-    fn flush_deferred(&mut self) {
-        while matches!(self.deferred.front(), Some(Deferred::Ready(..))) {
-            let Some(Deferred::Ready(call, reply, ns)) = self.deferred.pop_front() else {
-                unreachable!()
-            };
-            self.write_event(call, reply, ns);
         }
     }
 }
@@ -245,53 +186,18 @@ impl<T: Target> crate::op::Layer for RecordTarget<T> {
         self.recorded(op)
     }
 
+    /// Refused while recording: a strict replay reads each window when
+    /// the scan reaches it, so a recorded session reads it there too,
+    /// and the capture holds the wire in the order it happened.
     fn read_submit(&mut self, ranges: Vec<OwnedRange>) -> Option<PipelineTicket> {
-        let ticket = self.inner.read_submit(ranges)?;
         if self.recorder.is_some() {
-            // Reserve the event's place *now*: a strict replay runs
-            // against a synchronous backend that performs this read at
-            // submit time, so the capture must order it here. The
-            // bytes arrive at poll time and fill the hole.
-            self.inflight.push_back((ticket, Instant::now()));
-            self.deferred.push_back(Deferred::Hole(ticket));
+            return None;
         }
-        Some(ticket)
+        self.inner.read_submit(ranges)
     }
 
     fn read_poll(&mut self, ticket: PipelineTicket) -> Option<Vec<(OwnedRange, TargetResult<()>)>> {
-        let mut done = self.inner.read_poll(ticket)?;
-        let start = match self.inflight.front() {
-            Some(&(t, at)) if t == ticket => {
-                self.inflight.pop_front();
-                Some(at)
-            }
-            _ => None,
-        };
-        if self.recorder.is_some() {
-            // The completed read is the vectored read a synchronous
-            // backend would have served at submit time.
-            let results = Reply::Multi(done.iter().map(|(_, r)| r.clone()).collect());
-            let mut views: Vec<ReadRange<'_>> = done
-                .iter_mut()
-                .map(|(o, _)| ReadRange::new(o.addr, &mut o.buf))
-                .collect();
-            let op = Op::GetBytesMulti(&mut views);
-            let (call, reply) = (op.to_call(), op.to_reply(&results));
-            let ns = start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            self.count(TraceOp::MultiRead);
-            let hole = self
-                .deferred
-                .iter_mut()
-                .find(|d| matches!(d, Deferred::Hole(t) if *t == ticket));
-            match hole {
-                Some(slot) => *slot = Deferred::Ready(call, reply, ns),
-                // Submitted before recording was armed: no reserved
-                // slot, so it lands here in poll order.
-                None => self.queue(call, reply, ns),
-            }
-            self.flush_deferred();
-        }
-        Some(done)
+        self.inner.read_poll(ticket)
     }
 }
 
@@ -306,7 +212,7 @@ impl<T: Target> RecordTarget<T> {
         if let Some(kind) = op.trace_op() {
             self.count(kind);
         }
-        self.queue(op.to_call(), op.to_reply(&reply), ns);
+        self.write_event(op.to_call(), op.to_reply(&reply), ns);
         reply
     }
 }

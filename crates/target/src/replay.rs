@@ -130,13 +130,13 @@ impl Image {
                 (CaptureCall::GetBytes { addr, .. }, CaptureReply::Bytes(bytes)) => {
                     touch(*addr, bytes.len() as u64);
                     for (i, b) in bytes.iter().enumerate() {
-                        img.memory.insert(addr + i as u64, *b);
+                        img.memory.insert(addr.wrapping_add(i as u64), *b);
                     }
                 }
                 (CaptureCall::PutBytes { addr, data }, CaptureReply::Unit) => {
                     touch(*addr, data.len() as u64);
                     for (i, b) in data.iter().enumerate() {
-                        img.memory.insert(addr + i as u64, *b);
+                        img.memory.insert(addr.wrapping_add(i as u64), *b);
                     }
                 }
                 (CaptureCall::AllocSpace { size, .. }, CaptureReply::Addr(a)) => {
@@ -174,7 +174,7 @@ impl Image {
                         if let Ok(bytes) = res {
                             touch(*addr, bytes.len() as u64);
                             for (i, b) in bytes.iter().enumerate() {
-                                img.memory.insert(addr + i as u64, *b);
+                                img.memory.insert(addr.wrapping_add(i as u64), *b);
                             }
                         }
                     }
@@ -184,13 +184,13 @@ impl Image {
         }
         // Serve fresh allocations from a page-aligned region the
         // recorded session never touched.
-        img.alloc_next = (high_water.max(0x1000) + 0xFFFF) & !0xFFF;
+        img.alloc_next = high_water.max(0x1000).saturating_add(0xFFFF) & !0xFFF;
         img
     }
 
     fn read(&self, addr: u64, buf: &mut [u8]) -> TargetResult<()> {
         for (i, slot) in buf.iter_mut().enumerate() {
-            match self.memory.get(&(addr + i as u64)) {
+            match self.memory.get(&addr.wrapping_add(i as u64)) {
                 Some(b) => *slot = *b,
                 None => {
                     return Err(TargetError::IllegalMemory {
@@ -204,7 +204,7 @@ impl Image {
     }
 
     fn covered(&self, addr: u64, len: u64) -> bool {
-        (0..len).all(|i| self.memory.contains_key(&(addr + i)))
+        (0..len).all(|i| self.memory.contains_key(&addr.wrapping_add(i)))
     }
 }
 
@@ -377,15 +377,18 @@ impl Target for Image {
         // follow-up reads in the same postmortem session see them,
         // without any live target involved.
         for (i, b) in bytes.iter().enumerate() {
-            self.memory.insert(addr + i as u64, *b);
+            self.memory.insert(addr.wrapping_add(i as u64), *b);
         }
         Ok(())
     }
 
     fn alloc_space(&mut self, size: u64, align: u64) -> TargetResult<u64> {
         let align = align.max(1);
-        let addr = self.alloc_next.div_ceil(align) * align;
-        self.alloc_next = addr + size.max(1);
+        let addr = self.alloc_next.div_ceil(align).checked_mul(align);
+        let Some((addr, next)) = addr.and_then(|a| Some((a, a.checked_add(size.max(1))?))) else {
+            return Err(TargetError::IllegalMemory { addr: 0, len: size });
+        };
+        self.alloc_next = next;
         // Fresh scratch space reads back as zeroes.
         for i in 0..size {
             self.memory.insert(addr + i, 0);

@@ -57,7 +57,8 @@ pub enum SpanKind {
     Cache,
     /// A supervision marker: breaker trip, fast-fail, recovery.
     Supervise,
-    /// A prefetch-planner warm-up batch.
+    /// A read-ahead batch (a walk's wavefront group, a window
+    /// submitted ahead or applied).
     Prefetch,
     /// An asynchronous-pipeline event: window submit, in-flight wait,
     /// queue-depth instant.

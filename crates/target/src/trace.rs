@@ -486,10 +486,6 @@ impl TraceHandle {
     /// Records one vectored read of `nranges` ranges: the normal
     /// [`TraceOp::MultiRead`] counters plus the ranges-per-call
     /// histogram.
-    pub fn record_multi(&self, nranges: usize, detail: String, outcome: TraceOutcome, nanos: u64) {
-        self.record_multi_at(nranges, detail, outcome, nanos, Attribution::NONE);
-    }
-
     fn record_multi_at(
         &self,
         nranges: usize,
@@ -508,7 +504,7 @@ impl TraceHandle {
 
     /// Wire turns recorded so far: scalar reads plus vectored reads
     /// (each vectored call is one turn no matter how many ranges it
-    /// carries). This is the quantity the prefetch planner optimizes.
+    /// carries). This is the quantity read-ahead optimizes.
     pub fn wire_turns(&self) -> u64 {
         self.calls(TraceOp::GetBytes) + self.calls(TraceOp::MultiRead)
     }
@@ -687,28 +683,23 @@ impl<T: Target> crate::op::Layer for TraceTarget<T> {
 
     fn prefetch_poll(&mut self) -> Option<PrefetchCompletion> {
         let c = self.inner.prefetch_poll()?;
-        // The window's wire read happened below the cache (at submit
-        // when synchronous, on the actor when pipelined), so this layer
-        // never saw it as a get_bytes_multi. Record the completed
-        // window as one MultiRead here — in both modes — so
-        // `wire_turns()` counts every turn exactly once regardless of
-        // how the tower executed it.
+        // The window's wire read happened below the cache, on the I/O
+        // actor, so this layer never saw it as a get_bytes_multi.
+        // Record the completed window as one MultiRead here, so
+        // `wire_turns()` counts every turn exactly once, attributed to
+        // the span that polled it (the scan that needed the window).
         if c.ranges > 0 && self.handle.0.enabled.load(Ordering::Relaxed) {
             let outcome = if c.failed > 0 {
                 TraceOutcome::Fault
             } else {
                 TraceOutcome::Ok
             };
-            self.handle.record_multi(
+            self.handle.record_multi_at(
                 c.ranges as usize,
-                format!(
-                    "window {} pages, {}b{}",
-                    c.ranges,
-                    c.bytes,
-                    if c.was_async { ", pipelined" } else { "" }
-                ),
+                format!("window {} pages, {}b, pipelined", c.ranges, c.bytes),
                 outcome,
                 c.wait_ns,
+                Attribution::current(&self.spans),
             );
         }
         Some(c)

@@ -37,6 +37,7 @@ THRESHOLD = 0.20
 # entries by their `name` field; `workloads[foo]` selects one entry by
 # name. Direction `higher` means bigger is better.
 HEADLINES = {
+    "e5_loc": [("workloads[].code_lines", "lower", 25)],
     "e4_symbolic": [
         ("workloads[].allocs_per_element", "lower", 0.25),
         ("workloads[].lazy_allocs_per_element", "lower", 0.25),

@@ -210,7 +210,7 @@ fn breaker_fast_fails_still_attribute_to_the_causing_eval() {
     assert_eq!(ok, total, "failing wire events lost their attribution");
 }
 
-/// Under the prefetch planner, a vectored read is one `multi_read`
+/// Under read-ahead, a vectored read is one `multi_read`
 /// parent span whose per-range instant children account for exactly
 /// the batch: as many `range` children as the batch declared ranges.
 #[test]

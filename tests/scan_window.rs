@@ -1,7 +1,7 @@
 //! Differential oracle for scan windows.
 //!
 //! A scan whose index is a hinted range (`a[lo..hi]`, `a[..n]`) over an
-//! array of integers or floats reads each window of its span in one
+//! array of elements of fixed size reads each window of its span in one
 //! tower call and serves the element loads from that buffer. The oracle
 //! is the same tower with [`RefuseWide`] stacked above the cache: it
 //! fails every read wider than 8 bytes, so every window read fails and
@@ -10,11 +10,13 @@
 //! `int`, `float` and `double` arrays under both byte orders, spans that
 //! run into unmapped memory, stores inside the command, target calls
 //! that write, transient faults absorbed by the retry layer, a degraded
-//! supervisor, and record → strict replay.
+//! supervisor, and record → strict replay. Counted tests pin the reads
+//! of struct and pointer scans with prefetch on and off, and the one
+//! window an I/O actor keeps in flight.
 
 use duel::core::session::render_lines;
 use duel::core::{EvalOptions, Session};
-use duel::ctype::{Abi, Prim};
+use duel::ctype::{Abi, Field, Prim};
 use duel::target::{
     scenario, value_io, AsyncTarget, CacheConfig, CachedTarget, CallValue, Capture, ChaosTarget,
     FaultConfig, Layer, Op, RecordTarget, ReplayMode, ReplayTarget, Reply, RetryPolicy,
@@ -389,4 +391,117 @@ fn headline_scan_makes_one_tower_read_per_window() {
     let mut oracle = RefuseWide(CachedTarget::new(scenario::bench_array(10_000, 1)));
     let mut s = Session::new(&mut oracle);
     assert_eq!(s.eval_lines("#/(x[..10000] >? 0)").unwrap(), lines);
+}
+
+/// `struct rec { int a; char b; int c; } r[1000]` (12 bytes each) and
+/// `struct rec *p[1000]`, `p[k] = &r[k]`, clear of the arena's end.
+fn records() -> SimTarget {
+    let mut t = SimTarget::new(Abi::lp64());
+    let int = t.core.types.prim(Prim::Int);
+    let chr = t.core.types.prim(Prim::Char);
+    let (rid, rec) = t.core.types.declare_struct("rec");
+    t.core.types.define_record(
+        rid,
+        vec![
+            Field::new("a", int),
+            Field::new("b", chr),
+            Field::new("c", int),
+        ],
+    );
+    let prec = t.core.types.pointer(rec);
+    let rs = t.core.types.array(rec, Some(1000));
+    let ps = t.core.types.array(prec, Some(1000));
+    let r = t.core.define_global("r", rs).unwrap();
+    let p = t.core.define_global("p", ps).unwrap();
+    // Keep the arena's partial last page away from `p`.
+    t.core.define_global_bytes("pad", 256).unwrap();
+    for k in 0..1000u64 {
+        t.core.write_int(r + 12 * k + 8, k as i32 % 17).unwrap();
+        t.core.write_ptr(p + 8 * k, r + 12 * k).unwrap();
+    }
+    t
+}
+
+/// With default options a struct-field scan and a pointer scan read
+/// one vectored call per window of 64 pages (12,000 and 8,000 bytes:
+/// 3 and 2 windows); with prefetch off they fill page by page. Every
+/// other backend read is the same either way.
+#[test]
+fn struct_and_pointer_scans_read_one_vectored_call_per_window() {
+    for (expr, windows) in [("r[..1000].c", 3), ("p[..1000]", 2)] {
+        let mut stats = Vec::new();
+        let mut outputs = Vec::new();
+        for prefetch in [true, false] {
+            let opts = EvalOptions {
+                prefetch,
+                ..EvalOptions::default()
+            };
+            let mut t = CachedTarget::new(records());
+            outputs.push(outcome(&mut t, expr, &opts));
+            stats.push(t.stats().clone());
+        }
+        assert_eq!(outputs[0], outputs[1], "`{expr}`");
+        let (on, off) = (&stats[0], &stats[1]);
+        assert_eq!(
+            (on.multi_reads, on.page_misses),
+            (windows, 0),
+            "`{expr}`: {on:?}"
+        );
+        assert_eq!(off.multi_reads, 0, "`{expr}`: {off:?}");
+        assert!(off.page_misses >= 125, "`{expr}`: {off:?}");
+        assert_eq!(
+            on.backend_reads - windows,
+            off.backend_reads - off.page_misses,
+            "`{expr}`"
+        );
+    }
+}
+
+/// `.set prefetch off` issues no window and no wavefront read: the
+/// walk's batches and the scan's windows are both gone.
+#[test]
+fn prefetch_off_issues_no_window_or_wavefront_read() {
+    for (expr, prefetch) in [
+        ("#/(hash[..64]-->next)", true),
+        ("#/(hash[..64]-->next)", false),
+        ("#/(hash[..512] !=? 0)", true),
+        ("#/(hash[..512] !=? 0)", false),
+    ] {
+        let mut t = CachedTarget::new(scenario::bench_hash(512, 4, 7));
+        let mut s = Session::with_options(
+            &mut t,
+            EvalOptions {
+                prefetch,
+                ..EvalOptions::default()
+            },
+        );
+        s.eval_lines(expr).unwrap();
+        let calls = s.last_stats().prefetch_calls;
+        let multi = t.stats().multi_reads;
+        if prefetch {
+            assert!(multi > 0, "`{expr}`: {multi} vectored reads");
+        } else {
+            assert_eq!((multi, calls), (0, 0), "`{expr}`");
+        }
+    }
+}
+
+/// With an I/O actor below the cache, a three-window scan submits the
+/// second and third windows ahead, one at a time.
+#[test]
+fn an_actor_keeps_one_window_of_a_scan_in_flight() {
+    let mut t = CachedTarget::new(AsyncTarget::spawned(records()));
+    let mut s = Session::new(&mut t);
+    let lines = s.eval_lines("+/r[..1000].c").unwrap();
+    let stats = s.last_stats();
+    assert_eq!((stats.windows_planned, stats.windows_inflight), (2, 2));
+    let p = Target::pipeline_handle(&t).unwrap().stats();
+    assert_eq!((p.submits, p.completions, p.max_queue_depth), (2, 2, 1));
+    let mut plain = CachedTarget::new(records());
+    assert_eq!(
+        Session::new(&mut plain)
+            .eval_lines("+/r[..1000].c")
+            .unwrap(),
+        lines
+    );
 }

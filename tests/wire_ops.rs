@@ -7,7 +7,7 @@
 //!
 //! 1. every idle decorator (trace off, recorder unarmed, live chaos
 //!    gate, retry, closed-circuit supervisor) and the page cache (tiny
-//!    pages and capacity, readahead on, disabled) answers exactly what
+//!    pages and capacity, disabled) answers exactly what
 //!    the bare `SimTarget` answers;
 //! 2. the I/O actor (`AsyncTarget` on its worker thread) answers what
 //!    the same layer answers inline;
@@ -16,7 +16,8 @@
 //! Each op's answer is rendered to a string; a read's buffer is part of
 //! the answer only when the read succeeded (its contents are
 //! unspecified on error). A second test pins the cache's counters after
-//! one fixed, seeded op script with prefetch windows in flight.
+//! one fixed, seeded op script with prefetch windows in flight on an
+//! I/O actor.
 
 use duel::ctype::Prim;
 use duel::target::capture::Capture;
@@ -204,25 +205,15 @@ fn run(t: &mut dyn Target, ops: &[WireOp]) -> Vec<String> {
     ops.iter().map(|op| drive(t, op)).collect()
 }
 
-/// The cache in three forms: 8-byte pages in a 3-page LRU (every
-/// access evicts, arena edges leave partial pages), sequential
-/// readahead on, and switched off.
-fn cache_forms() -> [(&'static str, CacheConfig); 3] {
+/// The cache in two forms: 8-byte pages in a 3-page LRU (every
+/// access evicts, arena edges leave partial pages), and switched off.
+fn cache_forms() -> [(&'static str, CacheConfig); 2] {
     [
         (
             "tiny cache",
             CacheConfig {
                 page_size: 8,
                 max_pages: 3,
-                ..CacheConfig::default()
-            },
-        ),
-        (
-            "readahead cache",
-            CacheConfig {
-                page_size: 16,
-                max_pages: 64,
-                prefetch_pages: 2,
                 ..CacheConfig::default()
             },
         ),
@@ -295,7 +286,7 @@ proptest! {
 /// of every other vectored read before it runs and polling the window
 /// only after it, so demand reads plan pages an unpolled window owns.
 /// Every 50th op starts a new epoch, as a resume would.
-fn run_with_windows(t: &mut CachedTarget<SimTarget>, ops: &[WireOp]) -> Vec<String> {
+fn run_with_windows(t: &mut CachedTarget<AsyncTarget<SimTarget>>, ops: &[WireOp]) -> Vec<String> {
     let mut windows = 0;
     let mut out = Vec::new();
     for (i, op) in ops.iter().enumerate() {
@@ -324,7 +315,7 @@ fn cache_counters_after_a_fixed_script_are_pinned() {
     let want = run(&mut scenario::combined(), &ops);
     let mut stats = Vec::new();
     for (label, cfg) in cache_forms() {
-        let mut t = CachedTarget::with_config(scenario::combined(), cfg);
+        let mut t = CachedTarget::with_config(AsyncTarget::spawned(scenario::combined()), cfg);
         let got = run_with_windows(&mut t, &ops);
         assert_eq!(got, want, "{label}");
         stats.push(t.stats().clone());
@@ -342,22 +333,6 @@ fn cache_counters_after_a_fixed_script_are_pinned() {
             multi_reads: 36,
             multi_ranges: 78,
             pages_prefetched: 538,
-            readahead_pages: 0,
-            mapped_probes: 71,
-        },
-        CacheStats {
-            page_hits: 192,
-            page_misses: 77,
-            backend_reads: 197,
-            wire_bytes: 6976,
-            lookup_hits: 67,
-            lookup_misses: 287,
-            write_throughs: 7,
-            invalidations: 12,
-            multi_reads: 36,
-            multi_ranges: 78,
-            pages_prefetched: 294,
-            readahead_pages: 102,
             mapped_probes: 71,
         },
         CacheStats {
@@ -372,7 +347,6 @@ fn cache_counters_after_a_fixed_script_are_pinned() {
             multi_reads: 36,
             multi_ranges: 78,
             pages_prefetched: 0,
-            readahead_pages: 0,
             mapped_probes: 34,
         },
     ];
