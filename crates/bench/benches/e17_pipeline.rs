@@ -23,10 +23,10 @@
 //! * an identical wire-turn count below the actor (the pipeline
 //!   reorders *waiting*, never the wire);
 //! * ≥1.7× wall-clock speedup;
-//! * a record→strict-replay round trip of a run on the pipelined
-//!   tower that renders the same bytes with zero divergence — the
-//!   recorder takes no window ahead, so the capture holds each window
-//!   read where the scan reached it, as the replay reads it;
+//! * a record→strict-replay round trip of a synchronous recording on
+//!   the pipelined tower that renders the same bytes with zero
+//!   divergence (a recorder takes no window ahead, so no window is in
+//!   flight while it records);
 //! * a bounded allocation count per produced value (the hot-path
 //!   `Arc<str>`/borrow work keeps the evaluator from re-allocating
 //!   per resumed node).
@@ -199,8 +199,10 @@ fn calibrate_window(wire: Duration) -> usize {
     ((target_us / per_page_us).round() as usize).clamp(1, pages as usize / 8)
 }
 
-/// Records the pipelined run, then replays the capture in strict mode
-/// through an identically configured cold cache. Returns (identical
+/// Records a run on the pipelined tower (the recorder takes no window
+/// ahead, so it reads each window where the scan reaches it), then
+/// replays the capture in strict mode through an identically
+/// configured cold cache. Returns (identical
 /// output, divergence, events consumed).
 fn replay_round_trip(window: usize) -> (bool, Option<String>, u64) {
     let opts = EvalOptions {
@@ -354,7 +356,7 @@ fn run_main(wire: Duration, window: usize, tried: Vec<usize>) {
         divergence.as_deref().unwrap_or("none")
     );
     if !replay_identical || divergence.is_some() {
-        eprintln!("FAIL: pipelined capture did not replay byte-identically");
+        eprintln!("FAIL: capture recorded on the pipelined tower did not replay byte-identically");
         failed = true;
     }
 

@@ -936,7 +936,12 @@ impl Repl {
                             out,
                             "pipeline: {} ({} windows planned, {} submitted ahead, \
                              overlap {}; actor: {} submits, {} completions, depth\u{2264}{})",
-                            if p.async_on { "on" } else { "off" },
+                            match (p.async_on, self.recorder().is_recording()) {
+                                // A recorder takes no window ahead.
+                                (true, true) => "on, recording: no window submitted ahead",
+                                (true, false) => "on",
+                                (false, _) => "off",
+                            },
                             self.last_stats.windows_planned,
                             self.last_stats.windows_inflight,
                             duel_target::trace::fmt_ns(self.last_stats.pipeline_overlap_ns),
@@ -1830,6 +1835,33 @@ mod tests {
             .and_then(|s| s.parse::<u64>().ok())
             .unwrap();
         assert!(submits >= 1, "{out}");
+    }
+
+    #[test]
+    fn stats_say_a_recording_submits_no_window_ahead() {
+        let dir = std::env::temp_dir().join("duel-cli-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("pipelined-{}.jsonl", std::process::id()));
+        let mut r = Repl::new();
+        let mut out = String::new();
+        r.handle(".set pipeline on", &mut out);
+        r.handle(&format!(".record {}", path.display()), &mut out);
+        r.handle("hash[..1024]", &mut out);
+        out.clear();
+        r.handle(".stats", &mut out);
+        assert!(
+            out.contains("pipeline: on, recording: no window submitted ahead (0 windows planned"),
+            "{out}"
+        );
+        r.handle(".record stop", &mut out);
+        // Cold pages again: the same scan now submits its second window.
+        r.handle(".set cache off", &mut out);
+        r.handle(".set cache on", &mut out);
+        r.handle("hash[..1024]", &mut out);
+        out.clear();
+        r.handle(".stats", &mut out);
+        assert!(out.contains("pipeline: on (1 windows planned"), "{out}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

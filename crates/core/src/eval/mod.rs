@@ -256,13 +256,9 @@ fn op_label(e: &Expr) -> &'static str {
 
 /// Compiles an expression into its generator tree.
 pub fn compile(e: &Expr) -> Gen {
-    traced(e, compile_inner(e))
-}
-
-/// Wraps the generator compiled for `e` in its tracing node.
-fn traced(e: &Expr, inner: Gen) -> Gen {
     let label = op_label(e);
     let text: Arc<str> = crate::profile::clip(&crate::profile::expr_text(e), 48).into();
+    let inner = compile_inner(e);
     Box::new(TraceGen {
         id: NODE_IDS.fetch_add(1, Ordering::Relaxed),
         label,
@@ -299,8 +295,8 @@ fn compile_inner(e: &Expr) -> Gen {
         Index(a, b) => structure::index(compile(a), compile(b), range_hint(b)),
         Select(a, b) => structure::select(compile(a), compile(b)),
         With(link, a, b) => structure::with(*link, compile(a), compile(b)),
-        Dfs(a, b) => walk(a, b, false),
-        Bfs(a, b) => walk(a, b, true),
+        Dfs(a, b) => structure::expand(compile(a), b, false, wave_hint(a, b)),
+        Bfs(a, b) => structure::expand(compile(a), b, true, wave_hint(a, b)),
         Imply(a, b) => control::imply(compile(a), compile(b)),
         Seq(a, b) => control::seq(compile(a), compile(b)),
         Discard(a) => control::discard(compile(a)),
@@ -408,20 +404,6 @@ fn wave_hint(root: &Expr, step: &Expr) -> Option<(u64, String)> {
     let (lo, hi) = range_hint(idx)?;
     let total = hi.checked_sub(lo)?.checked_add(1)?;
     (!base.has_duel_ops()).then(|| (total as u64, field.clone()))
-}
-
-/// A `-->`/`-->>` walk. A ranged root feeding a wavefront is compiled
-/// without its range hint, so it registers no scan window: the
-/// wavefront reads its slots.
-fn walk(root: &Expr, step: &Expr, bfs: bool) -> Gen {
-    let wave = wave_hint(root, step);
-    let root = match root {
-        Expr::Index(base, idx) if wave.is_some() => {
-            traced(root, structure::index(compile(base), compile(idx), None))
-        }
-        _ => compile(root),
-    };
-    structure::expand(root, step, bfs, wave)
 }
 
 /// Drives a generator to exhaustion, feeding each value to `f` — the

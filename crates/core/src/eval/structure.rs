@@ -673,11 +673,11 @@ fn read_batch(ctx: &mut Ctx<'_>, ranges: &[(u64, u64)], mut f: impl FnMut(&[u8])
         reads.push(ReadRange::new(addr, head));
         rest = tail;
     }
-    ctx.target.prefetch_calls += 1;
+    ctx.prefetch_calls += 1;
     let results = ctx.target.get_bytes_multi(&mut reads);
     for (r, res) in reads.iter().zip(&results) {
         if res.is_ok() {
-            ctx.target.prefetch_ranges += 1;
+            ctx.prefetch_ranges += 1;
             f(r.buf);
         }
     }

@@ -61,6 +61,11 @@ pub struct Ctx<'a> {
     pub yields: u64,
     /// Structure-expansion steps performed by `-->`/`-->>`.
     pub expansions: u64,
+    /// Vectored batches read by the wavefronts of `-->` walks over a
+    /// ranged root.
+    pub prefetch_calls: u64,
+    /// Ranges those batches read cleanly.
+    pub prefetch_ranges: u64,
     /// Per-node cost collector; present only while `.profile` runs.
     pub profile: Option<Box<crate::profile::ProfileCollector>>,
     /// Causal span context discovered from the target tower (present
@@ -103,6 +108,8 @@ impl<'a> Ctx<'a> {
             max_depth_seen: 0,
             yields: 0,
             expansions: 0,
+            prefetch_calls: 0,
+            prefetch_ranges: 0,
             profile: None,
             spans,
             deadline,

@@ -313,11 +313,9 @@ impl<'t> Session<'t> {
             lines.push(OutputLine::Value { sym, value });
             Ok(())
         });
-        let (prefetch_calls, prefetch_ranges, windows_ahead) = (
-            ctx.target.prefetch_calls,
-            ctx.target.prefetch_ranges,
-            ctx.target.windows_ahead,
-        );
+        let windows_ahead = ctx.target.windows_ahead;
+        let prefetch_calls = ctx.prefetch_calls + windows_ahead;
+        let prefetch_ranges = ctx.prefetch_ranges + ctx.target.ahead_pages;
         let (produced, ticks, max_depth_seen, expansions, yields) = (
             ctx.produced,
             ctx.ticks,

@@ -18,9 +18,12 @@
 //! read cleanly submits the next one ([`Target::prefetch_submit`]), so
 //! window *k+1* is on the wire while the evaluator consumes window *k*,
 //! and the first load of window *k+1* polls it before the scan submits
-//! *k+2*: one window in flight. Polling first means the actor reads
-//! only windows a tower without one reads too: a scan that stops in a
-//! window whose read failed has submitted nothing past it.
+//! *k+2*: one window in flight. Polling first means a scan that stops
+//! in a window whose read failed has submitted nothing past it. A scan
+//! that stops early for another reason (`@`, an error, the value limit)
+//! leaves its next window read by the actor: one window a tower
+//! without one does not read, which the session completes and applies
+//! at the end of the command.
 //!
 //! The buffer is a snapshot, so anything that could change memory
 //! drops it: a store, a target allocation, a target call. A window
@@ -77,14 +80,11 @@ pub struct ScanTarget<'a> {
     /// The window submitted ahead to the I/O actor and not yet polled.
     ahead: Option<u64>,
     bytes: Vec<u8>,
-    /// Read-ahead issued for this command (reported in
-    /// [`crate::EvalStats`]): windows submitted ahead plus wavefront
-    /// batches,
-    pub(crate) prefetch_calls: u64,
-    /// the ranges those read cleanly,
-    pub(crate) prefetch_ranges: u64,
-    /// and the windows submitted ahead.
+    /// Windows submitted ahead this command (reported in
+    /// [`crate::EvalStats`]),
     pub(crate) windows_ahead: u64,
+    /// and the cache pages they read cleanly.
+    pub(crate) ahead_pages: u64,
 }
 
 impl<'a> ScanTarget<'a> {
@@ -99,9 +99,8 @@ impl<'a> ScanTarget<'a> {
             failed: None,
             ahead: None,
             bytes: Vec::new(),
-            prefetch_calls: 0,
-            prefetch_ranges: 0,
             windows_ahead: 0,
+            ahead_pages: 0,
         }
     }
 
@@ -181,7 +180,6 @@ impl<'a> ScanTarget<'a> {
     fn submit(&mut self, span: Span, k: u64) {
         if k * span.window < span.total && self.inner.prefetch_submit(&[span.window_at(k)]) {
             self.ahead = Some(k);
-            self.prefetch_calls += 1;
             self.windows_ahead += 1;
         }
     }
@@ -189,7 +187,7 @@ impl<'a> ScanTarget<'a> {
     /// Completes the oldest window in flight, applying its pages.
     fn poll(&mut self) {
         if let Some(c) = self.inner.prefetch_poll() {
-            self.prefetch_ranges += c.clean;
+            self.ahead_pages += c.clean;
         }
     }
 }

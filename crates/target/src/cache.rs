@@ -156,6 +156,16 @@ struct PendingPrefetch {
     /// than resurrect pre-invalidation bytes.
     page_gen: u64,
     submitted: Instant,
+    /// The ranges the window was submitted for.
+    ranges: Vec<(u64, u64)>,
+}
+
+/// The last polled window whose read failed in part: the ranges it was
+/// submitted for and the pages that failed.
+#[derive(Debug)]
+struct ColdWindow {
+    ranges: Vec<(u64, u64)>,
+    pages: HashSet<u64>,
 }
 
 /// A [`Target`] decorator that batches and memoizes backend traffic.
@@ -187,11 +197,14 @@ pub struct CachedTarget<T: Target> {
     /// Bumped whenever cached pages are dropped; stale completions
     /// (older generation) are discarded instead of applied.
     page_gen: u64,
-    /// Pages the last polled window failed to read. The vectored read
-    /// that follows (the scan reading that window) takes the window's
-    /// read as its own and leaves them to its scalar serve, as a
-    /// synchronous read would have, instead of fetching them again.
-    cold: HashSet<u64>,
+    /// The last polled window, if part of its read failed. A vectored
+    /// read of exactly its ranges that follows (the scan reading the
+    /// window it just polled) takes the window's read as its own and
+    /// leaves the failed pages to its scalar serve, as a synchronous
+    /// read would have, instead of fetching them again. The next
+    /// vectored read consumes it, whatever it reads; a page drop or a
+    /// poll with nothing outstanding clears it.
+    cold: Option<ColdWindow>,
 }
 
 impl<T: Target> CachedTarget<T> {
@@ -216,7 +229,7 @@ impl<T: Target> CachedTarget<T> {
             prefetch_pending: VecDeque::new(),
             pending_pages: HashSet::new(),
             page_gen: 0,
-            cold: HashSet::new(),
+            cold: None,
         }
     }
 
@@ -327,6 +340,7 @@ impl<T: Target> CachedTarget<T> {
         self.pages.clear();
         self.lru.clear();
         self.page_gen += 1;
+        self.cold = None;
     }
 
     fn insert_page(&mut self, base: u64, bytes: Vec<u8>) {
@@ -622,6 +636,12 @@ impl<T: Target> CachedTarget<T> {
     fn read_multi(&mut self, ranges: &mut [ReadRange<'_>]) -> Vec<TargetResult<()>> {
         self.stats.multi_reads += 1;
         self.stats.multi_ranges += ranges.len() as u64;
+        let cold = self.cold.take().filter(|c| {
+            c.ranges
+                .iter()
+                .copied()
+                .eq(ranges.iter().map(|r| (r.addr, r.len() as u64)))
+        });
         if !self.cfg.enabled {
             // Transparent pass-through: still one inner vectored turn.
             self.stats.backend_reads += 1;
@@ -633,7 +653,9 @@ impl<T: Target> CachedTarget<T> {
             }
             return results;
         }
-        let fetch = self.plan(ranges.iter().map(|r| (r.addr, r.len() as u64)), false);
+        let fetch = self.plan(ranges.iter().map(|r| (r.addr, r.len() as u64)), |base| {
+            cold.as_ref().is_some_and(|c| c.pages.contains(&base))
+        });
         if !fetch.is_empty() {
             let n_fetch = fetch.len();
             let fill_span = self.span_open("fill-multi", || format!("{n_fetch} pages missed"));
@@ -643,7 +665,6 @@ impl<T: Target> CachedTarget<T> {
             self.apply_fill(done);
             self.span_close(fill_span);
         }
-        self.cold.clear();
         ranges
             .iter_mut()
             .map(|r| self.read(r.addr, r.buf))
@@ -651,10 +672,13 @@ impl<T: Target> CachedTarget<T> {
     }
 
     /// Plans one coalesced fetch for `ranges` (address, length): every
-    /// page they need that is neither resident nor cold, each page once
-    /// and in that order. With `skip_pending` pages an unpolled
-    /// prefetch window owns are left out too.
-    fn plan(&self, ranges: impl Iterator<Item = (u64, u64)>, skip_pending: bool) -> Vec<u64> {
+    /// page they need that is neither resident nor `skip`ped, each page
+    /// once and in that order.
+    fn plan(
+        &self,
+        ranges: impl Iterator<Item = (u64, u64)>,
+        skip: impl Fn(u64) -> bool,
+    ) -> Vec<u64> {
         let ps = self.cfg.page_size;
         let mut planned = HashSet::new();
         let mut fetch = Vec::new();
@@ -664,9 +688,7 @@ impl<T: Target> CachedTarget<T> {
         {
             let last = (addr + len - 1) & !(ps - 1);
             for base in (addr & !(ps - 1)..=last).step_by(ps as usize) {
-                let held = self.pages.contains_key(&base)
-                    || self.cold.contains(&base)
-                    || (skip_pending && self.pending_pages.contains(&base));
+                let held = self.pages.contains_key(&base) || skip(base);
                 if !held && planned.insert(base) {
                     fetch.push(base);
                 }
@@ -840,7 +862,9 @@ impl<T: Target> crate::op::Layer for CachedTarget<T> {
             return false;
         }
         // The demand plan, minus pages an earlier unpolled window owns.
-        let fetch = self.plan(ranges.iter().copied(), true);
+        let fetch = self.plan(ranges.iter().copied(), |base| {
+            self.pending_pages.contains(&base)
+        });
         if fetch.is_empty() {
             return false;
         }
@@ -857,12 +881,17 @@ impl<T: Target> crate::op::Layer for CachedTarget<T> {
             ticket,
             page_gen: self.page_gen,
             submitted: Instant::now(),
+            ranges: ranges.to_vec(),
         });
         true
     }
 
     fn prefetch_poll(&mut self) -> Option<PrefetchCompletion> {
-        let p = self.prefetch_pending.pop_front()?;
+        let Some(p) = self.prefetch_pending.pop_front() else {
+            // Nothing outstanding: no scan is about to read a window.
+            self.cold = None;
+            return None;
+        };
         let poll_start = Instant::now();
         let done = self.inner.read_poll(p.ticket).unwrap_or_default();
         let wait_ns = poll_start.elapsed().as_nanos() as u64;
@@ -884,7 +913,7 @@ impl<T: Target> crate::op::Layer for CachedTarget<T> {
             _ => 0,
         };
         let (mut clean, mut failed, mut bytes) = (0u64, 0u64, 0u64);
-        self.cold.clear();
+        let mut cold = HashSet::new();
         for (o, r) in &done {
             self.pending_pages.remove(&o.addr);
             if wire_span != 0 {
@@ -900,7 +929,7 @@ impl<T: Target> crate::op::Layer for CachedTarget<T> {
                 bytes += o.buf.len() as u64;
             } else {
                 failed += 1;
-                self.cold.insert(o.addr);
+                cold.insert(o.addr);
             }
         }
         if wire_span != 0 {
@@ -914,6 +943,10 @@ impl<T: Target> crate::op::Layer for CachedTarget<T> {
         if !stale {
             self.apply_fill(done);
         }
+        self.cold = (!stale && failed > 0).then(|| ColdWindow {
+            ranges: p.ranges,
+            pages: cold,
+        });
         if let Some(s) = &self.spans {
             s.instant(SpanKind::Prefetch, "window-apply", || {
                 format!(
@@ -1431,6 +1464,68 @@ mod tests {
         crate::value_io::write_uint(&mut t, x.addr, 5, 4).unwrap();
         t.prefetch_poll().unwrap();
         assert!(t.resident_page_count() > before);
+    }
+
+    #[test]
+    fn a_failed_windows_pages_stay_cold_only_for_the_read_of_that_window() {
+        let tower = || {
+            CachedTarget::with_config(
+                crate::pipeline::AsyncTarget::spawned(scenario::scan_array()),
+                CacheConfig {
+                    page_size: 64,
+                    ..CacheConfig::default()
+                },
+            )
+        };
+        // One vectored read; returns the backend reads so far.
+        let read = |t: &mut CachedTarget<_>, addr: u64, len: usize| {
+            let mut buf = vec![0u8; len];
+            let _ = t.get_bytes_multi(&mut [ReadRange::new(addr, &mut buf)]);
+            t.stats().backend_reads
+        };
+        // The window runs off the arena; `off` lies in a failed page.
+        let mut sync = tower();
+        let x = sync.get_variable("x").unwrap();
+        let (window, off) = ((x.addr, 512), x.addr + 448);
+        // Synchronous reference: the scan reads the window where it
+        // reaches it, then something else reads past the arena.
+        let after_window = read(&mut sync, window.0, 512);
+        let past_arena = read(&mut sync, off, 4) - after_window;
+
+        // Submitted ahead: the window's read is the scan's read.
+        let mut t = tower();
+        t.get_variable("x").unwrap();
+        assert!(t.prefetch_submit(&[window]));
+        assert!(t.prefetch_poll().unwrap().failed > 0);
+        assert!(t.cold.as_ref().unwrap().pages.contains(&(off & !63)));
+        assert_eq!(read(&mut t, window.0, 512), after_window);
+        assert_eq!(read(&mut t, off, 4) - after_window, past_arena);
+
+        // Any other read right after the poll fetches the failed pages
+        // again, as the synchronous tower does.
+        let mut t = tower();
+        t.get_variable("x").unwrap();
+        assert!(t.prefetch_submit(&[window]));
+        t.prefetch_poll().unwrap();
+        let before = t.stats().backend_reads;
+        assert_eq!(read(&mut t, off, 4) - before, past_arena);
+
+        // A drained queue, a page drop and a stale completion leave no
+        // cold window behind.
+        let mut t = tower();
+        t.get_variable("x").unwrap();
+        assert!(t.prefetch_submit(&[window]));
+        t.prefetch_poll().unwrap();
+        assert!(t.prefetch_poll().is_none());
+        assert!(t.cold.is_none());
+        assert!(t.prefetch_submit(&[window]));
+        t.prefetch_poll().unwrap();
+        t.invalidate_all();
+        assert!(t.cold.is_none());
+        assert!(t.prefetch_submit(&[window]));
+        t.invalidate_all();
+        assert!(t.prefetch_poll().unwrap().failed > 0);
+        assert!(t.cold.is_none());
     }
 
     #[test]

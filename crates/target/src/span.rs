@@ -513,7 +513,10 @@ fn us(ns: u64) -> String {
 ///
 /// Spans become `"X"` complete events (`cat` = span kind); each trace
 /// event becomes a zero-or-latency-wide `"X"` event under `cat:
-/// "wire-event"`, carrying its span/trace attribution in `args`.
+/// "wire-event"`, carrying its span/trace attribution in `args`. An
+/// event whose span was evicted from the span ring exports span 0, so
+/// every span id in the file resolves, as [`folded_stacks`] folds such
+/// an event under `(detached)`.
 pub fn chrome_trace_json(snap: &SpanSnapshot, events: &[TraceEvent]) -> String {
     let mut out = String::from(
         "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
@@ -522,7 +525,9 @@ pub fn chrome_trace_json(snap: &SpanSnapshot, events: &[TraceEvent]) -> String {
          {\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\",\
          \"args\":{\"name\":\"eval\"}}",
     );
+    let mut held = std::collections::HashSet::new();
     for s in snap.spans.iter().chain(&snap.open) {
+        held.insert(s.id);
         out.push_str(&format!(
             ",\n{{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":{},\"cat\":\"{}\",\
              \"ts\":{},\"dur\":{},\"args\":{{\"span\":{},\"parent\":{},\"trace\":{},\
@@ -546,7 +551,7 @@ pub fn chrome_trace_json(snap: &SpanSnapshot, events: &[TraceEvent]) -> String {
             us(e.ts_ns),
             us(e.nanos),
             e.seq,
-            e.span,
+            if held.contains(&e.span) { e.span } else { 0 },
             e.trace,
             e.outcome.name(),
             quote(&e.detail),
@@ -781,6 +786,33 @@ mod tests {
         assert!(json.contains("\"cat\":\"root\""), "{json}");
         assert!(json.contains("\"cat\":\"wire-event\""), "{json}");
         assert!(json.contains("x\\\"quote"), "{json}");
+    }
+
+    #[test]
+    fn chrome_export_detaches_events_whose_span_was_evicted() {
+        let c = ctx();
+        c.set_capacity(1);
+        c.begin_trace();
+        let gone = c.push(SpanKind::Root, "eval", || "x[0]".into());
+        c.pop(gone);
+        let kept = c.push(SpanKind::Root, "eval", || "x[1]".into());
+        c.pop(kept);
+        let ev = |span: u64| TraceEvent {
+            seq: 0,
+            op: TraceOp::GetBytes,
+            detail: "0x1000+4".into(),
+            outcome: TraceOutcome::Ok,
+            nanos: 1,
+            ts_ns: 0,
+            trace: 1,
+            span,
+        };
+        let json = chrome_trace_json(&c.snapshot(), &[ev(gone), ev(kept)]);
+        assert!(!json.contains(&format!("\"span\":{gone},")), "{json}");
+        // The kept span and the event attributed to it.
+        let kept_refs = json.matches(&format!("\"span\":{kept},")).count();
+        assert_eq!(kept_refs, 2, "{json}");
+        assert!(json.contains("\"span\":0,"), "{json}");
     }
 
     #[test]
