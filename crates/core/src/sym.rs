@@ -325,7 +325,9 @@ impl Node {
             Node::Bin { op, prec: p, l, r } => {
                 l.child(out, l.prec() < *p, threshold);
                 out.push_str(op);
+                let at = out.len();
                 r.child(out, r.prec() <= *p, threshold);
+                unmerge(out, op, at);
             }
             Node::Index { base, idx } => {
                 base.child(out, base.prec() < prec::POSTFIX, threshold);
@@ -359,10 +361,11 @@ impl Node {
     }
 }
 
-/// Parenthesizes the operand of the prefix operator `op`, rendered
-/// into `out[at..]`, when its first character would merge with `op`
-/// into one token: `-(-2)` must not print as `--2`, which reads back
-/// as a decrement.
+/// Parenthesizes the operand that follows the operator `op` (a prefix
+/// operator's operand, or a binary operator's right one), rendered into
+/// `out[at..]`, when its first character would merge with `op` into
+/// one token: `-(-2)` must not print as `--2`, nor `1-(-2)` as `1--2`,
+/// which read back as decrements.
 fn unmerge(out: &mut String, op: &str, at: usize) {
     let last = op.as_bytes().last().copied();
     if matches!(last, Some(b'-' | b'+' | b'&')) && out.as_bytes().get(at).copied() == last {
@@ -529,9 +532,15 @@ mod tests {
         let x3 = Sym::index(&x, &Sym::int(3));
         assert_eq!(Sym::index(&x3, &Sym::int(4)).render(4), "x[3][4]");
         assert_eq!(Sym::index(&x, &Sym::leaf("i")).render(4), "x[i]");
-        // Substituted integers are atoms: never parenthesized.
+        // Substituted integers are atoms, parenthesized only where a
+        // sign would merge with the operator before it.
         let neg = Sym::bin("-", precedence::ADD, &Sym::int(1), &Sym::int(-2));
-        assert_eq!(neg.render(4), "1--2");
+        assert_eq!(neg.render(4), "1-(-2)");
+        let plus = Sym::bin("+", precedence::ADD, &Sym::int(1), &Sym::int(-2));
+        assert_eq!(plus.render(4), "1+-2");
+        let addr = Sym::un("&", &Sym::leaf("y"));
+        let and = Sym::bin("&", precedence::BITAND, &Sym::leaf("x"), &addr);
+        assert_eq!(and.render(4), "x&(&y)");
     }
 
     #[test]
