@@ -75,8 +75,10 @@ pub struct EvalStats {
     /// batches of a `-->` over a ranged root. Windows a scan reads when
     /// it reaches them are not counted.
     pub prefetch_calls: u64,
-    /// Ranges those calls read cleanly (cache pages of the windows,
-    /// ranges of the batches).
+    /// Ranges the `-->` batches read cleanly. The pages of a window
+    /// submitted ahead are not counted: the scan's read of the window
+    /// completes it, and the cache counts its pages like any fetch's
+    /// (`pages_prefetched`).
     pub prefetch_ranges: u64,
     /// Scan windows submitted ahead (each capped at
     /// [`EvalOptions::prefetch_window`] pages); zero unless the tower
@@ -315,7 +317,7 @@ impl<'t> Session<'t> {
         });
         let windows_ahead = ctx.target.windows_ahead;
         let prefetch_calls = ctx.prefetch_calls + windows_ahead;
-        let prefetch_ranges = ctx.prefetch_ranges + ctx.target.ahead_pages;
+        let prefetch_ranges = ctx.prefetch_ranges;
         let (produced, ticks, max_depth_seen, expansions, yields) = (
             ctx.produced,
             ctx.ticks,
@@ -327,8 +329,8 @@ impl<'t> Session<'t> {
         self.last_trace = std::mem::take(&mut ctx.trace);
         drop(ctx);
         // A terminated scan (`@`, an error, `max_values`) can leave the
-        // window it submitted ahead un-polled; complete every leftover
-        // so the actor queue is empty before the next command.
+        // window it submitted ahead unread; complete every leftover so
+        // the actor queue is empty before the next command.
         while self.target.prefetch_poll().is_some() {}
         self.last_stats = EvalStats {
             values: produced,

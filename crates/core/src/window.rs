@@ -16,14 +16,16 @@
 //!
 //! When the tower has a live I/O actor below its cache, a window that
 //! read cleanly submits the next one ([`Target::prefetch_submit`]), so
-//! window *k+1* is on the wire while the evaluator consumes window *k*,
-//! and the first load of window *k+1* polls it before the scan submits
-//! *k+2*: one window in flight. Polling first means a scan that stops
-//! in a window whose read failed has submitted nothing past it. A scan
-//! that stops early for another reason (`@`, an error, the value limit)
-//! leaves its next window read by the actor: one window a tower
-//! without one does not read, which the session completes and applies
-//! at the end of the command.
+//! window *k+1* is on the wire while the evaluator consumes window *k*.
+//! The first load of window *k+1* reads it like any window, with one
+//! vectored read; the cache completes the window submitted ahead inside
+//! that read, so every layer above counts, traces and supervises the
+//! read exactly as without an actor. Only then is *k+2* submitted: one
+//! window in flight, and a scan that stops in a window whose read
+//! failed has submitted nothing past it. A scan that stops early for
+//! another reason (`@`, an error, the value limit) leaves its next
+//! window read by the actor: one window a tower without one does not
+//! read, which the session completes in its end-of-command drain.
 //!
 //! The buffer is a snapshot, so anything that could change memory
 //! drops it: a store, a target allocation, a target call. A window
@@ -77,14 +79,10 @@ pub struct ScanTarget<'a> {
     held: Option<u64>,
     /// The window whose read last failed; its loads go to the target.
     failed: Option<u64>,
-    /// The window submitted ahead to the I/O actor and not yet polled.
-    ahead: Option<u64>,
     bytes: Vec<u8>,
     /// Windows submitted ahead this command (reported in
-    /// [`crate::EvalStats`]),
+    /// [`crate::EvalStats`]).
     pub(crate) windows_ahead: u64,
-    /// and the cache pages they read cleanly.
-    pub(crate) ahead_pages: u64,
 }
 
 impl<'a> ScanTarget<'a> {
@@ -97,21 +95,15 @@ impl<'a> ScanTarget<'a> {
             span: None,
             held: None,
             failed: None,
-            ahead: None,
             bytes: Vec::new(),
             windows_ahead: 0,
-            ahead_pages: 0,
         }
     }
 
     /// Registers the scan over `span`. Registering the span already
-    /// held keeps its window; any other drops it, and completes a
-    /// window still in flight for the old span.
+    /// held keeps its window; any other drops it.
     pub(crate) fn scan(&mut self, span: Span) {
         if self.span != Some(span) {
-            if self.ahead.take().is_some() {
-                self.poll();
-            }
             self.span = Some(span);
             self.drop_window();
         }
@@ -150,13 +142,10 @@ impl<'a> ScanTarget<'a> {
     }
 
     /// Reads window `k` in one vectored call: the cache coalesces every
-    /// page a vectored read misses into one backend turn, and a window
-    /// submitted ahead is completed first, so its pages are resident.
-    /// With an I/O actor, a clean window submits window `k+1`.
+    /// page a vectored read misses into one backend turn, or takes the
+    /// window submitted ahead as that turn. With an I/O actor, a clean
+    /// window submits window `k+1`.
     fn fill(&mut self, span: Span, k: u64) -> bool {
-        if self.ahead.take().is_some() {
-            self.poll();
-        }
         let (start, len) = span.window_at(k);
         let len = len as usize;
         self.held = None;
@@ -179,15 +168,7 @@ impl<'a> ScanTarget<'a> {
     /// window misses a page.
     fn submit(&mut self, span: Span, k: u64) {
         if k * span.window < span.total && self.inner.prefetch_submit(&[span.window_at(k)]) {
-            self.ahead = Some(k);
             self.windows_ahead += 1;
-        }
-    }
-
-    /// Completes the oldest window in flight, applying its pages.
-    fn poll(&mut self) {
-        if let Some(c) = self.inner.prefetch_poll() {
-            self.ahead_pages += c.clean;
         }
     }
 }

@@ -694,19 +694,6 @@ impl<T: Target> crate::op::Layer for SupervisedTarget<T> {
     fn staleness_handle(&self) -> Option<StalenessHandle> {
         Some(self.staleness.clone())
     }
-
-    fn prefetch_poll(&mut self) -> Option<crate::iface::PrefetchCompletion> {
-        let c = self.inner.prefetch_poll()?;
-        // A completed window is backend health evidence like any other
-        // wire op: feed the breaker window so a backend that only fails
-        // asynchronous reads still trips the circuit.
-        if c.failed > 0 {
-            self.record_failure();
-        } else if c.ranges > 0 {
-            self.record_success();
-        }
-        Some(c)
-    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::error::TargetError;
-use crate::iface::{PrefetchCompletion, Target};
+use crate::iface::Target;
 use crate::json::quote;
 use crate::metrics::{log2_bucket, log2_quantile, Ring};
 use crate::op::{Op, Reply};
@@ -483,25 +483,6 @@ impl TraceHandle {
         self.record(op, detail, outcome, nanos, Attribution::NONE);
     }
 
-    /// Records one vectored read of `nranges` ranges: the normal
-    /// [`TraceOp::MultiRead`] counters plus the ranges-per-call
-    /// histogram.
-    fn record_multi_at(
-        &self,
-        nranges: usize,
-        detail: String,
-        outcome: TraceOutcome,
-        nanos: u64,
-        at: Attribution,
-    ) {
-        let bucket = log2_bucket(nranges as u64, RANGE_BUCKETS);
-        self.0.multi_hist[bucket].fetch_add(1, Ordering::Relaxed);
-        self.0
-            .multi_ranges
-            .fetch_add(nranges as u64, Ordering::Relaxed);
-        self.record(TraceOp::MultiRead, detail, outcome, nanos, at);
-    }
-
     /// Wire turns recorded so far: scalar reads plus vectored reads
     /// (each vectored call is one turn no matter how many ranges it
     /// carries). This is the quantity read-ahead optimizes.
@@ -680,30 +661,6 @@ impl<T: Target> crate::op::Layer for TraceTarget<T> {
     fn span_context(&self) -> Option<SpanContext> {
         Some(self.spans.clone())
     }
-
-    fn prefetch_poll(&mut self) -> Option<PrefetchCompletion> {
-        let c = self.inner.prefetch_poll()?;
-        // The window's wire read happened below the cache, on the I/O
-        // actor, so this layer never saw it as a get_bytes_multi.
-        // Record the completed window as one MultiRead here, so
-        // `wire_turns()` counts every turn exactly once, attributed to
-        // the span that polled it (the scan that needed the window).
-        if c.ranges > 0 && self.handle.0.enabled.load(Ordering::Relaxed) {
-            let outcome = if c.failed > 0 {
-                TraceOutcome::Fault
-            } else {
-                TraceOutcome::Ok
-            };
-            self.handle.record_multi_at(
-                c.ranges as usize,
-                format!("window {} pages, {}b, pipelined", c.ranges, c.bytes),
-                outcome,
-                c.wait_ns,
-                Attribution::current(&self.spans),
-            );
-        }
-        Some(c)
-    }
 }
 
 impl<T: Target> TraceTarget<T> {
@@ -746,8 +703,12 @@ impl<T: Target> TraceTarget<T> {
             // its parent chain still leads to the causing eval node.
             at.span = multi_span;
         }
-        self.handle
-            .record_multi_at(ranges.len(), detail, outcome, nanos, at);
+        // The ranges-per-call histogram, besides the op's counters.
+        let shared = &self.handle.0;
+        let nranges = ranges.len() as u64;
+        shared.multi_hist[log2_bucket(nranges, RANGE_BUCKETS)].fetch_add(1, Ordering::Relaxed);
+        shared.multi_ranges.fetch_add(nranges, Ordering::Relaxed);
+        self.handle.record(kind, detail, outcome, nanos, at);
         reply
     }
 }
